@@ -484,13 +484,17 @@ cmake -B "$TSAN" -S . \
 
 echo "== build (TSan targets) =="
 cmake --build "$TSAN" -j \
-    --target topo_sim topo_report exec_test determinism_test
+    --target topo_sim topo_report exec_test determinism_test \
+    trg_differential_test
 
 echo "== parallel smoke (TSan) =="
 # exitcode=66 separates "TSan found a race" from the tools' own codes.
 export TSAN_OPTIONS="exitcode=66:halt_on_error=1"
 "$TSAN/tests/exec_test" > /dev/null
 "$TSAN/tests/determinism_test" > /dev/null
+# The differential TRG test builds the suite at jobs 1, 2 and 4: shard
+# walks that end inside repeat streaks run on pool threads, then merge.
+"$TSAN/tests/trg_differential_test" > /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \
     --trace-scale=0.01 --jobs=4 > "$WORK/tsan_j4.txt" 2> /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \

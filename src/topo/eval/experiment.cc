@@ -62,13 +62,7 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
       test_trace_(synthesizeTrace(bench.model, bench.test)),
       train_stats_(computeTraceStats(program_, train_trace_)),
       popular_(selectPopular(program_, train_stats_, options.popularity)),
-      chunks_(program_, options.chunk_bytes),
-      train_stream_(makeEvalStream(program_, train_trace_,
-                                   options.cache.line_bytes,
-                                   options.sampling.active())),
-      test_stream_(makeEvalStream(program_, test_trace_,
-                                  options.cache.line_bytes,
-                                  options.sampling.active()))
+      chunks_(program_, options.chunk_bytes)
 {
     options_.cache.validate();
     if (sampled()) {
@@ -106,6 +100,9 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
         if (options_.pair_prune > 0.0)
             pairs_.prune(options_.pair_prune);
     }
+    test_stream_.emplace(makeEvalStream(program_, test_trace_,
+                                        options_.cache.line_bytes,
+                                        sampled()));
     MetricsRegistry::current().counter("eval.bundles").add();
     if (logEnabled(LogLevel::kDebug)) {
         logDebug("eval", "profile bundle ready",
@@ -137,12 +134,23 @@ ProfileBundle::makeContext(const WeightedGraph *wcg,
     return ctx;
 }
 
+const FetchStream &
+ProfileBundle::trainStream() const
+{
+    std::call_once(train_stream_once_, [this] {
+        train_stream_.emplace(makeEvalStream(program_, train_trace_,
+                                             options_.cache.line_bytes,
+                                             sampled()));
+    });
+    return *train_stream_;
+}
+
 double
 ProfileBundle::testMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: testMissRate on a sampled "
                         "bundle; use sampledTestResult");
-    return layoutMissRate(program_, layout, test_stream_, options_.cache);
+    return layoutMissRate(program_, layout, testStream(), options_.cache);
 }
 
 double
@@ -150,7 +158,7 @@ ProfileBundle::trainMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: trainMissRate on a sampled "
                         "bundle; use sampledTestResult");
-    return layoutMissRate(program_, layout, train_stream_, options_.cache);
+    return layoutMissRate(program_, layout, trainStream(), options_.cache);
 }
 
 const SamplePlan &

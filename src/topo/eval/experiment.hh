@@ -10,6 +10,8 @@
 #define TOPO_EVAL_EXPERIMENT_HH
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,8 +79,12 @@ class ProfileBundle
     const WeightedGraph &trgSelect() const { return trg_select_; }
     const WeightedGraph &trgPlace() const { return trg_place_; }
     const PairDatabase &pairs() const { return pairs_; }
-    const FetchStream &trainStream() const { return train_stream_; }
-    const FetchStream &testStream() const { return test_stream_; }
+    /**
+     * The training trace's fetch stream, expanded on the first call
+     * (thread-safe): only trainMissRate-style measurements read it.
+     */
+    const FetchStream &trainStream() const;
+    const FetchStream &testStream() const { return *test_stream_; }
     /** Average procedures resident in Q during TRG build (Table 1). */
     double avgQueueProcs() const { return avg_queue_procs_; }
 
@@ -137,8 +143,13 @@ class ProfileBundle
     WeightedGraph trg_place_;
     PairDatabase pairs_;
     double avg_queue_procs_ = 0.0;
-    FetchStream train_stream_;
-    FetchStream test_stream_;
+    /**
+     * Expanded after the profile is built, so the TRG build's scratch
+     * is freed before the stream is allocated (lower peak memory).
+     */
+    std::optional<FetchStream> test_stream_;
+    mutable std::once_flag train_stream_once_;
+    mutable std::optional<FetchStream> train_stream_;
     /** Sample plans (null unless sampling is active). */
     std::unique_ptr<SamplePlan> train_plan_;
     std::unique_ptr<SamplePlan> test_plan_;

@@ -69,13 +69,18 @@ TrgStateWalker::advance(const TraceEvent &ev)
             "TrgStateWalker: run exceeds procedure bounds");
     if (popular_ && !(*popular_)[ev.proc])
         return;
+    if (ev == last_event_ &&
+        (!build_place_ || chunk_q_.contains(first_chunk_)))
+        return;
     if (need_proc_pass_ && ev.proc != last_proc_)
         proc_q_.touch(ev.proc);
     last_proc_ = ev.proc;
+    last_event_ = ev;
     if (build_place_) {
         const std::uint32_t first = ev.offset / chunk_bytes_;
         const std::uint32_t last =
             (ev.offset + ev.length - 1) / chunk_bytes_;
+        first_chunk_ = chunks_.chunkId(ev.proc, first);
         for (std::uint32_t idx = first; idx <= last; ++idx) {
             const ChunkId chunk = chunks_.chunkId(ev.proc, idx);
             if (chunk == last_chunk_)

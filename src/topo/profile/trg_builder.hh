@@ -109,6 +109,9 @@ struct TraceShard
  *
  * Validation mirrors TrgAccumulator::onRun, so a malformed trace
  * fails here with the same error class it would fail with serially.
+ * A repeat of the previous popular event whose first chunk is still
+ * resident leaves the state unchanged, so it is skipped (the fixed
+ * point of DESIGN.md §10).
  */
 class TrgStateWalker
 {
@@ -139,6 +142,9 @@ class TrgStateWalker
     std::uint32_t chunk_bytes_;
     ProcId last_proc_ = kInvalidProc;
     ChunkId last_chunk_ = static_cast<ChunkId>(~0u);
+    /** Last popular event walked (not skipped), and its first chunk. */
+    TraceEvent last_event_;
+    ChunkId first_chunk_ = 0;
 };
 
 /**

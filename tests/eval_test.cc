@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "topo/eval/conflict_metric.hh"
 #include "topo/eval/experiment.hh"
@@ -102,6 +104,23 @@ TEST_F(EvalFixture, MissRatesAreSane)
     EXPECT_GT(test_mr, 0.0);
     EXPECT_LT(test_mr, 0.9);
     EXPECT_GT(train_mr, 0.0);
+}
+
+TEST_F(EvalFixture, TrainStreamExpandsOnceOnFirstUse)
+{
+    // The bundle defers the training stream; concurrent first calls
+    // must all see one expansion equal to a fresh one.
+    std::vector<const FetchStream *> seen(4, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back([&, t] { seen[t] = &bundle_.trainStream(); });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const FetchStream *stream : seen)
+        EXPECT_EQ(stream, seen[0]);
+    const FetchStream fresh(bundle_.program(), bundle_.trainTrace(),
+                            bundle_.options().cache.line_bytes);
+    EXPECT_EQ(seen[0]->lineIds(), fresh.lineIds());
 }
 
 TEST_F(EvalFixture, GbscBeatsDefaultOnTrain)

@@ -6,10 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
+
+#include "topo/eval/experiment.hh"
+#include "topo/placement/popularity.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
+#include "topo/trace/trace_stats.hh"
 #include "topo/util/rng.hh"
 #include "topo/workload/figure1.hh"
+#include "topo/workload/paper_suite.hh"
+#include "topo/workload/trace_synthesizer.hh"
 
 namespace topo
 {
@@ -202,6 +211,105 @@ TEST(Trg, ObserverSeesEverything)
         buildTrgs(ex.program, chunks, ex.trace2(), opts);
     EXPECT_EQ(steps, trg.proc_steps);
     EXPECT_GT(with_prev, 0u);
+}
+
+/** FNV-1a over the sorted (u, v, weight bits) edge list of a graph. */
+std::uint64_t
+edgeHash(const WeightedGraph &graph)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t word, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (word >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const WeightedGraph::Edge &e : graph.edges()) {
+        mix(e.u, 4);
+        mix(e.v, 4);
+        mix(std::bit_cast<std::uint64_t>(e.weight), 8);
+    }
+    return h;
+}
+
+/** Golden facts of one suite program's serial TRG build. */
+struct TrgGolden
+{
+    const char *name;
+    std::size_t select_edges;
+    std::size_t place_edges;
+    std::uint64_t select_hash;
+    std::uint64_t place_hash;
+    std::uint64_t proc_steps;
+    std::uint64_t proc_evictions;
+    std::uint64_t chunk_evictions;
+    double avg_queue_procs;
+};
+
+TEST(Trg, GoldenSuiteBuildsAtScale005)
+{
+    // Recorded from the plain Section 3 walk (one FlatMap probe per
+    // credited pair, no repeat elision) before the dense-count and
+    // repeat-elision build replaced it. Any change to an edge, a
+    // weight bit or a walk statistic of the exact build fails here.
+    static const TrgGolden kGolden[] = {
+        {"gcc", 181, 11078,
+         0xad10b2b87533a455ULL, 0x810b1ab4216b51f4ULL,
+         3585, 1392, 11623, 0x1.ba0e238fbee01p+2},
+        {"go", 317, 6121,
+         0x4ccfd43805196e26ULL, 0xc108311badc74fa6ULL,
+         3533, 1149, 3869, 0x1.1901f4d759a1fp+4},
+        {"ghostscript", 1191, 6568,
+         0x56608e080003a695ULL, 0xabe39116164cad8eULL,
+         6403, 1587, 3291, 0x1.03f4f7158cc62p+5},
+        {"m88ksim", 333, 3086,
+         0xac1c28e5dddbb93cULL, 0x9666c93050666147ULL,
+         9538, 82, 295, 0x1.6f2aff68d64a6p+4},
+        {"perl", 227, 11829,
+         0xda82272a86d0a518ULL, 0x8478bfb9e246f18eULL,
+         9067, 2444, 21130, 0x1.155f92ad4d46fp+3},
+        {"vortex", 703, 8357,
+         0x0ad9dad2792a67bbULL, 0x85bd7c29799e2698ULL,
+         5690, 1522, 5227, 0x1.52c005c245a58p+4},
+    };
+    const EvalOptions eval;
+    for (const TrgGolden &want : kGolden) {
+        SCOPED_TRACE(want.name);
+        const BenchmarkCase bench = paperBenchmark(want.name, 0.05);
+        const Program &program = bench.model.program;
+        const Trace trace = synthesizeTrace(bench.model, bench.train);
+        const PopularSet popular = selectPopular(
+            program, computeTraceStats(program, trace), eval.popularity);
+        const ChunkMap chunks(program, eval.chunk_bytes);
+        TrgBuildOptions opts;
+        opts.byte_budget = static_cast<std::uint64_t>(
+            eval.q_budget_factor * eval.cache.size_bytes);
+        opts.popular = &popular.mask;
+        const TrgBuildResult got = buildTrgs(program, chunks, trace, opts);
+
+        char row[320];
+        std::snprintf(row, sizeof row,
+                      "{\"%s\", %zu, %zu, 0x%016llxULL, 0x%016llxULL, "
+                      "%llu, %llu, %llu, %a},",
+                      want.name, got.select.edgeCount(),
+                      got.place.edgeCount(),
+                      static_cast<unsigned long long>(edgeHash(got.select)),
+                      static_cast<unsigned long long>(edgeHash(got.place)),
+                      static_cast<unsigned long long>(got.proc_steps),
+                      static_cast<unsigned long long>(got.proc_evictions),
+                      static_cast<unsigned long long>(got.chunk_evictions),
+                      got.avg_queue_procs);
+        SCOPED_TRACE(std::string("measured row: ") + row);
+        EXPECT_EQ(got.select.edgeCount(), want.select_edges);
+        EXPECT_EQ(got.place.edgeCount(), want.place_edges);
+        EXPECT_EQ(edgeHash(got.select), want.select_hash);
+        EXPECT_EQ(edgeHash(got.place), want.place_hash);
+        EXPECT_EQ(got.proc_steps, want.proc_steps);
+        EXPECT_EQ(got.proc_evictions, want.proc_evictions);
+        EXPECT_EQ(got.chunk_evictions, want.chunk_evictions);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avg_queue_procs),
+                  std::bit_cast<std::uint64_t>(want.avg_queue_procs));
+    }
 }
 
 /** Property: select-TRG weights are symmetric and non-negative. */
