@@ -13,7 +13,6 @@
 #include "topo/eval/reports.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/splitting.hh"
-#include "topo/profile/trg_builder.hh"
 #include "topo/util/table.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
@@ -26,27 +25,8 @@ double
 gbscMissRate(const Program &program, const Trace &train,
              const Trace &test, const EvalOptions &eval)
 {
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const TraceStats stats = computeTraceStats(program, train);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, train, topts);
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-    const Gbsc gbsc;
-    const Layout layout = gbsc.place(ctx);
+    const Layout layout =
+        Gbsc().place(buildProfile(program, train, eval).context());
     const FetchStream stream(program, test, eval.cache.line_bytes);
     return layoutMissRate(program, layout, stream, eval.cache);
 }

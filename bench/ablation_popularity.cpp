@@ -33,8 +33,8 @@ main(int argc, char **argv)
             const double mr =
                 bundle.testMissRate(gbsc.place(bundle.makeContext()));
             table.addRow({name, fmtDouble(coverage, 3),
-                          std::to_string(bundle.popular().count),
-                          fmtBytes(bundle.popular().bytes),
+                          std::to_string(bundle.profile().popular.count),
+                          fmtBytes(bundle.profile().popular.bytes),
                           fmtPercent(mr)});
         }
     }

@@ -14,7 +14,6 @@
 
 #include "topo/eval/reports.hh"
 #include "topo/placement/gbsc.hh"
-#include "topo/profile/trg_builder.hh"
 #include "topo/util/table.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
@@ -23,47 +22,11 @@ namespace
 
 using namespace topo;
 
-struct Profile
-{
-    TraceStats stats;
-    PopularSet popular;
-    TrgBuildResult trgs;
-};
-
-Profile
-profileFor(const Program &program, const ChunkMap &chunks,
-           const Trace &trace, const EvalOptions &eval)
-{
-    Profile profile;
-    profile.stats = computeTraceStats(program, trace);
-    profile.popular =
-        selectPopular(program, profile.stats, eval.popularity);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &profile.popular.mask;
-    profile.trgs = buildTrgs(program, chunks, trace, topts);
-    return profile;
-}
-
 double
-placeAndMeasure(const Program &program, const ChunkMap &chunks,
-                const Profile &profile, const FetchStream &target,
-                const EvalOptions &eval)
+placeAndMeasure(const TrainingProfile &profile, const FetchStream &target)
 {
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.trg_select = &profile.trgs.select;
-    ctx.trg_place = &profile.trgs.place;
-    ctx.popular = profile.popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] =
-            static_cast<double>(profile.stats.bytes_fetched[i]);
-    const Gbsc gbsc;
-    return layoutMissRate(program, gbsc.place(ctx), target, eval.cache);
+    return layoutMissRate(*profile.program, Gbsc().place(profile.context()),
+                          target, profile.cache);
 }
 
 } // namespace
@@ -89,7 +52,6 @@ main(int argc, char **argv)
             continue;
         std::cerr << "running " << bench.name << " ...\n";
         const Program &program = bench.model.program;
-        const ChunkMap chunks(program, eval.chunk_bytes);
 
         const Trace train_a = synthesizeTrace(bench.model, bench.train);
         const Trace train_b = synthesizeTrace(bench.model, bench.test);
@@ -102,28 +64,22 @@ main(int argc, char **argv)
         const FetchStream target(program, unseen,
                                  eval.cache.line_bytes);
 
-        const Profile single =
-            profileFor(program, chunks, train_a, eval);
-        const double single_mr =
-            placeAndMeasure(program, chunks, single, target, eval);
-
-        // Merge: second profile built independently, graphs and heat
+        // Merge: a second profile built independently, graphs and heat
         // added together; popularity re-derived from combined stats.
-        Profile merged = profileFor(program, chunks, train_a, eval);
-        const Profile other = profileFor(program, chunks, train_b, eval);
-        merged.trgs.select.addGraph(other.trgs.select);
-        merged.trgs.place.addGraph(other.trgs.place);
+        TrainingProfile merged = buildProfile(program, train_a, eval);
+        const double single_mr = placeAndMeasure(merged, target);
+        const TrainingProfile other = buildProfile(program, train_b, eval);
+        merged.trg_select.addGraph(other.trg_select);
+        merged.trg_place.addGraph(other.trg_place);
         for (std::size_t i = 0; i < program.procCount(); ++i) {
-            merged.stats.bytes_fetched[i] +=
-                other.stats.bytes_fetched[i];
+            merged.stats.bytes_fetched[i] += other.stats.bytes_fetched[i];
             merged.stats.run_count[i] += other.stats.run_count[i];
         }
         merged.stats.total_bytes += other.stats.total_bytes;
         merged.stats.total_runs += other.stats.total_runs;
         merged.popular =
             selectPopular(program, merged.stats, eval.popularity);
-        const double merged_mr =
-            placeAndMeasure(program, chunks, merged, target, eval);
+        const double merged_mr = placeAndMeasure(merged, target);
 
         table.addRow(
             {bench.name, fmtPercent(single_mr), fmtPercent(merged_mr),

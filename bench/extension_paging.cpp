@@ -13,9 +13,7 @@
 
 #include "topo/eval/page_metric.hh"
 #include "topo/eval/reports.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/util/table.hh"
 
 int
@@ -37,11 +35,6 @@ main(int argc, char **argv)
     const std::uint32_t resident = static_cast<std::uint32_t>(
         opts.getInt("resident-pages", 16));
 
-    const DefaultPlacement def;
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-
     TextTable table({"benchmark", "algorithm", "miss rate",
                      "pages touched", "switches/kacc", "LRU faults"});
     for (const BenchmarkCase &bench : paperSuite(scale)) {
@@ -50,16 +43,14 @@ main(int argc, char **argv)
         std::cerr << "running " << bench.name << " ...\n";
         const ProfileBundle bundle(bench, eval);
         const PlacementContext ctx = bundle.makeContext();
-        for (const PlacementAlgorithm *algo :
-             std::initializer_list<const PlacementAlgorithm *>{
-                 &def, &ph, &hkc, &gbsc}) {
-            const Layout layout = algo->place(ctx);
+        for (const PlacementEntry &entry : kPlacementTable) {
+            const Layout layout = entry.algorithm.place(ctx);
             const PageStats pages =
                 measurePageStats(bundle.program(), layout,
                                  bundle.testStream(), page_bytes,
                                  resident);
             table.addRow(
-                {bench.name, algo->name(),
+                {bench.name, entry.display,
                  fmtPercent(bundle.testMissRate(layout)),
                  std::to_string(pages.pages_touched),
                  fmtDouble(pages.switchesPerKiloAccess(), 2),

@@ -14,7 +14,6 @@
 #include "topo/eval/reports.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/splitting.hh"
-#include "topo/profile/trg_builder.hh"
 #include "topo/util/table.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
@@ -35,29 +34,10 @@ SplitResult
 gbscMissRate(const Program &program, const Trace &train,
              const Trace &test, const EvalOptions &eval)
 {
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const TraceStats stats = computeTraceStats(program, train);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, train, topts);
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-    const Gbsc gbsc;
-    const Layout layout = gbsc.place(ctx);
+    const TrainingProfile profile = buildProfile(program, train, eval);
+    const Layout layout = Gbsc().place(profile.context());
     SplitResult result;
-    result.popular_bytes = popular.bytes;
+    result.popular_bytes = profile.popular.bytes;
     const FetchStream test_stream(program, test, eval.cache.line_bytes);
     result.test_mr =
         layoutMissRate(program, layout, test_stream, eval.cache);

@@ -11,12 +11,7 @@
 #include "topo/cache/attribution.hh"
 #include "topo/cache/simulate.hh"
 #include "topo/eval/experiment.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/util/table.hh"
 #include "topo/workload/microsuite.hh"
 
@@ -24,46 +19,22 @@ int
 main()
 {
     using namespace topo;
-    const DefaultPlacement def;
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-
-    TextTable table({"case", "cache", "default", "PH", "HKC", "GBSC",
-                     "default's worst conflict"});
+    std::vector<std::string> header{"case", "cache"};
+    for (const PlacementEntry &entry : kPlacementTable)
+        header.push_back(entry.display);
+    header.push_back("default's worst conflict");
+    TextTable table(header);
     std::vector<std::pair<std::string, std::string>> lessons;
     for (const MicroCase &mc : microsuite()) {
-        const ChunkMap chunks(mc.program, 256);
-        const TraceStats stats = computeTraceStats(mc.program, mc.trace);
-        const PopularSet popular = selectPopular(mc.program, stats);
-        const WeightedGraph wcg = buildWcg(mc.program, mc.trace);
-        TrgBuildOptions opts;
-        opts.byte_budget = 2 * mc.cache.size_bytes;
-        opts.popular = &popular.mask;
-        const TrgBuildResult trgs =
-            buildTrgs(mc.program, chunks, mc.trace, opts);
-
-        PlacementContext ctx;
-        ctx.program = &mc.program;
-        ctx.cache = mc.cache;
-        ctx.chunks = &chunks;
-        ctx.wcg = &wcg;
-        ctx.trg_select = &trgs.select;
-        ctx.trg_place = &trgs.place;
-        ctx.popular = popular.mask;
-        ctx.heat.assign(mc.program.procCount(), 0.0);
-        for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-            ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+        const TrainingProfile profile = buildProfile(
+            mc.program, mc.trace, EvalOptions{.cache = mc.cache});
+        const PlacementContext ctx = profile.context();
 
         const FetchStream stream(mc.program, mc.trace,
                                  mc.cache.line_bytes);
-        auto mr = [&](const PlacementAlgorithm &algo) {
-            return fmtPercent(layoutMissRate(
-                mc.program, algo.place(ctx), stream, mc.cache));
-        };
         // Attribute the default layout's misses so each row also names
         // the procedure pair that thrashes before placement fixes it.
-        const Layout base = def.place(ctx);
+        const Layout base = DefaultPlacement().place(ctx);
         AttributionSink sink(mc.program, base, mc.cache,
                              mc.cache.line_bytes);
         SimObservers observers;
@@ -77,8 +48,13 @@ main()
                               " evicts " +
                               mc.program.proc(top[0].victim).name +
                               " x" + std::to_string(top[0].count);
-        table.addRow({mc.name, mc.cache.describe(), mr(def), mr(ph),
-                      mr(hkc), mr(gbsc), conflict});
+        std::vector<std::string> row{mc.name, mc.cache.describe()};
+        for (const PlacementEntry &entry : kPlacementTable) {
+            row.push_back(fmtPercent(layoutMissRate(
+                mc.program, entry.algorithm.place(ctx), stream, mc.cache)));
+        }
+        row.push_back(conflict);
+        table.addRow(row);
         lessons.emplace_back(mc.name, mc.lesson);
     }
     table.render(std::cout,

@@ -84,7 +84,7 @@ main(int argc, char **argv)
         std::cerr << "running " << bench.name << " ...\n";
         const ProfileBundle bundle(bench, eval);
         const PlacementContext ctx = bundle.makeContext();
-        table.addRow({bench.name, fmtBytes(bundle.popular().bytes),
+        table.addRow({bench.name, fmtBytes(bundle.profile().popular.bytes),
                       fmtPercent(bundle.testMissRate(def.place(ctx))),
                       fmtPercent(bundle.testMissRate(ph.place(ctx))),
                       fmtPercent(bundle.testMissRate(hkc.place(ctx))),

@@ -12,9 +12,7 @@
 #include <iostream>
 
 #include "topo/eval/reports.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/util/table.hh"
 
 int
@@ -30,11 +28,6 @@ main(int argc, char **argv)
     const EvalOptions eval = evalOptionsFrom(opts);
     const std::string only = opts.getString("benchmark", "");
 
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-    const DefaultPlacement def;
-
     TextTable table({"benchmark", "algorithm", "MR on test input",
                      "MR on train input"});
     for (const BenchmarkCase &bench : paperSuite(traceScaleFrom(opts))) {
@@ -43,11 +36,9 @@ main(int argc, char **argv)
         std::cerr << "running " << bench.name << " ...\n";
         const ProfileBundle bundle(bench, eval);
         const PlacementContext ctx = bundle.makeContext();
-        for (const PlacementAlgorithm *algo :
-             std::initializer_list<const PlacementAlgorithm *>{
-                 &def, &ph, &hkc, &gbsc}) {
-            const Layout layout = algo->place(ctx);
-            table.addRow({bench.name, algo->name(),
+        for (const PlacementEntry &entry : kPlacementTable) {
+            const Layout layout = entry.algorithm.place(ctx);
+            table.addRow({bench.name, entry.display,
                           fmtPercent(bundle.testMissRate(layout)),
                           fmtPercent(bundle.trainMissRate(layout))});
         }

@@ -69,7 +69,7 @@ main(int argc, char **argv)
                       fmtPercent(sa_bundle.testMissRate(def_layout)),
                       fmtPercent(sa_bundle.testMissRate(dm_layout)),
                       fmtPercent(sa_bundle.testMissRate(sa_layout)),
-                      std::to_string(sa_bundle.pairs().size())});
+                      std::to_string(sa_bundle.profile().pairs.size())});
     }
     table.render(std::cout,
                  "Section 6: placement for " +

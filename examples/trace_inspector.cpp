@@ -31,7 +31,8 @@ main(int argc, char **argv)
     std::cerr << "profiling " << name << " ...\n";
     const BenchmarkCase bench = paperBenchmark(name, scale);
     const ProfileBundle bundle(bench, eval);
-    const TraceStats &stats = bundle.trainStats();
+    const TrainingProfile &profile = bundle.profile();
+    const TraceStats &stats = profile.stats;
 
     std::cout << "Benchmark " << name << ": "
               << bundle.program().procCount() << " procedures, "
@@ -41,12 +42,12 @@ main(int argc, char **argv)
               << fmtCount(stats.total_runs) << " runs, "
               << fmtCount(stats.total_bytes) << " bytes fetched, "
               << stats.procs_touched << " procedures touched.\n";
-    std::cout << "Popular set: " << bundle.popular().count
-              << " procedures, " << fmtBytes(bundle.popular().bytes)
-              << " (" << fmtPercent(bundle.popular().covered)
+    std::cout << "Popular set: " << profile.popular.count
+              << " procedures, " << fmtBytes(profile.popular.bytes)
+              << " (" << fmtPercent(profile.popular.covered)
               << " of dynamic bytes).\n";
     std::cout << "Average procedures resident in Q: "
-              << fmtDouble(bundle.avgQueueProcs(), 1) << " (Q budget "
+              << fmtDouble(profile.avg_queue_procs, 1) << " (Q budget "
               << eval.q_budget_factor << "x " << eval.cache.size_bytes
               << " B).\n\n";
 
@@ -73,20 +74,20 @@ main(int argc, char **argv)
     // Graph statistics: the TRG's extra information over the WCG.
     std::size_t wcg_popular_edges = 0;
     for (const auto &e : bundle.wcg().edges()) {
-        if (bundle.popular().mask[e.u] && bundle.popular().mask[e.v])
+        if (profile.popular.mask[e.u] && profile.popular.mask[e.v])
             ++wcg_popular_edges;
     }
     TextTable graphs({"graph", "nodes", "edges", "total weight"});
     graphs.addRow({"WCG (popular-popular edges)",
-                   std::to_string(bundle.popular().count),
+                   std::to_string(profile.popular.count),
                    std::to_string(wcg_popular_edges), "-"});
     graphs.addRow({"TRG_select",
-                   std::to_string(bundle.popular().count),
+                   std::to_string(profile.popular.count),
                    std::to_string(bundle.trgSelect().edgeCount()),
                    fmtCount(static_cast<std::uint64_t>(
                        bundle.trgSelect().totalWeight()))});
     graphs.addRow({"TRG_place (chunks)",
-                   std::to_string(bundle.chunks().chunkCount()),
+                   std::to_string(profile.chunks.chunkCount()),
                    std::to_string(bundle.trgPlace().edgeCount()),
                    fmtCount(static_cast<std::uint64_t>(
                        bundle.trgPlace().totalWeight()))});

@@ -18,8 +18,10 @@ cmake -B "$BUILD" -S . \
 echo "== build =="
 cmake --build "$BUILD" -j
 
-echo "== test =="
-ctest --test-dir "$BUILD" --output-on-failure -j
+echo "== test (5 runs, parallel) =="
+# Every test runs five times under -j: a test that shares a file or
+# other state with another process fails one of the runs.
+ctest --test-dir "$BUILD" --output-on-failure -j --repeat until-fail:5
 
 echo "== metrics smoke =="
 WORK="$(mktemp -d)"

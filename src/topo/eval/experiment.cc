@@ -17,26 +17,6 @@ namespace topo
 namespace
 {
 
-TrgBuildOptions
-trgOptionsOf(const EvalOptions &options, const std::vector<bool> &popular)
-{
-    TrgBuildOptions build;
-    build.byte_budget = static_cast<std::uint64_t>(
-        options.q_budget_factor * options.cache.size_bytes);
-    require(build.byte_budget > 0, "ProfileBundle: zero Q budget");
-    build.popular = &popular;
-    return build;
-}
-
-TrgBuildResult
-runTrgBuild(const Program &program, const ChunkMap &chunks,
-            const Trace &trace, const EvalOptions &options,
-            const std::vector<bool> &popular)
-{
-    return buildTrgs(program, chunks, trace,
-                     trgOptionsOf(options, popular));
-}
-
 /**
  * Expand the fetch stream only on the exact path. A sampled bundle
  * never replays the whole trace, and at large --trace-scale the full
@@ -53,6 +33,77 @@ makeEvalStream(const Program &program, const Trace &trace,
 
 } // namespace
 
+TrainingProfile
+buildProfile(const Program &program, const Trace &train,
+             const EvalOptions &options)
+{
+    options.cache.validate();
+    const std::uint64_t byte_budget = static_cast<std::uint64_t>(
+        options.q_budget_factor * options.cache.size_bytes);
+    require(byte_budget > 0, "buildProfile: zero Q budget");
+    TrainingProfile profile{
+        .program = &program,
+        .cache = options.cache,
+        .stats = computeTraceStats(program, train),
+        .chunks = ChunkMap(program, options.chunk_bytes),
+    };
+    profile.popular =
+        selectPopular(program, profile.stats, options.popularity);
+    TrgBuildOptions trg_options;
+    trg_options.byte_budget = byte_budget;
+    trg_options.popular = &profile.popular.mask;
+    if (options.sampling.active()) {
+        require(!options.build_pairs,
+                "buildProfile: the pair database has no sampled build; "
+                "drop --pairs or --sample");
+        const SamplePlan plan = buildSamplePlan(
+            program, train, options.cache.line_bytes, options.sampling);
+        SampledProfileResult sampled = buildSampledProfile(
+            program, profile.chunks, train, plan, trg_options);
+        profile.wcg = std::move(sampled.wcg);
+        profile.trg_select = std::move(sampled.trg_select);
+        profile.trg_place = std::move(sampled.trg_place);
+        profile.avg_queue_procs = sampled.avg_queue_procs;
+    } else {
+        profile.wcg = buildWcg(program, train);
+        TrgBuildResult trgs =
+            buildTrgs(program, profile.chunks, train, trg_options);
+        profile.trg_select = std::move(trgs.select);
+        profile.trg_place = std::move(trgs.place);
+        profile.avg_queue_procs = trgs.avg_queue_procs;
+    }
+    if (options.build_pairs) {
+        PairBuildOptions pair_options;
+        pair_options.byte_budget = byte_budget;
+        pair_options.pair_window = options.pair_window;
+        pair_options.popular = &profile.popular.mask;
+        profile.pairs = buildPairDatabase(program, train, pair_options);
+        if (options.pair_prune > 0.0)
+            profile.pairs.prune(options.pair_prune);
+    }
+    return profile;
+}
+
+PlacementContext
+TrainingProfile::context(const WeightedGraph *wcg_override,
+                         const WeightedGraph *select_override,
+                         const WeightedGraph *place_override) const
+{
+    PlacementContext ctx;
+    ctx.program = program;
+    ctx.cache = cache;
+    ctx.chunks = &chunks;
+    ctx.wcg = wcg_override ? wcg_override : &wcg;
+    ctx.trg_select = select_override ? select_override : &trg_select;
+    ctx.trg_place = place_override ? place_override : &trg_place;
+    ctx.pairs = &pairs;
+    ctx.popular = popular.mask;
+    ctx.heat.assign(program->procCount(), 0.0);
+    for (std::size_t i = 0; i < program->procCount(); ++i)
+        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+    return ctx;
+}
+
 ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
                              const EvalOptions &options)
     : name_(bench.name),
@@ -60,78 +111,24 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
       program_(bench.model.program),
       train_trace_(synthesizeTrace(bench.model, bench.train)),
       test_trace_(synthesizeTrace(bench.model, bench.test)),
-      train_stats_(computeTraceStats(program_, train_trace_)),
-      popular_(selectPopular(program_, train_stats_, options.popularity)),
-      chunks_(program_, options.chunk_bytes)
+      profile_(buildProfile(program_, train_trace_, options_)),
+      test_stream_(makeEvalStream(program_, test_trace_,
+                                  options_.cache.line_bytes, sampled()))
 {
-    options_.cache.validate();
     if (sampled()) {
-        require(!options_.build_pairs,
-                "ProfileBundle: the pair database has no sampled "
-                "build; drop --pairs or --sample");
-        train_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
-            program_, train_trace_, options_.cache.line_bytes,
-            options_.sampling));
         test_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
             program_, test_trace_, options_.cache.line_bytes,
             options_.sampling));
-        SampledProfileResult profile = buildSampledProfile(
-            program_, chunks_, train_trace_, *train_plan_,
-            trgOptionsOf(options_, popular_.mask));
-        wcg_ = std::move(profile.wcg);
-        trg_select_ = std::move(profile.trg_select);
-        trg_place_ = std::move(profile.trg_place);
-        avg_queue_procs_ = profile.avg_queue_procs;
-    } else {
-        wcg_ = buildWcg(program_, train_trace_);
-        TrgBuildResult trgs = runTrgBuild(program_, chunks_, train_trace_,
-                                          options_, popular_.mask);
-        trg_select_ = std::move(trgs.select);
-        trg_place_ = std::move(trgs.place);
-        avg_queue_procs_ = trgs.avg_queue_procs;
     }
-    if (options_.build_pairs) {
-        PairBuildOptions pair_opts;
-        pair_opts.byte_budget = static_cast<std::uint64_t>(
-            options_.q_budget_factor * options_.cache.size_bytes);
-        pair_opts.pair_window = options_.pair_window;
-        pair_opts.popular = &popular_.mask;
-        pairs_ = buildPairDatabase(program_, train_trace_, pair_opts);
-        if (options_.pair_prune > 0.0)
-            pairs_.prune(options_.pair_prune);
-    }
-    test_stream_.emplace(makeEvalStream(program_, test_trace_,
-                                        options_.cache.line_bytes,
-                                        sampled()));
     MetricsRegistry::current().counter("eval.bundles").add();
     if (logEnabled(LogLevel::kDebug)) {
         logDebug("eval", "profile bundle ready",
                  {{"benchmark", name_},
                   {"procs", program_.procCount()},
-                  {"popular", popular_.count},
+                  {"popular", profile_.popular.count},
                   {"train_events", train_trace_.size()},
                   {"test_events", test_trace_.size()}});
     }
-}
-
-PlacementContext
-ProfileBundle::makeContext(const WeightedGraph *wcg,
-                           const WeightedGraph *trg_select,
-                           const WeightedGraph *trg_place) const
-{
-    PlacementContext ctx;
-    ctx.program = &program_;
-    ctx.cache = options_.cache;
-    ctx.chunks = &chunks_;
-    ctx.wcg = wcg ? wcg : &wcg_;
-    ctx.trg_select = trg_select ? trg_select : &trg_select_;
-    ctx.trg_place = trg_place ? trg_place : &trg_place_;
-    ctx.pairs = &pairs_;
-    ctx.popular = popular_.mask;
-    ctx.heat.assign(program_.procCount(), 0.0);
-    for (std::size_t i = 0; i < program_.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(train_stats_.bytes_fetched[i]);
-    return ctx;
 }
 
 const FetchStream &
@@ -167,14 +164,6 @@ ProfileBundle::testPlan() const
     require(sampled() && test_plan_,
             "ProfileBundle: testPlan on an exact bundle");
     return *test_plan_;
-}
-
-const SamplePlan &
-ProfileBundle::trainPlan() const
-{
-    require(sampled() && train_plan_,
-            "ProfileBundle: trainPlan on an exact bundle");
-    return *train_plan_;
 }
 
 SampledSimResult

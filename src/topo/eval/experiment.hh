@@ -40,7 +40,7 @@ struct EvalOptions
     /** Q byte budget as a multiple of the cache size (Section 3). */
     double q_budget_factor = 2.0;
     /** Popularity selection. */
-    PopularityOptions popularity;
+    PopularityOptions popularity{};
     /** Build the Section 6 pair database too (costly; off by default). */
     bool build_pairs = false;
     /** Pair-window cap for the pair database. */
@@ -53,13 +53,55 @@ struct EvalOptions
      * trace segments, the full fetch streams are never expanded, and
      * testMissRate/trainMissRate are replaced by sampledTestResult.
      */
-    SamplingOptions sampling;
+    SamplingOptions sampling{};
 };
 
 /**
- * Everything derived from one benchmark's traces that the placement
- * algorithms and simulators consume. Owns the data; hand out contexts
- * with makeContext().
+ * Everything placement consumes that is derived from a training trace:
+ * trace statistics, the popular set, the chunking, the WCG, both TRGs
+ * and (optionally) the pair database. Every algorithm gets the same
+ * profile, built the same way, which is what makes Section 5's
+ * comparison fair. Hand out contexts with context().
+ */
+struct TrainingProfile
+{
+    /** The profiled program; must outlive the profile. */
+    const Program *program = nullptr;
+    CacheConfig cache{};
+    TraceStats stats{};
+    PopularSet popular{};
+    ChunkMap chunks;
+    WeightedGraph wcg{};
+    WeightedGraph trg_select{};
+    WeightedGraph trg_place{};
+    /** Section 6 pair database; empty unless EvalOptions::build_pairs. */
+    PairDatabase pairs{};
+    /** Average procedures resident in Q during TRG build (Table 1). */
+    double avg_queue_procs = 0.0;
+
+    /**
+     * Assemble a placement context over this profile: heat is the
+     * training bytes fetched per procedure. Optional overrides replace
+     * the stored graphs (used by the perturbation experiments);
+     * pointers must outlive the returned context's use.
+     */
+    PlacementContext context(const WeightedGraph *wcg_override = nullptr,
+                             const WeightedGraph *select_override = nullptr,
+                             const WeightedGraph *place_override = nullptr)
+        const;
+};
+
+/**
+ * Build the profile of @p train under @p options: exact walks, or
+ * weighted estimates over a sample plan of @p train when
+ * options.sampling is active.
+ */
+TrainingProfile buildProfile(const Program &program, const Trace &train,
+                             const EvalOptions &options);
+
+/**
+ * A benchmark's program, its synthesized training and testing traces,
+ * the training profile, and the testing side the simulators replay.
  */
 class ProfileBundle
 {
@@ -72,31 +114,25 @@ class ProfileBundle
     const EvalOptions &options() const { return options_; }
     const Trace &trainTrace() const { return train_trace_; }
     const Trace &testTrace() const { return test_trace_; }
-    const TraceStats &trainStats() const { return train_stats_; }
-    const PopularSet &popular() const { return popular_; }
-    const ChunkMap &chunks() const { return chunks_; }
-    const WeightedGraph &wcg() const { return wcg_; }
-    const WeightedGraph &trgSelect() const { return trg_select_; }
-    const WeightedGraph &trgPlace() const { return trg_place_; }
-    const PairDatabase &pairs() const { return pairs_; }
+    const TrainingProfile &profile() const { return profile_; }
+    const WeightedGraph &wcg() const { return profile_.wcg; }
+    const WeightedGraph &trgSelect() const { return profile_.trg_select; }
+    const WeightedGraph &trgPlace() const { return profile_.trg_place; }
     /**
      * The training trace's fetch stream, expanded on the first call
      * (thread-safe): only trainMissRate-style measurements read it.
      */
     const FetchStream &trainStream() const;
-    const FetchStream &testStream() const { return *test_stream_; }
-    /** Average procedures resident in Q during TRG build (Table 1). */
-    double avgQueueProcs() const { return avg_queue_procs_; }
+    const FetchStream &testStream() const { return test_stream_; }
 
-    /**
-     * Assemble a placement context over this bundle's data. Optional
-     * overrides replace the stored graphs (used by the perturbation
-     * experiments); pointers must outlive the returned context's use.
-     */
+    /** The profile's placement context; see TrainingProfile::context. */
     PlacementContext makeContext(const WeightedGraph *wcg = nullptr,
                                  const WeightedGraph *trg_select = nullptr,
                                  const WeightedGraph *trg_place = nullptr)
-        const;
+        const
+    {
+        return profile_.context(wcg, trg_select, trg_place);
+    }
 
     /** Miss rate of a layout on the testing trace. */
     double testMissRate(const Layout &layout) const;
@@ -109,9 +145,6 @@ class ProfileBundle
 
     /** The testing trace's sample plan (sampled bundles only). */
     const SamplePlan &testPlan() const;
-
-    /** The training trace's sample plan (sampled bundles only). */
-    const SamplePlan &trainPlan() const;
 
     /**
      * Weighted miss estimate of a layout on the testing trace
@@ -135,23 +168,15 @@ class ProfileBundle
     Program program_;
     Trace train_trace_;
     Trace test_trace_;
-    TraceStats train_stats_;
-    PopularSet popular_;
-    ChunkMap chunks_;
-    WeightedGraph wcg_;
-    WeightedGraph trg_select_;
-    WeightedGraph trg_place_;
-    PairDatabase pairs_;
-    double avg_queue_procs_ = 0.0;
+    TrainingProfile profile_;
     /**
      * Expanded after the profile is built, so the TRG build's scratch
      * is freed before the stream is allocated (lower peak memory).
      */
-    std::optional<FetchStream> test_stream_;
+    FetchStream test_stream_;
     mutable std::once_flag train_stream_once_;
     mutable std::optional<FetchStream> train_stream_;
-    /** Sample plans (null unless sampling is active). */
-    std::unique_ptr<SamplePlan> train_plan_;
+    /** The testing trace's sample plan (null unless sampling). */
     std::unique_ptr<SamplePlan> test_plan_;
 };
 

@@ -19,8 +19,8 @@ computeTable1Row(const BenchmarkCase &bench, const ProfileBundle &bundle)
     row.name = bench.name;
     row.all_size = bundle.program().totalSize();
     row.all_count = bundle.program().procCount();
-    row.popular_size = bundle.popular().bytes;
-    row.popular_count = bundle.popular().count;
+    row.popular_size = bundle.profile().popular.bytes;
+    row.popular_count = bundle.profile().popular.count;
     row.train_input = bench.train.name;
     row.train_runs = bundle.trainTrace().size();
     row.test_input = bench.test.name;
@@ -29,7 +29,7 @@ computeTable1Row(const BenchmarkCase &bench, const ProfileBundle &bundle)
     const PlacementContext ctx = bundle.makeContext();
     row.default_miss_rate =
         bundle.testMissRate(default_placement.place(ctx));
-    row.avg_queue_size = bundle.avgQueueProcs();
+    row.avg_queue_size = bundle.profile().avg_queue_procs;
     return row;
 }
 

@@ -65,10 +65,17 @@ ThreadPool::workerLoop()
         if (stopping_)
             return;
         seen_generation = generation_;
+        // Copy the batch under the lock: once unlocked, the caller may
+        // finish it and publish the next. A worker waking after the
+        // batch finished sees no body and must not touch next_.
+        const std::function<void(std::size_t)> *body = body_;
+        const std::size_t count = count_;
+        if (body == nullptr)
+            continue;
         ++workers_active_;
         lock.unlock();
 
-        drainBatch();
+        drainBatch(*body, count);
 
         lock.lock();
         if (--workers_active_ == 0)
@@ -77,16 +84,17 @@ ThreadPool::workerLoop()
 }
 
 void
-ThreadPool::drainBatch()
+ThreadPool::drainBatch(const std::function<void(std::size_t)> &body,
+                       std::size_t count)
 {
     t_in_batch = true;
     for (;;) {
         const std::size_t index =
             next_.fetch_add(1, std::memory_order_relaxed);
-        if (index >= count_)
+        if (index >= count)
             break;
         try {
-            (*body_)(index);
+            body(index);
         } catch (...) {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (!error_ || index < error_index_) {
@@ -125,7 +133,7 @@ ThreadPool::parallelFor(std::size_t count,
     work_ready_.notify_all();
 
     // The caller participates as the final lane.
-    drainBatch();
+    drainBatch(body, count);
 
     std::unique_lock<std::mutex> lock(mutex_);
     batch_done_.wait(lock, [&] { return workers_active_ == 0; });

@@ -76,8 +76,9 @@ class ThreadPool
 
   private:
     void workerLoop();
-    /** Claim-and-run until the shared index exhausts the batch. */
-    void drainBatch();
+    /** Claim-and-run until the shared index exhausts @p count. */
+    void drainBatch(const std::function<void(std::size_t)> &body,
+                    std::size_t count);
 
     const int jobs_;
     std::vector<std::thread> workers_;

@@ -14,9 +14,7 @@
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
 #include "topo/placement/decision_log.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/profile/chunk_map.hh"
 #include "topo/profile/pair_database.hh"
 #include "topo/profile/trg_builder.hh"
@@ -107,25 +105,6 @@ parseSnapshot(const std::string &path, std::uint64_t store_id)
                 {{"file", path}, {"error", e.what()}});
     }
     return image;
-}
-
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "gbsc")
-        return gbsc;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "default")
-        return def;
-    fail("unknown placement algorithm '" + name +
-         "' (use gbsc, ph, hkc, or default)");
 }
 
 Layout
@@ -340,8 +319,7 @@ placeProfile(const StoreConfig &config, const StoredProfile &profile,
         ctx.decisions = decisions;
     }
 
-    const PlacementAlgorithm &algo = algorithmByName(algorithm);
-    result.layout = algo.place(ctx);
+    result.layout = placementEntry(algorithm).algorithm.place(ctx);
     result.layout.validate(config.program, config.cache.line_bytes);
     result.algorithm = algorithm;
     result.placed = true;
@@ -580,6 +558,7 @@ ProfileStore::place(const std::string &algorithm, double threshold,
                     bool force, DecisionLog *decisions)
 {
     PhaseTimer timer("store.place");
+    placementEntry(algorithm); // reject an unknown name before any work
     const double current_drift = drift();
     const bool never_placed = profile_.layout_algorithm.empty();
     if (!force && !never_placed && current_drift < threshold) {

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 
 #include "topo/cache/attribution.hh"
@@ -19,81 +17,8 @@
 #include "topo/eval/report_gen.hh"
 #include "topo/obs/timeline.hh"
 #include "topo/util/error.hh"
-
-namespace
-{
-
-/** Global allocation counter for the allocation-bound test. */
-std::atomic<std::uint64_t> g_allocs{0};
-
-} // namespace
-
-// The full replacement set (array and nothrow forms included) so every
-// allocation and deallocation pairs up on malloc/free — a partial set
-// trips ASan's alloc-dealloc-mismatch checker in the sanitized build.
-void *
-operator new(std::size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *ptr = std::malloc(size))
-        return ptr;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
-{
-    return operator new(size, tag);
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
+#include "alloc_counter.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -371,7 +296,8 @@ TEST(AttributionTest, ObserversRejectCheckpointControl)
     SimObservers observers;
     observers.attribution = &sink;
     SimControl control;
-    control.checkpoint_path = "/tmp/unused.ckpt";
+    const TestTempDir tmp;
+    control.checkpoint_path = tmp.file("unused.ckpt");
     control.checkpoint_every = 1;
     EXPECT_THROW(simulateLayout(fx.program, fx.layout, stream, fx.cache,
                                 false, &control, &observers),

@@ -285,5 +285,39 @@ do
         exit 1; }
 done
 
-echo "PASS: cli workflow (default $def_mr% -> gbsc $gbsc_mr%," \
-    "resume $resumed_misses misses)"
+# Every tool resolves algorithm names through one table: an unknown
+# name is a usage error (exit 1) with the same message. topo_profile
+# place must reject it even when no drift keeps the stored layout.
+"$TOOLS_DIR/topo_profile" init --store="$WORK/store" \
+    --program="$WORK/m.prog" 2> /dev/null
+"$TOOLS_DIR/topo_profile" ingest --store="$WORK/store" \
+    --trace="$WORK/m.trace" 2> /dev/null
+"$TOOLS_DIR/topo_profile" place --store="$WORK/store" > /dev/null 2>&1
+want="error: unknown placement algorithm 'bogus'"
+want="$want (use default, ph, hkc, or gbsc)"
+for cmd in \
+    "topo_place --program=$WORK/m.prog --trace=$WORK/m.trace" \
+    "topo_sim --benchmark=m88ksim --trace-scale=0.02" \
+    "topo_profile place --store=$WORK/store"
+do
+    tool=${cmd%% *}
+    set +e
+    $TOOLS_DIR/$cmd --algorithm=bogus > /dev/null 2> "$WORK/bogus.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: $tool --algorithm=bogus exited $rc, want 1"; exit 1; }
+    grep -Fxq "$tool: $want" "$WORK/bogus.log" || {
+        echo "FAIL: $tool --algorithm=bogus gave another message"
+        cat "$WORK/bogus.log"; exit 1; }
+done
+# topo_report names its algorithms with --algorithms.
+set +e
+"$TOOLS_DIR/topo_report" --microsuite --algorithms=ph,bogus \
+    > /dev/null 2> "$WORK/bogus.log"
+rc=$?
+set -e
+[ "$rc" = "1" ] && grep -Fxq "topo_report: $want" "$WORK/bogus.log" || {
+    echo "FAIL: topo_report --algorithms=ph,bogus exited $rc:"
+    cat "$WORK/bogus.log"; exit 1; }
+

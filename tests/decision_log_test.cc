@@ -12,9 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -27,81 +25,8 @@
 #include "topo/placement/splitting.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/paper_suite.hh"
-
-namespace
-{
-
-/** Global allocation counter for the allocation-bound test. */
-std::atomic<std::uint64_t> g_allocs{0};
-
-} // namespace
-
-// Full replacement set (array and nothrow forms included) so every
-// allocation and deallocation pairs up on malloc/free — a partial set
-// trips ASan's alloc-dealloc-mismatch checker in the sanitized build.
-void *
-operator new(std::size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *ptr = std::malloc(size))
-        return ptr;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
-{
-    return operator new(size, tag);
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void *ptr, const std::nothrow_t &) noexcept
-{
-    std::free(ptr);
-}
+#include "alloc_counter.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -261,7 +186,8 @@ TEST_F(DecisionCoverage, JsonRoundTripThroughDecisionFile)
     ctx.decisions = &log;
     gbsc.place(ctx);
 
-    const std::string path = "/tmp/topo_decision_log_test.json";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("decision_log_test.json");
     {
         std::ofstream os(path);
         log.toJson(bundle().program()).write(os);
@@ -299,7 +225,8 @@ TEST_F(DecisionCoverage, JsonRoundTripThroughDecisionFile)
 
 TEST(DecisionLogErrors, CorruptDecisionFilesCarryTheCorruptCode)
 {
-    const std::string path = "/tmp/topo_decision_log_corrupt.json";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("decision_log_corrupt.json");
     const char *bodies[] = {
         "{ not json",
         "{\"kept\": 1}",

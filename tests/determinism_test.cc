@@ -35,6 +35,7 @@
 #include "topo/profile/wcg_builder.hh"
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -270,7 +271,8 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
     const BenchmarkCase bench = paperBenchmark("gcc", 0.01);
     const Program &program = bench.model.program;
     const Trace original = synthesizeTrace(bench.model, bench.train);
-    const std::string path = "/tmp/topo_determinism_mmap.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("determinism_mmap.tpb");
     saveBinaryTrace(path, original);
     TraceReadOptions mapped_opts;
     mapped_opts.mmap = TraceMmapMode::kOn;

@@ -16,8 +16,10 @@
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/synthetic_program.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -70,12 +72,12 @@ TEST_F(EvalFixture, BundlePipelineConsistency)
     EXPECT_EQ(bundle_.program().procCount(), 50u);
     EXPECT_GE(bundle_.trainTrace().size(), 30000u);
     EXPECT_GE(bundle_.testTrace().size(), 30000u);
-    EXPECT_GT(bundle_.popular().count, 0u);
-    EXPECT_LE(bundle_.popular().count, 50u);
+    EXPECT_GT(bundle_.profile().popular.count, 0u);
+    EXPECT_LE(bundle_.profile().popular.count, 50u);
     EXPECT_GT(bundle_.wcg().edgeCount(), 0u);
     EXPECT_GT(bundle_.trgSelect().edgeCount(), 0u);
     EXPECT_GT(bundle_.trgPlace().edgeCount(), 0u);
-    EXPECT_GT(bundle_.avgQueueProcs(), 1.0);
+    EXPECT_GT(bundle_.profile().avg_queue_procs, 1.0);
     // The TRG has at least the popular-popular interleavings the WCG
     // lacks: typically strictly more edges than popular WCG pairs.
     EXPECT_GT(bundle_.trgSelect().edgeCount(), 0u);
@@ -243,6 +245,50 @@ TEST(RunComparisonErrors, EmptyAlgorithmListRejected)
 {
     const ProfileBundle bundle(miniCase(), miniOptions());
     EXPECT_THROW(runComparison(bundle, {}, {}), TopoError);
+}
+
+TEST(EvalGolden, SuiteLayoutsAtScale005)
+{
+    // Recorded through ProfileBundle at the commit before buildProfile
+    // and the placement table replaced the hand-wired profile pipelines
+    // and name resolvers. Any change to a layout address or a miss
+    // count of the four algorithms fails here.
+    static const PlacementGolden kGolden[] = {
+        {"gcc",
+         {{0xbd0d7e6ea903fea0ULL, 121208}, {0x767bdd1a335222b4ULL, 120746},
+          {0xb084f6167ab96663ULL, 120752}, {0x8a27023417b01d15ULL, 119544}}},
+        {"go",
+         {{0xe651a5c469ec99f6ULL, 35907}, {0x177dd0138a523e9dULL, 36262},
+          {0x5ad559ef4fd21a74ULL, 34832}, {0x0ad0f0d5776643feULL, 33023}}},
+        {"ghostscript",
+         {{0x2236d205d248febaULL, 27119}, {0xf6ff04937d7491d4ULL, 25940},
+          {0x8f3cca812b83cfeeULL, 26294}, {0x77a2025eb7e51e78ULL, 21606}}},
+        {"m88ksim",
+         {{0xc67fbf15a1e4ec84ULL, 43145}, {0x0dd6ec07f857476aULL, 32544},
+          {0x7465e8dc6a1b04aaULL, 23202}, {0x5e81f5a94ce6a295ULL, 4167}}},
+        {"perl",
+         {{0xe9d8441ae973e879ULL, 210247}, {0xc0686df3107e7b17ULL, 207424},
+          {0x33fb24490a9d9256ULL, 203522}, {0xf1ee1a0d2ca99941ULL, 194011}}},
+        {"vortex",
+         {{0x1e6b962a94ebd244ULL, 47643}, {0xa1b2a10ee3627c60ULL, 47065},
+          {0xb85fcb84e83ca35dULL, 45579}, {0xd9bfa32a41f6f067ULL, 40624}}},
+    };
+    for (const PlacementGolden &want : kGolden) {
+        SCOPED_TRACE(want.name);
+        const ProfileBundle bundle(paperBenchmark(want.name, 0.05),
+                                   EvalOptions{});
+        LayoutGolden got[4];
+        for (std::size_t a = 0; a < 4; ++a) {
+            const Layout layout =
+                kPlacementTable[a].algorithm.place(bundle.makeContext());
+            got[a] = {layoutHash(layout),
+                      simulateLayout(bundle.program(), layout,
+                                     bundle.testStream(),
+                                     bundle.options().cache)
+                          .misses};
+        }
+        expectGolden(want, got);
+    }
 }
 
 } // namespace

@@ -67,6 +67,23 @@ TEST(ThreadPool, ReusableAcrossBatches)
     }
 }
 
+TEST(ThreadPool, BackToBackBatchesRunEachIndexOnce)
+{
+    // Small and large batches in quick succession: a worker that wakes
+    // after a batch has finished must neither run its body again nor
+    // claim an index of the next batch.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(64);
+    for (int round = 0; round < 20000; ++round) {
+        const std::size_t count = round % 2 ? 64 : 2;
+        for (std::atomic<int> &hit : hits)
+            hit.store(0);
+        pool.parallelFor(count, [&](std::size_t i) { hits[i] += 1; });
+        for (std::size_t i = 0; i < count; ++i)
+            ASSERT_EQ(hits[i].load(), 1) << "round " << round;
+    }
+}
+
 TEST(ThreadPool, NestedCallsDegradeToInlineOnEveryLane)
 {
     // A nested parallelFor from any lane of an active batch — pool

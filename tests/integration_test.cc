@@ -140,7 +140,7 @@ TEST(IntegrationSetAssoc, PairDrivenPlacementOnTwoWayCache)
     opts.pair_window = 16;
     opts.pair_prune = 1.5;
     const ProfileBundle bundle(bench, opts);
-    EXPECT_GT(bundle.pairs().size(), 0u);
+    EXPECT_GT(bundle.profile().pairs.size(), 0u);
 
     const PlacementContext ctx = bundle.makeContext();
     const GbscSetAssoc sa;

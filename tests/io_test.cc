@@ -13,6 +13,7 @@
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/util/error.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -74,7 +75,8 @@ TEST(ProgramIo, RejectsMalformedInput)
 TEST(ProgramIo, FileRoundTrip)
 {
     const Program p = sampleProgram();
-    const std::string path = "/tmp/topo_program_io_test.prog";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("program_io_test.prog");
     saveProgram(path, p);
     const Program back = loadProgram(path);
     EXPECT_EQ(back.procCount(), p.procCount());
@@ -179,7 +181,8 @@ TEST(LayoutIo, FileRoundTripWithProvenance)
     LayoutProvenance prov;
     prov.algorithm = "hkc";
     prov.git_sha = "feedbead";
-    const std::string path = "/tmp/topo_layout_io_v2_test.layout";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("layout_io_v2_test.layout");
     saveLayout(path, p, layout, prov);
     LayoutProvenance back_prov;
     const Layout back = loadLayout(path, p, &back_prov);

@@ -11,11 +11,10 @@
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/microsuite.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -26,43 +25,18 @@ namespace
 struct MicroPipeline
 {
     MicroCase mc;
-    ChunkMap chunks;
-    TraceStats stats;
-    PopularSet popular;
-    WeightedGraph wcg;
-    TrgBuildResult trgs;
+    TrainingProfile profile;
     FetchStream stream;
 
     explicit MicroPipeline(MicroCase micro)
         : mc(std::move(micro)),
-          chunks(mc.program, 256),
-          stats(computeTraceStats(mc.program, mc.trace)),
-          popular(selectPopular(mc.program, stats)),
-          wcg(buildWcg(mc.program, mc.trace)),
+          profile(buildProfile(mc.program, mc.trace,
+                               EvalOptions{.cache = mc.cache})),
           stream(mc.program, mc.trace, mc.cache.line_bytes)
     {
-        TrgBuildOptions opts;
-        opts.byte_budget = 2 * mc.cache.size_bytes;
-        opts.popular = &popular.mask;
-        trgs = buildTrgs(mc.program, chunks, mc.trace, opts);
     }
 
-    PlacementContext
-    context()
-    {
-        PlacementContext ctx;
-        ctx.program = &mc.program;
-        ctx.cache = mc.cache;
-        ctx.chunks = &chunks;
-        ctx.wcg = &wcg;
-        ctx.trg_select = &trgs.select;
-        ctx.trg_place = &trgs.place;
-        ctx.popular = popular.mask;
-        ctx.heat.assign(mc.program.procCount(), 0.0);
-        for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-            ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-        return ctx;
-    }
+    PlacementContext context() const { return profile.context(); }
 
     double
     missRate(const Layout &layout) const
@@ -152,6 +126,45 @@ TEST(Microsuite, ColdSandwichFixedByPlacement)
     const Gbsc gbsc;
     EXPECT_GT(pipe.missRate(def.place(ctx)), 0.3);
     EXPECT_LT(pipe.missRate(gbsc.place(ctx)), 0.01);
+}
+
+TEST(Microsuite, GoldenLayouts)
+{
+    // Recorded through the hand-wired microsuite pipeline at the commit
+    // before buildProfile and the placement table replaced it. Any
+    // change to a layout address or a miss count on the case's own
+    // trace fails here.
+    static const PlacementGolden kGolden[] = {
+        {"thrash_pair",
+         {{0x9562f702fe28aba1ULL, 576000}, {0x699eb9c3ce6fc8e9ULL, 192},
+          {0x699eb9c3ce6fc8e9ULL, 192}, {0x699eb9c3ce6fc8e9ULL, 192}}},
+        {"sibling_fanout",
+         {{0xaffd174b68215411ULL, 154400}, {0xf036f73a8749ad11ULL, 100224},
+          {0x74d43e1c612cb955ULL, 122240}, {0xb1b3f5fed34d0ed5ULL, 94400}}},
+        {"phase_flip",
+         {{0x976c09fc5f9496cdULL, 307328}, {0x2f5b7b53b49abb0dULL, 896},
+          {0x21cd9c518af51e0dULL, 896}, {0xbf83900106f7295dULL, 896}}},
+        {"cold_sandwich",
+         {{0xcfa504f16524ae8dULL, 392009}, {0x5a0a2406c8e70057ULL, 107},
+          {0x5a0a2406c8e70057ULL, 107}, {0x5a0a2406c8e70057ULL, 107}}},
+        {"giant_proc",
+         {{0x88a8f5ca0947db55ULL, 128400}, {0x88a8f5ca0947db55ULL, 128400},
+          {0x88a8f5ca0947db55ULL, 128400}, {0x521a0b39324c756fULL, 416}}},
+    };
+    for (const PlacementGolden &want : kGolden) {
+        SCOPED_TRACE(want.name);
+        MicroPipeline pipe(microCase(want.name));
+        LayoutGolden got[4];
+        for (std::size_t a = 0; a < 4; ++a) {
+            const Layout layout =
+                kPlacementTable[a].algorithm.place(pipe.context());
+            got[a] = {layoutHash(layout),
+                      simulateLayout(pipe.mc.program, layout, pipe.stream,
+                                     pipe.mc.cache)
+                          .misses};
+        }
+        expectGolden(want, got);
+    }
 }
 
 } // namespace

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for popularity selection, the gap filler, and the baseline
- * placements.
+ * Tests for popularity selection, the gap filler, the baseline
+ * placements, and the tools' placement table.
  */
 
 #include <gtest/gtest.h>
 
 #include "topo/placement/gap_fill.hh"
 #include "topo/placement/placement.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/placement/popularity.hh"
 #include "topo/util/error.hh"
 
@@ -182,6 +183,37 @@ TEST(PlacementContext, HelpersAndChecks)
 
     PlacementContext broken;
     EXPECT_THROW(broken.requireBasics("test"), TopoError);
+}
+
+TEST(PlacementTable, NamesOrderAndDisplayNames)
+{
+    const char *const names[] = {"default", "ph", "hkc", "gbsc"};
+    const char *const displays[] = {"default", "PH", "HKC", "GBSC"};
+    ASSERT_EQ(std::size(kPlacementTable), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        const PlacementEntry &entry = kPlacementTable[i];
+        EXPECT_STREQ(entry.name, names[i]);
+        EXPECT_STREQ(entry.display, displays[i]);
+        EXPECT_EQ(entry.algorithm.name(), entry.display);
+        EXPECT_STRNE(entry.description, "");
+        EXPECT_EQ(&placementEntry(names[i]), &entry);
+    }
+}
+
+TEST(PlacementTable, UnknownNameIsOneUsageError)
+{
+    for (const char *name : {"bogus", "GBSC", "", "random", "gbsc-sa"}) {
+        try {
+            placementEntry(name);
+            ADD_FAILURE() << "accepted '" << name << "'";
+        } catch (const TopoError &err) {
+            EXPECT_EQ(err.exitCode(), 1);
+            EXPECT_EQ(std::string(err.what()),
+                      "unknown placement algorithm '" +
+                          std::string(name) +
+                          "' (use default, ph, hkc, or gbsc)");
+        }
+    }
 }
 
 } // namespace

@@ -13,11 +13,7 @@
 #include "topo/workload/microsuite.hh"
 #include "topo/workload/synthetic_program.hh"
 
-#include "topo/placement/popularity.hh"
 #include "topo/profile/perturb.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
-#include "topo/trace/trace_stats.hh"
 #include "topo/util/rng.hh"
 
 namespace topo
@@ -28,38 +24,16 @@ namespace
 struct RefineFixture
 {
     MicroCase mc;
-    ChunkMap chunks;
-    TraceStats stats;
-    PopularSet popular;
-    TrgBuildResult trgs;
+    TrainingProfile profile;
 
     explicit RefineFixture(const std::string &name)
         : mc(microCase(name)),
-          chunks(mc.program, 256),
-          stats(computeTraceStats(mc.program, mc.trace)),
-          popular(selectPopular(mc.program, stats))
+          profile(buildProfile(mc.program, mc.trace,
+                               EvalOptions{.cache = mc.cache}))
     {
-        TrgBuildOptions opts;
-        opts.byte_budget = 2 * mc.cache.size_bytes;
-        opts.popular = &popular.mask;
-        trgs = buildTrgs(mc.program, chunks, mc.trace, opts);
     }
 
-    PlacementContext
-    context()
-    {
-        PlacementContext ctx;
-        ctx.program = &mc.program;
-        ctx.cache = mc.cache;
-        ctx.chunks = &chunks;
-        ctx.trg_select = &trgs.select;
-        ctx.trg_place = &trgs.place;
-        ctx.popular = popular.mask;
-        ctx.heat.assign(mc.program.procCount(), 0.0);
-        for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-            ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-        return ctx;
-    }
+    PlacementContext context() const { return profile.context(); }
 };
 
 TEST(Refine, NeverIncreasesTheMetric)

@@ -24,6 +24,7 @@
 #include "topo/util/error.hh"
 #include "topo/util/options.hh"
 #include "topo/util/rng.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -315,7 +316,8 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
     std::stringstream ss;
     writeBinaryTrace(ss, trace, wopts);
     const std::string clean = ss.str();
-    const std::string path = "/tmp/topo_resilience_mmap_cut.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("resilience_mmap_cut.tpb");
 
     for (std::size_t keep = 8; keep < clean.size();
          keep += 1 + keep / 8) {
@@ -380,7 +382,8 @@ TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(8, 200, 13);
-    const std::string path = "/tmp/topo_resilience_mmap_fault.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("resilience_mmap_fault.tpb");
     saveBinaryTrace(path, trace);
 
     FaultPlan plan;
@@ -438,7 +441,8 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection)
     ckpt.misses = 789;
     ckpt.cache_words = {1, 2, 3, 0xFFFFFFFFFFFFFFFFULL};
     ckpt.misses_by_proc = {4, 5, 6};
-    const std::string path = "/tmp/topo_resilience_ckpt_test.bin";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("resilience_ckpt_test.bin");
     saveCheckpoint(path, ckpt);
     const SimCheckpoint back = loadCheckpoint(path);
     EXPECT_EQ(back.fingerprint, ckpt.fingerprint);
@@ -508,7 +512,8 @@ expectResumeBitEquality(std::uint32_t assoc)
                                            fix.cache, true);
     ASSERT_TRUE(whole.completed);
 
-    const std::string path = "/tmp/topo_resilience_resume_test.bin";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("resilience_resume_test.bin");
     // Interrupt at several points, including mid-checkpoint cadences.
     for (const std::uint64_t stop : {1ULL, 777ULL, 9999ULL}) {
         SimControl first;

@@ -26,20 +26,12 @@
 #include "topo/store/store_codec.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/microsuite.hh"
+#include "test_support.hh"
 
 namespace topo
 {
 namespace
 {
-
-/** Fresh temp directory for one test. */
-std::string
-tempDir(const std::string &name)
-{
-    const std::string dir = "/tmp/topo_store_test_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 /** Store config over the phase_flip microsuite case. */
 StoreConfig
@@ -129,6 +121,16 @@ class StoreTest : public ::testing::Test
         clearFaultPlan();
         clearCrashPoint();
     }
+
+    /** A path for a new store inside this test's own directory. */
+    std::string
+    tempDir(const std::string &name) const
+    {
+        return tmp_.file(name);
+    }
+
+  private:
+    const TestTempDir tmp_;
 };
 
 TEST_F(StoreTest, ReopenEqualsFreshFoldBitExactly)
@@ -458,6 +460,29 @@ TEST_F(StoreTest, DriftGatesIncrementalReplacement)
     EXPECT_FALSE(store.place("gbsc", drift * 2).placed);
     EXPECT_TRUE(store.place("gbsc", drift / 2).placed);
     EXPECT_EQ(store.drift(), 0.0);
+}
+
+TEST_F(StoreTest, UnknownAlgorithmIsRejectedWhenThePlacementIsKept)
+{
+    const std::string dir = tempDir("kept");
+    const StoreConfig config = microConfig();
+    ProfileStore::init(dir, config);
+    ProfileStore store = ProfileStore::open(dir);
+    store.ingest(microDeltas(config)[0]);
+    ASSERT_TRUE(store.place("gbsc", 1e9).placed);
+
+    // No new data, so a known name keeps the stored layout; an unknown
+    // one is a usage error all the same, and changes nothing.
+    EXPECT_FALSE(store.place("ph", 1e9).placed);
+    try {
+        store.place("bogus", 1e9);
+        ADD_FAILURE() << "an unknown algorithm was accepted";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.exitCode(), 1);
+        EXPECT_STREQ(err.what(), "unknown placement algorithm 'bogus' "
+                                 "(use default, ph, hkc, or gbsc)");
+    }
+    EXPECT_EQ(store.profile().layout_algorithm, "gbsc");
 }
 
 TEST_F(StoreTest, AtomicReplaceFsyncsTheParentDirectory)

@@ -17,6 +17,7 @@
 #include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -112,8 +113,9 @@ TEST(BinaryTrace, DetectsCorruption)
 TEST(BinaryTrace, FileRoundTripAndAutoDetect)
 {
     const Trace trace = randomTrace(20, 1000, 4);
-    const std::string bin_path = "/tmp/topo_trace_binary_test.tpb";
-    const std::string txt_path = "/tmp/topo_trace_binary_test.txt";
+    const TestTempDir tmp;
+    const std::string bin_path = tmp.file("trace_binary_test.tpb");
+    const std::string txt_path = tmp.file("trace_binary_test.txt");
     saveBinaryTrace(bin_path, trace);
     saveTrace(txt_path, trace);
 
@@ -135,7 +137,8 @@ TEST(MmapTrace, MappedAndStreamLoadsAgree)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(30, 3000, 7);
-    const std::string path = "/tmp/topo_trace_mmap_test.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_test.tpb");
     saveBinaryTrace(path, trace);
 
     // Private registry so the counter assertions see only this test.
@@ -172,7 +175,8 @@ TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(10, 200, 8);
-    const std::string path = "/tmp/topo_trace_mmap_test.txt";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_test.txt");
     saveTrace(path, trace);
 
     MetricsRegistry metrics;
@@ -218,7 +222,8 @@ TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
     // End-to-end: the kill-switch still yields a correct (streamed)
     // load, with no mapped-load counter tick.
     const Trace trace = randomTrace(6, 100, 9);
-    const std::string path = "/tmp/topo_trace_mmap_env.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_env.tpb");
     saveBinaryTrace(path, trace);
     MetricsRegistry metrics;
     MetricsScope scope(metrics);
@@ -247,7 +252,8 @@ TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
         return;
     // An empty file maps (zero-length) and fails identically to the
     // stream reader: too short for any magic.
-    const std::string path = "/tmp/topo_trace_mmap_empty.tpb";
+    const TestTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_empty.tpb");
     { std::ofstream os(path, std::ios::binary); }
     std::optional<MappedFile> map = MappedFile::tryMap(path);
     ASSERT_TRUE(map.has_value());

@@ -14,15 +14,12 @@
 #include <iostream>
 
 #include "topo/cache/simulate.hh"
+#include "topo/eval/experiment.hh"
 #include "topo/eval/page_metric.hh"
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/placement/refine.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
 #include "topo/trace/trace_binary.hh"
@@ -54,36 +51,15 @@ run(const Options &opts)
         test.validate(program);
     const EvalOptions eval = evalOptionsFrom(opts);
 
-    // Profile from the training trace.
-    const TraceStats stats = computeTraceStats(program, train);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const WeightedGraph wcg = buildWcg(program, train);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, train, topts);
-
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+    const TrainingProfile profile = buildProfile(program, train, eval);
+    const PlacementContext ctx = profile.context();
 
     const FetchStream train_stream(program, train,
                                    eval.cache.line_bytes);
     const FetchStream test_stream(program, test, eval.cache.line_bytes);
 
     std::cerr << program.procCount() << " procedures, "
-              << popular.count << " popular; cache "
+              << profile.popular.count << " popular; cache "
               << eval.cache.describe() << "\n";
 
     TextTable table({"algorithm", has_test ? "train MR" : "MR",
@@ -103,18 +79,12 @@ run(const Options &opts)
                       fmtBytes(layout.extent(program))});
     };
 
-    const DefaultPlacement def;
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-    report("default", def.place(ctx));
-    report("PH", ph.place(ctx));
-    report("HKC", hkc.place(ctx));
-    const Layout gbsc_layout = gbsc.place(ctx);
-    report("GBSC", gbsc_layout);
-    if (opts.getBool("refine", false)) {
-        const RefineResult refined = refineLayout(ctx, gbsc_layout);
-        report("GBSC+refine", refined.layout);
+    for (const PlacementEntry &entry : kPlacementTable) {
+        const Layout layout = entry.algorithm.place(ctx);
+        report(entry.display, layout);
+        if (entry.name == std::string("gbsc") &&
+            opts.getBool("refine", false))
+            report("GBSC+refine", refineLayout(ctx, layout).layout);
     }
     table.render(std::cout, "Placement comparison for '" +
                                 program.name() + "'");

@@ -16,15 +16,12 @@
 #include <iostream>
 
 #include "topo/cache/simulate.hh"
+#include "topo/eval/experiment.hh"
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
 #include "topo/obs/provenance.hh"
-#include "topo/placement/cache_coloring.hh"
 #include "topo/placement/decision_log.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/layout_script.hh"
 #include "topo/program/program_io.hh"
@@ -45,6 +42,9 @@ run(const Options &opts)
     require(!program_path.empty() && !trace_path.empty(),
             "topo_place: --program and --trace are required");
 
+    const std::string algorithm = opts.getString("algorithm", "gbsc");
+    const PlacementAlgorithm &algo = placementEntry(algorithm).algorithm;
+
     const Program program = loadProgram(program_path);
     TraceReadOptions ropts;
     ropts.recover = opts.getBool("recover", false);
@@ -54,51 +54,11 @@ run(const Options &opts)
             "count");
     trace.validate(program);
     const EvalOptions eval = evalOptionsFrom(opts);
-
-    // Build profiles.
-    const TraceStats stats = computeTraceStats(program, trace);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const WeightedGraph wcg = buildWcg(program, trace);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, trace, topts);
-
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-
-    const std::string algorithm = opts.getString("algorithm", "gbsc");
-    const DefaultPlacement def;
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-    const PlacementAlgorithm *algo = nullptr;
-    if (algorithm == "gbsc")
-        algo = &gbsc;
-    else if (algorithm == "ph")
-        algo = &ph;
-    else if (algorithm == "hkc")
-        algo = &hkc;
-    else if (algorithm == "default")
-        algo = &def;
-    else
-        fail("topo_place: unknown algorithm '" + algorithm +
-             "' (use gbsc, ph, hkc, or default)");
+    const TrainingProfile profile = buildProfile(program, trace, eval);
+    PlacementContext ctx = profile.context();
 
     std::cerr << "placing " << program.procCount() << " procedures ("
-              << popular.count << " popular) with " << algo->name()
+              << profile.popular.count << " popular) with " << algo.name()
               << " for " << eval.cache.describe() << "\n";
     const std::string decisions_out =
         opts.getString("decisions-out", "");
@@ -108,7 +68,7 @@ run(const Options &opts)
         decisions.setCache(eval.cache);
         ctx.decisions = &decisions;
     }
-    const Layout layout = algo->place(ctx);
+    const Layout layout = algo.place(ctx);
     ctx.decisions = nullptr;
     layout.validate(program, eval.cache.line_bytes);
     if (!decisions_out.empty()) {
@@ -157,11 +117,11 @@ run(const Options &opts)
     if (opts.getBool("evaluate", false)) {
         const FetchStream stream(program, trace, eval.cache.line_bytes);
         const double before = layoutMissRate(
-            program, def.place(ctx), stream, eval.cache);
+            program, DefaultPlacement().place(ctx), stream, eval.cache);
         const double after =
             layoutMissRate(program, layout, stream, eval.cache);
         std::cerr << "miss rate on this trace: default "
-                  << before * 100.0 << "% -> " << algo->name() << " "
+                  << before * 100.0 << "% -> " << algo.name() << " "
                   << after * 100.0 << "%\n";
     }
     return 0;

@@ -39,12 +39,7 @@
 #include "topo/eval/report_gen.hh"
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
@@ -59,26 +54,6 @@ namespace
 
 using namespace topo;
 
-/** Resolve one algorithm name; throws a user error on unknowns. */
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "default")
-        return def;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "gbsc")
-        return gbsc;
-    fail("topo_report: unknown algorithm '" + name +
-         "' (use default, ph, hkc, or gbsc)");
-}
-
 std::vector<std::string>
 algorithmListFrom(const Options &opts)
 {
@@ -87,7 +62,7 @@ algorithmListFrom(const Options &opts)
     std::vector<std::string> names = split(raw, ',');
     require(!names.empty(), "topo_report: --algorithms is empty");
     for (const std::string &name : names)
-        algorithmByName(name); // validate early
+        placementEntry(name); // validate early
     return names;
 }
 
@@ -114,8 +89,8 @@ placeCandidates(const std::vector<std::string> &algorithms,
 {
     std::vector<LayoutCandidate> candidates;
     for (const std::string &name : algorithms) {
-        const PlacementAlgorithm &algo = algorithmByName(name);
-        LayoutCandidate cand{algo.name(), algo.place(ctx)};
+        const PlacementEntry &entry = placementEntry(name);
+        LayoutCandidate cand{entry.display, entry.algorithm.place(ctx)};
         cand.layout.validate(program, line_bytes);
         candidates.push_back(std::move(cand));
     }
@@ -199,34 +174,15 @@ runBenchmarkReport(const Options &opts)
     return writer.finish();
 }
 
-/** Build the standard profiling context for one microsuite case. */
+/** Profile, place and report one microsuite case on its own trace. */
 ComparisonReport
 microCaseReport(const MicroCase &mc,
                 const std::vector<std::string> &algorithms,
                 const ReportOptions &ropts)
 {
-    const ChunkMap chunks(mc.program, 256);
-    const TraceStats stats = computeTraceStats(mc.program, mc.trace);
-    const PopularSet popular = selectPopular(mc.program, stats);
-    const WeightedGraph wcg = buildWcg(mc.program, mc.trace);
-    TrgBuildOptions topts;
-    topts.byte_budget = 2 * mc.cache.size_bytes;
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs =
-        buildTrgs(mc.program, chunks, mc.trace, topts);
-
-    PlacementContext ctx;
-    ctx.program = &mc.program;
-    ctx.cache = mc.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(mc.program.procCount(), 0.0);
-    for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-
+    const TrainingProfile profile =
+        buildProfile(mc.program, mc.trace, EvalOptions{.cache = mc.cache});
+    const PlacementContext ctx = profile.context();
     const std::vector<LayoutCandidate> candidates = placeCandidates(
         algorithms, mc.program, mc.cache.line_bytes, ctx);
     const FetchStream stream(mc.program, mc.trace,

@@ -46,9 +46,7 @@
 #include "topo/obs/obs.hh"
 #include "topo/obs/provenance.hh"
 #include "topo/obs/timeline.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement_table.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
@@ -453,25 +451,6 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
             {{"file", path}, {"runs", runs.size()}});
 }
 
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "gbsc")
-        return gbsc;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "default")
-        return def;
-    fail("topo_sim: unknown algorithm '" + name +
-         "' (use gbsc, ph, hkc, or default)");
-}
-
 /** Everything one (benchmark, algorithm) cell produces. */
 struct CellResult
 {
@@ -512,7 +491,7 @@ runBenchmark(const Options &opts)
         algorithms.push_back(opts.getString("algorithm", "gbsc"));
     require(!algorithms.empty(), "topo_sim: --algorithms is empty");
     for (const std::string &name : algorithms)
-        algorithmByName(name); // validate early
+        placementEntry(name); // validate early
 
     ControlState ctl = controlFrom(opts);
     const std::vector<std::string> benches =
@@ -567,7 +546,8 @@ runBenchmark(const Options &opts)
                 out << "cache:      " << eval.cache.describe() << "\n";
             }
             const PlacementContext ctx = bundle.makeContext();
-            const PlacementAlgorithm &algo = algorithmByName(algo_name);
+            const PlacementAlgorithm &algo =
+                placementEntry(algo_name).algorithm;
             const Layout layout = algo.place(ctx);
             layout.validate(bundle.program(), eval.cache.line_bytes);
 
