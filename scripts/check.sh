@@ -40,6 +40,22 @@ done
     > /dev/null || {
     echo "FAIL: metrics.json fails schema validation"; exit 1; }
 
+echo "== debug-log gate =="
+# --log-level=debug switches the replay to its controlled variant (the
+# one with the progress heartbeat); observed replays (--taxonomy) stay
+# observed. Neither may change a byte of stdout.
+for extra in "" "--taxonomy"; do
+    # shellcheck disable=SC2086
+    "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
+        $extra > "$WORK/log_default.txt" 2> /dev/null
+    # shellcheck disable=SC2086
+    "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
+        $extra --log-level=debug > "$WORK/log_debug.txt" 2> /dev/null
+    cmp -s "$WORK/log_default.txt" "$WORK/log_debug.txt" || {
+        echo "FAIL: --log-level=debug changes stdout (${extra:-plain})"
+        exit 1; }
+done
+
 echo "== report smoke =="
 "$BUILD/tools/topo_report" --microsuite=thrash_pair \
     --algorithms=default,ph,gbsc --out="$WORK/report.md" \
@@ -487,7 +503,7 @@ cmake -B "$TSAN" -S . \
 echo "== build (TSan targets) =="
 cmake --build "$TSAN" -j \
     --target topo_sim topo_report exec_test determinism_test \
-    trg_differential_test
+    trg_differential_test simpoint_test
 
 echo "== parallel smoke (TSan) =="
 # exitcode=66 separates "TSan found a race" from the tools' own codes.
@@ -497,6 +513,9 @@ export TSAN_OPTIONS="exitcode=66:halt_on_error=1"
 # The differential TRG test builds the suite at jobs 1, 2 and 4: shard
 # walks that end inside repeat streaks run on pool threads, then merge.
 "$TSAN/tests/trg_differential_test" > /dev/null
+# Sampled profiles at jobs 4: each segment warms up and measures its
+# own accumulator inside a pool task.
+"$TSAN/tests/simpoint_test" > /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \
     --trace-scale=0.01 --jobs=4 > "$WORK/tsan_j4.txt" 2> /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \

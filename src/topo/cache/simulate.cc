@@ -29,19 +29,30 @@ thread_local util::Arena t_replay_arena;
 /** Emit a progress heartbeat every this many line fetches. */
 constexpr std::uint64_t kHeartbeatMask = (1ULL << 23) - 1; // ~8.4M
 
+/** The compiled variants of the replay loop. */
+enum class ReplayMode
+{
+    /** No hooks: the run-batched fast path when unattributed. */
+    kPlain,
+    /** Checkpoint/resume/stop, throw_io fault probes and, at
+     *  --log-level=debug, the progress heartbeat. */
+    kControlled,
+    /** Attribution/taxonomy/timeline sinks fed per fetch. */
+    kObserved,
+};
+
 /** Probe the throw_io fault stream every this many line fetches. */
 constexpr std::uint64_t kFaultMask = (1ULL << 12) - 1; // 4096
 
 /**
  * Shared replay loop; Cache is DirectMappedCache or a PolicyCache
- * instantiation, all exposing bool access(uint64). The
- * heartbeat, controlled (checkpoint/resume/fault), and observed
- * (attribution/timeline) variants are compiled separately so the
- * default path pays nothing for progress reporting, resilience hooks,
- * or observation sinks.
+ * instantiation, all exposing bool access(uint64). The plain,
+ * controlled (checkpoint/resume/fault/heartbeat) and observed
+ * (attribution/taxonomy/timeline) variants are compiled separately,
+ * so the default path pays nothing for progress reporting, resilience
+ * hooks or observation sinks.
  */
-template <typename Cache, bool kHeartbeat, bool kControlled,
-          bool kObserved>
+template <typename Cache, ReplayMode kMode>
 SimResult
 replay(const Program &program, const Layout &layout,
        const FetchStream &stream, Cache &cache, bool attribute,
@@ -80,7 +91,7 @@ replay(const Program &program, const Layout &layout,
         result.misses_by_proc.assign(program.procCount(), 0);
 
     std::uint64_t start = 0;
-    if constexpr (kControlled) {
+    if constexpr (kMode == ReplayMode::kControlled) {
         if (control != nullptr && control->resume != nullptr) {
             const SimCheckpoint &ckpt = *control->resume;
             require(ckpt.fingerprint == fingerprint,
@@ -120,7 +131,7 @@ replay(const Program &program, const Layout &layout,
     };
     (void)write_ckpt; // only invoked in the controlled instantiation
     (void)observers;  // only read in the observed instantiation
-    if constexpr (!kHeartbeat && !kControlled && !kObserved) {
+    if constexpr (kMode == ReplayMode::kPlain) {
         // Plain unattributed replay — the configuration every
         // placement-evaluation call hits — goes through the cache's
         // run-batched access loop (branchless on the direct-mapped
@@ -146,7 +157,7 @@ replay(const Program &program, const Layout &layout,
     for (; cursor < total; ++cursor) {
         const std::uint32_t id = ids[cursor];
         const std::uint64_t line_addr = addr_of[id];
-        if constexpr (kObserved) {
+        if constexpr (kMode == ReplayMode::kObserved) {
             const ProcId proc = stream.procOfLine(id);
             std::uint32_t set = 0;
             std::uint64_t victim = 0;
@@ -180,15 +191,13 @@ replay(const Program &program, const Layout &layout,
             if (attribute)
                 ++result.misses_by_proc[stream.procOfLine(id)];
         }
-        if constexpr (kHeartbeat) {
+        if constexpr (kMode == ReplayMode::kControlled) {
             if (((cursor + 1) & kHeartbeatMask) == 0) {
                 logDebug("simulate", "progress",
                          {{"done", cursor + 1},
                           {"total", total},
                           {"misses", result.misses}});
             }
-        }
-        if constexpr (kControlled) {
             if (((cursor + 1) & kFaultMask) == 0)
                 faultMaybeThrowIo("simulate");
             if (control != nullptr) {
@@ -208,7 +217,7 @@ replay(const Program &program, const Layout &layout,
             }
         }
     }
-    if constexpr (kControlled) {
+    if constexpr (kMode == ReplayMode::kControlled) {
         if (!result.completed && control != nullptr &&
             !control->checkpoint_path.empty()) {
             write_ckpt(cursor);
@@ -228,42 +237,23 @@ replayDispatch(const Program &program, const Layout &layout,
                const SimControl *control, std::uint64_t fingerprint,
                const SimObservers *observers)
 {
-    const bool controlled =
-        control != nullptr || faultArmed(FaultKind::kThrowIo);
-    const bool heartbeat = logEnabled(LogLevel::kDebug);
-    const bool observed = observers != nullptr && observers->any();
-    if (observed) {
-        // Observers never combine with checkpoint/resume (enforced by
-        // simulateLayout), so the controlled variants are not needed
-        // here; a heartbeat variant keeps long attributed runs
-        // debuggable.
-        if (heartbeat) {
-            return replay<Cache, true, false, true>(
-                program, layout, stream, cache, attribute, nullptr,
-                fingerprint, observers);
-        }
-        return replay<Cache, false, false, true>(
+    // Observers never combine with checkpoint/resume (enforced by
+    // simulateLayout), so an observed replay needs no controlled hooks.
+    if (observers != nullptr && observers->any()) {
+        return replay<Cache, ReplayMode::kObserved>(
             program, layout, stream, cache, attribute, nullptr,
             fingerprint, observers);
     }
-    if (controlled) {
-        if (heartbeat) {
-            return replay<Cache, true, true, false>(
-                program, layout, stream, cache, attribute, control,
-                fingerprint, nullptr);
-        }
-        return replay<Cache, false, true, false>(
+    // Debug logging selects the controlled variant for its heartbeat.
+    if (control != nullptr || faultArmed(FaultKind::kThrowIo) ||
+        logEnabled(LogLevel::kDebug)) {
+        return replay<Cache, ReplayMode::kControlled>(
             program, layout, stream, cache, attribute, control,
             fingerprint, nullptr);
     }
-    if (heartbeat) {
-        return replay<Cache, true, false, false>(
-            program, layout, stream, cache, attribute, nullptr,
-            fingerprint, nullptr);
-    }
-    return replay<Cache, false, false, false>(
-        program, layout, stream, cache, attribute, nullptr,
-        fingerprint, nullptr);
+    return replay<Cache, ReplayMode::kPlain>(
+        program, layout, stream, cache, attribute, nullptr, fingerprint,
+        nullptr);
 }
 
 } // namespace

@@ -58,12 +58,15 @@ struct SimResult
 };
 
 /**
- * Optional observation sinks fed by the replay loop. Attaching any
- * sink selects a separate instrumented instantiation of the loop, so
- * the default (unobserved) path is byte-identical with or without
- * this feature compiled in. Observers do not compose with
- * checkpoint/resume: their state is not checkpointed, so a resumed
- * run would attribute only the tail.
+ * Optional observation sinks fed by the replay loop. The loop is
+ * compiled in three variants per cache model: plain, controlled
+ * (checkpoint/resume, fault probes, and the --log-level=debug progress
+ * heartbeat) and observed. Attaching any sink selects the observed
+ * one, so the default (unobserved) path is byte-identical with or
+ * without this feature compiled in; observed replays log only the
+ * final "replay finished" line, no heartbeat. Observers do not compose
+ * with checkpoint/resume: their state is not checkpointed, so a
+ * resumed run would attribute only the tail.
  */
 struct SimObservers
 {

@@ -1,5 +1,6 @@
 #include "topo/exec/exec.hh"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 
@@ -43,6 +44,14 @@ execJobs()
 {
     const std::lock_guard<std::mutex> lock(g_exec_mutex);
     return g_jobs;
+}
+
+std::size_t
+eventShardCount(std::size_t events)
+{
+    constexpr std::size_t kMinEventsPerShard = 8192;
+    return std::min(static_cast<std::size_t>(execJobs()),
+                    events / kMinEventsPerShard);
 }
 
 ThreadPool &

@@ -45,6 +45,13 @@ void setExecJobs(int jobs);
 /** Configured lane count; 1 until initExec/setExecJobs opt in. */
 int execJobs();
 
+/**
+ * Shards of a profile walk over @p events trace events: one per lane,
+ * but none shorter than 8192 events, below which a shard is not worth
+ * its fan-out. 0 or 1 means walk serially.
+ */
+std::size_t eventShardCount(std::size_t events);
+
 /** The shared pool, created lazily with execJobs() lanes. */
 ThreadPool &execPool();
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "topo/exec/exec.hh"
-#include "topo/profile/temporal_queue.hh"
-#include "topo/profile/trg_builder.hh"
+#include "topo/profile/trg_accumulator.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -78,51 +77,35 @@ PairDatabase::entries() const
 namespace
 {
 
-/** Shards below this many events are not worth the fan-out. */
-constexpr std::size_t kMinEventsPerShard = 8192;
-
-std::vector<std::uint32_t>
-procSizesOf(const Program &program)
-{
-    std::vector<std::uint32_t> sizes(program.procCount());
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        sizes[i] = program.proc(static_cast<ProcId>(i)).size_bytes;
-    return sizes;
-}
-
 /**
- * The Section 6 walk over events [begin, end), with the queue and the
- * run-dedup state seeded to the serial walk's state at @p begin.
+ * TRG walk options under which an accumulator counts no graph and
+ * adds the Section 6 pairs of every step's between-list to @p db.
  */
-void
-collectPairs(const Program &program, const Trace &trace,
-             const PairBuildOptions &options, std::size_t begin,
-             std::size_t end, const std::vector<BlockId> &queue_seed,
-             ProcId last, PairDatabase &db)
+TrgBuildOptions
+pairWalk(const PairBuildOptions &options, PairDatabase *db)
 {
-    TemporalQueue q(procSizesOf(program), options.byte_budget);
-    q.loadState(queue_seed);
-    std::vector<BlockId> between;
-    const std::vector<TraceEvent> &events = trace.events();
-    for (std::size_t n = begin; n < end; ++n) {
-        const TraceEvent &ev = events[n];
-        if (options.popular && !(*options.popular)[ev.proc])
-            continue;
-        if (ev.proc == last)
-            continue;
-        last = ev.proc;
-        if (!q.reference(ev.proc, between))
-            continue;
+    TrgBuildOptions walk;
+    walk.byte_budget = options.byte_budget;
+    walk.build_select = false;
+    walk.build_place = false;
+    walk.popular = options.popular;
+    walk.observer = [db, window = options.pair_window](
+                        ProcId proc, bool had_prev,
+                        const std::vector<BlockId> &between,
+                        const TemporalQueue &) {
+        if (!had_prev)
+            return;
         // Keep only the most recent pair_window distinct blocks; those
         // are nearest the new reference and most likely still resident.
         const std::size_t count =
-            std::min<std::size_t>(between.size(), options.pair_window);
-        const std::size_t start = between.size() - count;
-        for (std::size_t i = start; i < between.size(); ++i) {
+            std::min<std::size_t>(between.size(), window);
+        for (std::size_t i = between.size() - count; i < between.size();
+             ++i) {
             for (std::size_t j = i + 1; j < between.size(); ++j)
-                db.add(ev.proc, between[i], between[j], 1.0);
+                db->add(proc, between[i], between[j], 1.0);
         }
-    }
+    };
+    return walk;
 }
 
 } // namespace
@@ -136,36 +119,33 @@ buildPairDatabase(const Program &program, const Trace &trace,
     require(options.pair_window >= 2,
             "buildPairDatabase: pair window must be at least 2");
 
-    const std::size_t jobs = static_cast<std::size_t>(execJobs());
-    const std::size_t shard_count =
-        std::min(jobs, trace.size() / kMinEventsPerShard);
-    PairDatabase db;
-    if (shard_count <= 1) {
-        collectPairs(program, trace, options, 0, trace.size(), {},
-                     kInvalidProc, db);
-        return db;
+    // D is read off the TRG walk at procedure granularity; with more
+    // than one shard it shards exactly like buildTrgs. The planner
+    // only warms, so it never calls the observer.
+    const ChunkMap chunks(program);
+    const std::size_t shard_count = eventShardCount(trace.size());
+    std::vector<TraceShard> shards(1);
+    shards[0].end = trace.size();
+    if (shard_count > 1) {
+        shards = planTraceShards(program, chunks, trace,
+                                 pairWalk(options, nullptr), shard_count);
     }
-
-    // Reuse the TRG shard planner at procedure granularity; this walk
-    // has the same popularity filter, run dedup, and queue budget.
-    TrgBuildOptions plan_options;
-    plan_options.byte_budget = options.byte_budget;
-    plan_options.build_select = true;
-    plan_options.build_place = false;
-    plan_options.popular = options.popular;
-    const ChunkMap plan_chunks(program);
-    const std::vector<TraceShard> shards = planTraceShards(
-        program, plan_chunks, trace, plan_options, shard_count);
-
-    std::vector<PairDatabase> shard_dbs(shards.size());
-    parallelFor(shards.size(), [&](std::size_t s) {
-        collectPairs(program, trace, options, shards[s].begin,
-                     shards[s].end, shards[s].proc_queue,
-                     shards[s].last_proc, shard_dbs[s]);
-    });
-    for (PairDatabase &shard_db : shard_dbs)
-        db.merge(shard_db);
-    return db;
+    const std::vector<TraceEvent> &events = trace.events();
+    std::vector<PairDatabase> dbs =
+        parallelMap(shards.size(), [&](std::size_t s) {
+            PairDatabase db;
+            TrgAccumulator walk(program, chunks, pairWalk(options, &db));
+            const TraceShard &shard = shards[s];
+            walk.seedState(shard.proc_queue, shard.chunk_queue,
+                           shard.last_proc, shard.last_chunk);
+            for (std::size_t i = shard.begin; i < shard.end; ++i)
+                walk.onRun(events[i].proc, events[i].offset,
+                           events[i].length);
+            return db;
+        });
+    for (std::size_t s = 1; s < dbs.size(); ++s)
+        dbs[0].merge(dbs[s]);
+    return std::move(dbs[0]);
 }
 
 } // namespace topo

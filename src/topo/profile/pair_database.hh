@@ -14,6 +14,11 @@
  * new reference are the ones most likely to still be resident, so the
  * cap discards the least informative pairs first. The cap is swept by
  * tests and documented in DESIGN.md.
+ *
+ * D is built by the TRG walk itself: a TrgAccumulator that counts no
+ * graph hands each step's between-list to an observer that records
+ * the pairs, so D shares the walk's input checks, popularity filter,
+ * run deduplication and shard plan.
  */
 
 #ifndef TOPO_PROFILE_PAIR_DATABASE_HH
@@ -97,10 +102,12 @@ struct PairBuildOptions
 };
 
 /**
- * Build D over *procedures* from a trace via the same ordered-set walk
- * used for TRGs. With execJobs() > 1 and a large enough trace the walk
- * shards exactly like buildTrgs (planTraceShards seeds + in-order
- * merge) and stays bit-identical to the serial build.
+ * Build D over *procedures* from a trace with the TRG walk at
+ * procedure granularity. With execJobs() > 1 and a large enough trace
+ * the walk shards exactly like buildTrgs (planTraceShards seeds +
+ * in-order merge) and stays bit-identical to the serial build. Throws
+ * TopoError, as buildTrgs does, on a popularity mask that does not
+ * cover every procedure or a run outside its procedure.
  */
 PairDatabase buildPairDatabase(const Program &program, const Trace &trace,
                                const PairBuildOptions &options);

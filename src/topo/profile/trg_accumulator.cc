@@ -156,8 +156,8 @@ TrgAccumulator::reset()
     proc_q_.clear();
     chunk_q_.clear();
     queue_size_sum_ = 0;
-    merged_proc_evictions_ = 0;
-    merged_chunk_evictions_ = 0;
+    proc_evictions_ = 0;
+    chunk_evictions_ = 0;
     last_proc_ = kInvalidProc;
     last_chunk_ = static_cast<ChunkId>(~0u);
     last_event_ = TraceEvent{};
@@ -223,15 +223,14 @@ TrgAccumulator::merge(const TrgAccumulator &other)
         creditStreak(other.first_chunk_, other.run_chunks_, other.streak_);
     result_.proc_steps += other.result_.proc_steps;
     queue_size_sum_ += other.queue_size_sum_;
-    merged_proc_evictions_ +=
-        other.merged_proc_evictions_ + other.proc_q_.evictionCount();
-    merged_chunk_evictions_ +=
-        other.merged_chunk_evictions_ + other.chunk_q_.evictionCount();
+    proc_evictions_ += other.proc_evictions_ + other.proc_q_.evictionCount();
+    chunk_evictions_ +=
+        other.chunk_evictions_ + other.chunk_q_.evictionCount();
 }
 
+template <bool kCount>
 void
-TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
-                      std::uint32_t length)
+TrgAccumulator::walk(ProcId proc, std::uint32_t offset, std::uint32_t length)
 {
     require(proc < program_.procCount(), "TrgAccumulator: invalid proc");
     require(length > 0, "TrgAccumulator: zero-length run");
@@ -243,11 +242,13 @@ TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
 
     // A repeat of the last walked event whose first chunk is still
     // resident is a fixed point of the walk: no proc step, Q unchanged,
-    // +2 on every chunk pair of the run. Count it; credit at the end.
+    // +2 on every chunk pair of the run. Count it (warm skips it);
+    // credit at the end.
     const TraceEvent event{proc, offset, length};
     if (event == last_event_ &&
         (!options_.build_place || chunk_q_.contains(first_chunk_))) {
-        ++streak_;
+        if constexpr (kCount)
+            ++streak_;
         return;
     }
     flushStreak();
@@ -255,22 +256,26 @@ TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
     const bool need_proc_pass = options_.build_select ||
                                 static_cast<bool>(options_.observer);
     if (need_proc_pass && proc != last_proc_) {
-        bool had_prev = false;
-        if (options_.observer) {
-            had_prev = proc_q_.reference(proc, between_);
-            if (had_prev && options_.build_select) {
-                for (BlockId q : between_)
-                    select_.add(proc, q, 1);
+        if constexpr (kCount) {
+            bool had_prev = false;
+            if (options_.observer) {
+                had_prev = proc_q_.reference(proc, between_);
+                if (had_prev && options_.build_select) {
+                    for (BlockId q : between_)
+                        select_.add(proc, q, 1);
+                }
+            } else {
+                if (proc_q_.contains(proc))
+                    select_.addAfter(proc, proc_q_);
+                proc_q_.touch(proc);
             }
+            ++result_.proc_steps;
+            queue_size_sum_ += proc_q_.size();
+            if (options_.observer)
+                options_.observer(proc, had_prev, between_, proc_q_);
         } else {
-            if (proc_q_.contains(proc))
-                select_.addAfter(proc, proc_q_);
             proc_q_.touch(proc);
         }
-        ++result_.proc_steps;
-        queue_size_sum_ += proc_q_.size();
-        if (options_.observer)
-            options_.observer(proc, had_prev, between_, proc_q_);
     }
     last_proc_ = proc;
     last_event_ = event;
@@ -285,12 +290,31 @@ TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
             const ChunkId chunk = chunks_.chunkId(proc, idx);
             if (chunk == last_chunk_)
                 continue;
-            if (chunk_q_.contains(chunk))
-                place_.addAfter(chunk, chunk_q_);
+            if constexpr (kCount) {
+                if (chunk_q_.contains(chunk))
+                    place_.addAfter(chunk, chunk_q_);
+            }
             chunk_q_.touch(chunk);
             last_chunk_ = chunk;
         }
     }
+}
+
+void
+TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
+                      std::uint32_t length)
+{
+    walk<true>(proc, offset, length);
+}
+
+void
+TrgAccumulator::warm(const TraceEvent &event)
+{
+    const std::uint64_t proc_before = proc_q_.evictionCount();
+    const std::uint64_t chunk_before = chunk_q_.evictionCount();
+    walk<false>(event.proc, event.offset, event.length);
+    proc_evictions_ -= proc_q_.evictionCount() - proc_before;
+    chunk_evictions_ -= chunk_q_.evictionCount() - chunk_before;
 }
 
 void
@@ -313,10 +337,8 @@ TrgAccumulator::take()
             ? static_cast<double>(queue_size_sum_) /
                   static_cast<double>(result_.proc_steps)
             : 0.0;
-    result_.proc_evictions =
-        merged_proc_evictions_ + proc_q_.evictionCount();
-    result_.chunk_evictions =
-        merged_chunk_evictions_ + chunk_q_.evictionCount();
+    result_.proc_evictions = proc_evictions_ + proc_q_.evictionCount();
+    result_.chunk_evictions = chunk_evictions_ + chunk_q_.evictionCount();
     TrgBuildResult out = std::move(result_);
     reset();
     return out;

@@ -7,7 +7,10 @@
  * TrgAccumulator is that path — it consumes execution runs one at a
  * time (e.g. from an instrumentation callback) and produces exactly
  * the graphs the batch builder produces from a stored trace. The batch
- * buildTrgs() is a thin wrapper over it.
+ * buildTrgs() is a thin wrapper over it, and it is the only
+ * implementation of the Section 3 walk: shard plans and sampled
+ * segments warm it up with warm(), and the Section 6 pair database
+ * reads the walk's between-lists through the observer.
  *
  * The walk counts pairs into a dense triangular matrix over
  * popular-compacted ids (a FlatMap above kDenseCountCapBytes) and
@@ -140,6 +143,16 @@ class TrgAccumulator
     /** Feed one execution run (the instrumentation callback). */
     void onRun(ProcId proc, std::uint32_t offset, std::uint32_t length);
 
+    /**
+     * Advance the walk through @p event without counting it: the same
+     * validation, popularity filter, repeat skip and queue transitions
+     * as onRun, but no edge, proc step, queue occupancy or eviction is
+     * counted and the observer is not called. Warming up through
+     * events [a, b) and then feeding [b, c) to onRun counts exactly
+     * what a walk from event a counts over [b, c).
+     */
+    void warm(const TraceEvent &event);
+
     /** Feed every run of a stored trace. */
     void onTrace(const Trace &trace);
 
@@ -147,7 +160,7 @@ class TrgAccumulator
      * Seed the session's queue and run-deduplication state so onRun
      * continues exactly where a serial walk left off at a shard
      * boundary (parallel TRG builds; see planTraceShards). Must be
-     * called on a fresh session, before any onRun.
+     * called on a fresh session, before any onRun or warm.
      *
      * @param proc_queue  Procedure queue contents, oldest first.
      * @param chunk_queue Chunk queue contents, oldest first.
@@ -174,6 +187,15 @@ class TrgAccumulator
     /** Number of procedure-granularity steps processed so far. */
     std::uint64_t procSteps() const { return result_.proc_steps; }
 
+    /** Procedure queue contents, oldest first. */
+    std::vector<BlockId> procQueue() const { return proc_q_.contents(); }
+    /** Chunk queue contents, oldest first. */
+    std::vector<BlockId> chunkQueue() const { return chunk_q_.contents(); }
+    /** Procedure of the last popular run walked (kInvalidProc = none). */
+    ProcId lastProc() const { return last_proc_; }
+    /** Last chunk referenced (~0u = none). */
+    ChunkId lastChunk() const { return last_chunk_; }
+
     /** True when TRG_place counts into the dense matrix. */
     bool densePlaceCounts() const { return place_.dense(); }
 
@@ -195,9 +217,13 @@ class TrgAccumulator
     /** Between-list handed to the observer (observer path only). */
     std::vector<BlockId> between_;
     std::uint64_t queue_size_sum_ = 0;
-    /** Evictions folded in from merged shard accumulators. */
-    std::uint64_t merged_proc_evictions_ = 0;
-    std::uint64_t merged_chunk_evictions_ = 0;
+    /**
+     * Added to the queues' own eviction counts to give the session's:
+     * merged sessions' evictions are added, warm-up evictions taken
+     * off (the unsigned sums wrap but never end below zero).
+     */
+    std::uint64_t proc_evictions_ = 0;
+    std::uint64_t chunk_evictions_ = 0;
     ProcId last_proc_ = kInvalidProc;
     ChunkId last_chunk_;
     /** Last fully walked popular event; a repeat of it may be elided. */
@@ -208,6 +234,9 @@ class TrgAccumulator
     /** Repeats of last_event_ not yet credited. */
     std::uint64_t streak_ = 0;
 
+    /** The walk; kCount = false is warm()'s state-only variant. */
+    template <bool kCount>
+    void walk(ProcId proc, std::uint32_t offset, std::uint32_t length);
     void reset();
     void creditStreak(ChunkId first, std::uint32_t chunks,
                       std::uint64_t repeats);

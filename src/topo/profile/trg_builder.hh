@@ -8,6 +8,10 @@
  * generate both TRGs simultaneously" remark describes. Edge weights
  * count how often block q was referenced between two consecutive
  * references to block p while p was still resident in Q.
+ *
+ * The walk itself is TrgAccumulator's (trg_accumulator.hh), the one
+ * implementation every profile path shares; this header holds its
+ * options and results and the batch and sharded entry points.
  */
 
 #ifndef TOPO_PROFILE_TRG_BUILDER_HH
@@ -98,64 +102,14 @@ struct TraceShard
 };
 
 /**
- * State-only replay of the TRG walk: advances the procedure and chunk
- * TemporalQueues and the run-deduplication state (last proc / last
- * chunk) through trace events WITHOUT collecting between-lists or
- * emitting edges — O(1) amortised per event. This is the warm-up
- * machinery shared by planTraceShards (queue state at shard
- * boundaries) and the representative-interval sampler (queue state at
- * the start of each measured window); a TrgAccumulator seeded with a
- * walker's state continues the serial walk bit-exactly.
- *
- * Validation mirrors TrgAccumulator::onRun, so a malformed trace
- * fails here with the same error class it would fail with serially.
- * A repeat of the previous popular event whose first chunk is still
- * resident leaves the state unchanged, so it is skipped (the fixed
- * point of DESIGN.md §10).
- */
-class TrgStateWalker
-{
-  public:
-    TrgStateWalker(const Program &program, const ChunkMap &chunks,
-                   const TrgBuildOptions &options);
-
-    /** Advance the state through one trace event. */
-    void advance(const TraceEvent &event);
-
-    /** Procedure queue contents, oldest first. */
-    std::vector<BlockId> procQueue() const { return proc_q_.contents(); }
-    /** Chunk queue contents, oldest first. */
-    std::vector<BlockId> chunkQueue() const { return chunk_q_.contents(); }
-    /** Procedure of the last popular run seen (kInvalidProc = none). */
-    ProcId lastProc() const { return last_proc_; }
-    /** Last chunk referenced (~0u = none). */
-    ChunkId lastChunk() const { return last_chunk_; }
-
-  private:
-    const Program &program_;
-    const ChunkMap &chunks_;
-    const std::vector<bool> *popular_;
-    TemporalQueue proc_q_;
-    TemporalQueue chunk_q_;
-    bool need_proc_pass_;
-    bool build_place_;
-    std::uint32_t chunk_bytes_;
-    ProcId last_proc_ = kInvalidProc;
-    ChunkId last_chunk_ = static_cast<ChunkId>(~0u);
-    /** Last popular event walked (not skipped), and its first chunk. */
-    TraceEvent last_event_;
-    ChunkId first_chunk_ = 0;
-};
-
-/**
  * Split @p trace into @p shard_count contiguous event ranges and
- * capture, via one fast state-only replay (TemporalQueue::touch, no
- * between-list collection or edge emission), the exact queue and
- * run-deduplication state at each shard boundary. Seeding a fresh
- * TrgAccumulator from shard i and replaying its range reproduces the
- * serial walk over that range bit-exactly, so the in-order merge of
- * all shards equals the serial build — including eviction and
- * queue-occupancy statistics.
+ * capture the exact queue and run-deduplication state at each shard
+ * boundary, warming one TrgAccumulator (TrgAccumulator::warm: queue
+ * transitions only, nothing counted) up to the last boundary. Seeding
+ * a fresh TrgAccumulator from shard i and replaying its range
+ * reproduces the serial walk over that range bit-exactly, so the
+ * in-order merge of all shards equals the serial build — including
+ * eviction and queue-occupancy statistics.
  */
 std::vector<TraceShard>
 planTraceShards(const Program &program, const ChunkMap &chunks,

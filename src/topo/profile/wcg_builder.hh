@@ -13,11 +13,22 @@
 #ifndef TOPO_PROFILE_WCG_BUILDER_HH
 #define TOPO_PROFILE_WCG_BUILDER_HH
 
+#include <vector>
+
 #include "topo/profile/weighted_graph.hh"
 #include "topo/trace/trace.hh"
 
 namespace topo
 {
+
+/**
+ * Add one to edge {last, proc} of @p wcg for every transition between
+ * consecutive events [begin, end) of @p events, the first transition
+ * from @p last (the procedure before @p begin, kInvalidProc for none).
+ */
+void countTransitions(const std::vector<TraceEvent> &events,
+                      std::size_t begin, std::size_t end, ProcId last,
+                      WeightedGraph &wcg);
 
 /**
  * Build the undirected transition-count graph from a trace.

@@ -6,6 +6,7 @@
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
 #include "topo/profile/trg_accumulator.hh"
+#include "topo/profile/wcg_builder.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -45,16 +46,11 @@ buildSampledProfile(const Program &program, const ChunkMap &chunks,
             SegmentProfile profile;
             profile.scale = seg.scale;
 
-            // State-only warm-up, then an accumulator seeded with the
-            // warmed queue state replays the measured range exactly as
-            // the serial walk would have reached it.
-            TrgStateWalker walker(program, chunks, options);
-            for (std::size_t i = seg.warm_begin; i < seg.begin; ++i)
-                walker.advance(events[i]);
+            // Warm the segment's accumulator up to the measured range,
+            // then count that range only.
             TrgAccumulator accumulator(program, chunks, options);
-            accumulator.seedState(walker.procQueue(),
-                                  walker.chunkQueue(), walker.lastProc(),
-                                  walker.lastChunk());
+            for (std::size_t i = seg.warm_begin; i < seg.begin; ++i)
+                accumulator.warm(events[i]);
             for (std::size_t i = seg.begin; i < seg.end; ++i)
                 accumulator.onRun(events[i].proc, events[i].offset,
                                   events[i].length);
@@ -64,14 +60,10 @@ buildSampledProfile(const Program &program, const ChunkMap &chunks,
             // procedure of the preceding event (the sharded exact
             // builder's rule).
             profile.wcg = WeightedGraph(program.procCount());
-            ProcId last = seg.begin > 0 ? events[seg.begin - 1].proc
-                                        : kInvalidProc;
-            for (std::size_t i = seg.begin; i < seg.end; ++i) {
-                const ProcId proc = events[i].proc;
-                if (last != kInvalidProc && proc != last)
-                    profile.wcg.addWeight(last, proc, 1.0);
-                last = proc;
-            }
+            countTransitions(events, seg.begin, seg.end,
+                             seg.begin > 0 ? events[seg.begin - 1].proc
+                                           : kInvalidProc,
+                             profile.wcg);
             return profile;
         });
 

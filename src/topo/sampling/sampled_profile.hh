@@ -6,12 +6,12 @@
  * and both Temporal Relationship Graphs — are linear in the trace:
  * every edge weight is a sum of per-event contributions. They
  * therefore sample exactly like miss counts do. Each plan segment
- * replays its warm-up prefix state-only (TrgStateWalker), seeds a
- * fresh TrgAccumulator with the warmed queue state, accumulates edges
- * over the measured range only, and the per-segment graphs merge with
+ * warms its own TrgAccumulator through its warm-up prefix
+ * (TrgAccumulator::warm: queue state only, nothing counted), then
+ * feeds it the measured range, and the per-segment graphs merge with
  * the segment's cluster weight (WeightedGraph::addGraph). The WCG
- * transition walk seeds its last-procedure state from the event just
- * before the measured range, matching the sharded exact builder.
+ * transitions (countTransitions) start from the procedure of the event
+ * just before the measured range, matching the sharded exact builder.
  *
  * Segments run concurrently; all folds are serial in segment order, so
  * the result is bit-identical for any --jobs value. The degenerate

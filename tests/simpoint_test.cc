@@ -6,22 +6,30 @@
  * suite.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "topo/cache/simulate.hh"
+#include "topo/eval/experiment.hh"
 #include "topo/exec/exec.hh"
+#include "topo/placement/popularity.hh"
 #include "topo/program/layout.hh"
 #include "topo/sampling/estimator.hh"
 #include "topo/sampling/kmeans.hh"
 #include "topo/sampling/sample_plan.hh"
+#include "topo/sampling/sampled_profile.hh"
 #include "topo/sampling/window_features.hh"
+#include "topo/trace/trace_stats.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
+
+#include "test_support.hh"
 
 namespace topo
 {
@@ -356,6 +364,51 @@ TEST(SamplePlan, TinyTraceFallsBackToExact)
     EXPECT_EQ(plan.segments[0].begin, 0u);
     EXPECT_EQ(plan.segments[0].end, tp.trace.size());
     EXPECT_EQ(plan.segments[0].scale, 1.0);
+}
+
+TEST(SampledProfile, GoldenAtScale005)
+{
+    // {WCG, TRG_select, TRG_place edge hashes, proc_steps,
+    // avg_queue_procs bits, proc and chunk evictions} of m88ksim's
+    // sampled profile as the experiment pipeline builds it, at jobs 1
+    // and 4 (segments then warm up and measure on pool threads).
+    static const WordGolden<7> kWant = {
+        "m88ksim",
+        {0xf4e5ac66aea708e2ULL, 0x926e20f32ba85ff4ULL,
+         0x97662dc51486a500ULL, 0x0000000000002563ULL,
+         0x402ee2f6d108aafdULL, 0x0000000000000002ULL,
+         0x0000000000000000ULL}};
+    const JobsGuard guard;
+    const EvalOptions eval;
+    const BenchmarkCase bench = paperBenchmark(kWant.name, 0.05);
+    const Program &program = bench.model.program;
+    const Trace trace = synthesizeTrace(bench.model, bench.train);
+    const PopularSet popular = selectPopular(
+        program, computeTraceStats(program, trace), eval.popularity);
+    const ChunkMap chunks(program, eval.chunk_bytes);
+    TrgBuildOptions opts;
+    opts.byte_budget = static_cast<std::uint64_t>(
+        eval.q_budget_factor * eval.cache.size_bytes);
+    opts.popular = &popular.mask;
+    SamplingOptions sampling;
+    sampling.mode = SampleMode::kSimpoint;
+    const SamplePlan plan =
+        buildSamplePlan(program, trace, eval.cache.line_bytes, sampling);
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        setExecJobs(jobs);
+        const SampledProfileResult got =
+            buildSampledProfile(program, chunks, trace, plan, opts);
+        const std::uint64_t words[7] = {
+            edgeHash(got.wcg),
+            edgeHash(got.trg_select),
+            edgeHash(got.trg_place),
+            got.proc_steps,
+            std::bit_cast<std::uint64_t>(got.avg_queue_procs),
+            got.proc_evictions,
+            got.chunk_evictions};
+        expectGolden(kWant, words);
+    }
 }
 
 } // namespace

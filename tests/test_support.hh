@@ -1,7 +1,8 @@
 /**
  * @file
  * Helpers shared by the unit tests: a private temporary directory per
- * test, and a hash that pins a layout's addresses.
+ * test, hashes that pin a layout's addresses and a graph's edges, and
+ * golden-row checks that print the measured row on a mismatch.
  */
 
 #ifndef TOPO_TESTS_TEST_SUPPORT_HH
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <string>
 #include <system_error>
 
+#include "topo/profile/weighted_graph.hh"
 #include "topo/program/layout.hh"
 
 namespace topo
@@ -69,17 +72,38 @@ class TestTempDir
     std::filesystem::path path_;
 };
 
+/** FNV-1a offset basis: the hash of nothing. */
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/** Fold the low @p bytes bytes of @p word into FNV-1a hash @p h. */
+inline void
+fnvMix(std::uint64_t &h, std::uint64_t word, int bytes)
+{
+    for (int b = 0; b < bytes; ++b) {
+        h ^= (word >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
 /** FNV-1a over a layout's addresses in procedure-id order. */
 inline std::uint64_t
 layoutHash(const Layout &layout)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < layout.procCount(); ++i) {
-        const std::uint64_t address = layout.address(static_cast<ProcId>(i));
-        for (int b = 0; b < 8; ++b) {
-            h ^= (address >> (8 * b)) & 0xffu;
-            h *= 0x100000001b3ULL;
-        }
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t i = 0; i < layout.procCount(); ++i)
+        fnvMix(h, layout.address(static_cast<ProcId>(i)), 8);
+    return h;
+}
+
+/** FNV-1a over the sorted (u, v, weight bits) edge list of a graph. */
+inline std::uint64_t
+edgeHash(const WeightedGraph &graph)
+{
+    std::uint64_t h = kFnvBasis;
+    for (const WeightedGraph::Edge &e : graph.edges()) {
+        fnvMix(h, e.u, 4);
+        fnvMix(h, e.v, 4);
+        fnvMix(h, std::bit_cast<std::uint64_t>(e.weight), 8);
     }
     return h;
 }
@@ -120,6 +144,35 @@ expectGolden(const PlacementGolden &want, const LayoutGolden (&got)[4])
         EXPECT_EQ(got[a].misses, want.algorithms[a].misses)
             << "algorithm " << a;
     }
+}
+
+/** Golden words (counts, hashes, double bits) of one named case. */
+template <std::size_t N>
+struct WordGolden
+{
+    const char *name;
+    std::uint64_t words[N];
+};
+
+/**
+ * Compare measured words with their golden row; on a mismatch the
+ * failure carries the measured row in the table's own syntax.
+ */
+template <std::size_t N>
+void
+expectGolden(const WordGolden<N> &want, const std::uint64_t (&got)[N])
+{
+    std::string row = std::string("{\"") + want.name + "\", {";
+    for (std::size_t i = 0; i < N; ++i) {
+        char cell[32];
+        std::snprintf(cell, sizeof cell, "0x%016llxULL%s",
+                      static_cast<unsigned long long>(got[i]),
+                      i + 1 < N ? ", " : "}},");
+        row += cell;
+    }
+    SCOPED_TRACE("measured row: " + row);
+    for (std::size_t i = 0; i < N; ++i)
+        EXPECT_EQ(got[i], want.words[i]) << "word " << i;
 }
 
 } // namespace topo

@@ -6,8 +6,8 @@
  * in a std::map and walks every event in full: no dense matrix, no
  * repeat elision, no shard seeding. The production build (dense
  * counts, closed-form repeat streaks, sharded merges, sampled
- * segments, the state-only walker's repeat skip) must match it edge
- * for edge and statistic for statistic.
+ * segments, the warm-up's repeat skip) must match it edge for edge
+ * and statistic for statistic.
  */
 
 #include <gtest/gtest.h>
@@ -542,6 +542,8 @@ TEST(TrgDifferential, SampledSegmentsStartingInsideStreaks)
             for (const auto &[pair, count] : part.place)
                 want.place[pair] += count;
             want.proc_steps += part.proc_steps;
+            want.proc_evictions += part.proc_evictions;
+            want.chunk_evictions += part.chunk_evictions;
         }
         const SampledProfileResult got = buildSampledProfile(
             c.program, *c.chunks, c.trace, plan, c.options);
@@ -550,6 +552,9 @@ TEST(TrgDifferential, SampledSegmentsStartingInsideStreaks)
         expectGraphMatches(got.trg_place, want.place,
                            c.chunks->chunkCount(), "TRG_place");
         EXPECT_EQ(got.proc_steps, want.proc_steps);
+        // Warm-up evictions belong to no segment.
+        EXPECT_EQ(got.proc_evictions, want.proc_evictions);
+        EXPECT_EQ(got.chunk_evictions, want.chunk_evictions);
     }
 }
 
@@ -602,18 +607,18 @@ TEST(TrgDifferential, MergeRejectsADifferentPopularSet)
     EXPECT_THROW(left.merge(right), TopoError);
 }
 
-/** The walker's reported state must equal the naive walk's. */
+/** A warmed accumulator's reported state must equal the naive walk's. */
 void
-expectWalkerState(const TrgStateWalker &walker, const NaiveWalk &naive,
-                  const std::string &where)
+expectWarmState(const TrgAccumulator &warmed, const NaiveWalk &naive,
+                const std::string &where)
 {
-    EXPECT_EQ(walker.procQueue(), naive.procQueue()) << where;
-    EXPECT_EQ(walker.chunkQueue(), naive.chunkQueue()) << where;
-    EXPECT_EQ(walker.lastProc(), naive.lastProc()) << where;
-    EXPECT_EQ(walker.lastChunk(), naive.lastChunk()) << where;
+    EXPECT_EQ(warmed.procQueue(), naive.procQueue()) << where;
+    EXPECT_EQ(warmed.chunkQueue(), naive.chunkQueue()) << where;
+    EXPECT_EQ(warmed.lastProc(), naive.lastProc()) << where;
+    EXPECT_EQ(warmed.lastChunk(), naive.lastChunk()) << where;
 }
 
-TEST(TrgStateWalkerSkip, ShardBoundaryStatesMatchTheFullWalk)
+TEST(TrgAccumulatorWarm, ShardBoundaryStatesMatchTheFullWalk)
 {
     const RepeatCase repeat;
     const SuiteCase suite("m88ksim", 0.01);
@@ -648,7 +653,7 @@ TEST(TrgStateWalkerSkip, ShardBoundaryStatesMatchTheFullWalk)
     }
 }
 
-TEST(TrgStateWalkerSkip, SampledSegmentStartStatesMatchTheFullWalk)
+TEST(TrgAccumulatorWarm, SampledSegmentStartStatesMatchTheFullWalk)
 {
     // The planner's own segments on a suite trace, and hand-placed
     // warm-ups that end inside repeat streaks.
@@ -660,27 +665,34 @@ TEST(TrgStateWalkerSkip, SampledSegmentStartStatesMatchTheFullWalk)
         sampling);
     ASSERT_FALSE(plan.segments.empty());
     for (const SampleSegment &seg : plan.segments) {
-        TrgStateWalker walker(suite.program(), *suite.chunks, suite.options);
+        TrgAccumulator warmed(suite.program(), *suite.chunks, suite.options);
         NaiveWalk naive(suite.program(), *suite.chunks, suite.options);
         for (std::size_t i = seg.warm_begin; i < seg.begin; ++i) {
-            walker.advance(suite.trace.events()[i]);
+            warmed.warm(suite.trace.events()[i]);
             naive.step(suite.trace.events()[i], false);
         }
-        expectWalkerState(walker, naive,
-                          "segment at event " + std::to_string(seg.begin));
+        expectWarmState(warmed, naive,
+                        "segment at event " + std::to_string(seg.begin));
+        // The warm-up itself counts nothing.
+        const TrgBuildResult counted = warmed.take();
+        EXPECT_EQ(counted.select.edgeCount(), 0u);
+        EXPECT_EQ(counted.place.edgeCount(), 0u);
+        EXPECT_EQ(counted.proc_steps, 0u);
+        EXPECT_EQ(counted.proc_evictions, 0u);
+        EXPECT_EQ(counted.chunk_evictions, 0u);
     }
 
     const RepeatCase repeat;
     for (std::size_t warm = 0; warm < 12; ++warm) {
-        TrgStateWalker walker(repeat.program, *repeat.chunks,
+        TrgAccumulator warmed(repeat.program, *repeat.chunks,
                               repeat.options);
         NaiveWalk naive(repeat.program, *repeat.chunks, repeat.options);
         for (std::size_t i = warm; i < repeat.trace.size(); ++i) {
-            walker.advance(repeat.trace.events()[i]);
+            warmed.warm(repeat.trace.events()[i]);
             naive.step(repeat.trace.events()[i], false);
-            expectWalkerState(walker, naive,
-                              "warm-up [" + std::to_string(warm) + ", " +
-                                  std::to_string(i + 1) + ")");
+            expectWarmState(warmed, naive,
+                            "warm-up [" + std::to_string(warm) + ", " +
+                                std::to_string(i + 1) + ")");
         }
     }
 }

@@ -20,6 +20,8 @@
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
+#include "test_support.hh"
+
 namespace topo
 {
 namespace
@@ -211,25 +213,6 @@ TEST(Trg, ObserverSeesEverything)
         buildTrgs(ex.program, chunks, ex.trace2(), opts);
     EXPECT_EQ(steps, trg.proc_steps);
     EXPECT_GT(with_prev, 0u);
-}
-
-/** FNV-1a over the sorted (u, v, weight bits) edge list of a graph. */
-std::uint64_t
-edgeHash(const WeightedGraph &graph)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t word, int bytes) {
-        for (int i = 0; i < bytes; ++i) {
-            h ^= (word >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (const WeightedGraph::Edge &e : graph.edges()) {
-        mix(e.u, 4);
-        mix(e.v, 4);
-        mix(std::bit_cast<std::uint64_t>(e.weight), 8);
-    }
-    return h;
 }
 
 /** Golden facts of one suite program's serial TRG build. */

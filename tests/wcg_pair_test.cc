@@ -6,10 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "topo/eval/experiment.hh"
+#include "topo/exec/exec.hh"
+#include "topo/placement/popularity.hh"
 #include "topo/profile/pair_database.hh"
 #include "topo/profile/wcg_builder.hh"
 #include "topo/profile/weighted_graph.hh"
+#include "topo/trace/trace_stats.hh"
 #include "topo/util/error.hh"
+#include "topo/workload/paper_suite.hh"
+#include "topo/workload/trace_synthesizer.hh"
+
+#include "test_support.hh"
 
 namespace topo
 {
@@ -251,6 +261,84 @@ TEST(PairDatabase, PopularMaskFilters)
     const PairDatabase db = buildPairDatabase(prog, t, opts);
     EXPECT_DOUBLE_EQ(db.get(p, r, s), 1.0);
     EXPECT_DOUBLE_EQ(db.get(p, r, cold), 0.0);
+}
+
+TEST(PairDatabase, ShortPopularityMaskRejected)
+{
+    // The mask must cover every procedure, as buildTrgs demands.
+    Program prog("t");
+    for (int i = 0; i < 6; ++i)
+        prog.addProcedure("p" + std::to_string(i), 32);
+    Trace t(prog.procCount());
+    for (int round = 0; round < 3; ++round) {
+        for (ProcId p = 0; p < prog.procCount(); ++p)
+            t.append(p, 0, 32);
+    }
+    PairBuildOptions opts;
+    opts.byte_budget = 1024;
+    const std::vector<bool> popular{true, true};
+    opts.popular = &popular;
+    EXPECT_THROW(buildPairDatabase(prog, t, opts), TopoError);
+}
+
+TEST(PairDatabase, RunPastProcedureEndRejected)
+{
+    Program prog("t");
+    const ProcId p = prog.addProcedure("p", 32);
+    const ProcId r = prog.addProcedure("r", 32);
+    Trace t(2);
+    t.append(p, 0, 32);
+    t.append(r, 16, 32); // ends 16 bytes past r
+    t.append(p, 0, 32);
+    PairBuildOptions opts;
+    opts.byte_budget = 1024;
+    EXPECT_THROW(buildPairDatabase(prog, t, opts), TopoError);
+}
+
+/** FNV-1a over the sorted (p, r, s, weight bits) entries of @p db. */
+std::uint64_t
+pairHash(const PairDatabase &db)
+{
+    std::uint64_t h = kFnvBasis;
+    for (const PairDatabase::Entry &e : db.entries()) {
+        fnvMix(h, e.p, 4);
+        fnvMix(h, e.r, 4);
+        fnvMix(h, e.s, 4);
+        fnvMix(h, std::bit_cast<std::uint64_t>(e.weight), 8);
+    }
+    return h;
+}
+
+TEST(PairDatabase, GoldenSuiteBuildsAtScale005)
+{
+    // {entry count, entry hash} of the unpruned pair database as the
+    // experiment pipeline builds it; sharded builds must match too.
+    static const WordGolden<2> kGolden[] = {
+        {"gcc", {0x00000000000002b3ULL, 0x140c48c503218cc5ULL}},
+        {"m88ksim", {0x00000000000010efULL, 0x189b8457623e18e4ULL}},
+    };
+    const EvalOptions eval;
+    for (const WordGolden<2> &want : kGolden) {
+        const BenchmarkCase bench = paperBenchmark(want.name, 0.05);
+        const Program &program = bench.model.program;
+        const Trace trace = synthesizeTrace(bench.model, bench.train);
+        const PopularSet popular = selectPopular(
+            program, computeTraceStats(program, trace), eval.popularity);
+        PairBuildOptions opts;
+        opts.byte_budget = static_cast<std::uint64_t>(
+            eval.q_budget_factor * eval.cache.size_bytes);
+        opts.pair_window = eval.pair_window;
+        opts.popular = &popular.mask;
+        for (const int jobs : {1, 4}) {
+            SCOPED_TRACE(std::string(want.name) + " jobs=" +
+                         std::to_string(jobs));
+            setExecJobs(jobs);
+            const PairDatabase db = buildPairDatabase(program, trace, opts);
+            setExecJobs(1);
+            const std::uint64_t got[2] = {db.size(), pairHash(db)};
+            expectGolden(want, got);
+        }
+    }
 }
 
 } // namespace
