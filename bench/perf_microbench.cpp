@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -335,11 +336,9 @@ void
 BM_TraceLoadMmap(benchmark::State &state)
 {
     const std::string &path = benchTracePath();
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
     std::size_t records = 0;
     for (auto _ : state) {
-        const Trace trace = loadBinaryTrace(path, ropts);
+        const Trace trace = loadBinaryTrace(path);
         records = trace.size();
         benchmark::DoNotOptimize(records);
     }
@@ -352,12 +351,13 @@ BENCHMARK(BM_TraceLoadMmap)->Unit(benchmark::kMillisecond);
 void
 BM_TraceLoadStream(benchmark::State &state)
 {
-    const std::string &path = benchTracePath();
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOff;
+    std::stringstream image;
+    writeBinaryTrace(image, scenario(64).trace);
+    const std::string bytes = image.str();
     std::size_t records = 0;
     for (auto _ : state) {
-        const Trace trace = loadBinaryTrace(path, ropts);
+        std::istringstream in(bytes);
+        const Trace trace = readBinaryTrace(in);
         records = trace.size();
         benchmark::DoNotOptimize(records);
     }

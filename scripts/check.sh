@@ -298,17 +298,16 @@ TOOLS="$SAN/tools"
     --trace-scale=0.02 --out-trace="$WORK/m.trace" 2> /dev/null
 
 echo "== mmap reader exercise (sanitized) =="
-# No fault plan armed here, so the file-path load takes the mapped
-# zero-copy decode path under ASan; the kill-switch run pins the
-# stream reader on the same input and both must agree byte-for-byte.
-# (Every --fault-spec run below deliberately falls back to the stream
-# reader, so this is the only ASan coverage the mapped path gets.)
+# A file load maps the trace and a piped load reads it into memory;
+# both feed the one binary-trace decoder under ASan and must agree
+# byte-for-byte. The --fault-spec soak below loads mapped files too,
+# so it exercises the decoder's fault hooks on mapped bytes.
 "$TOOLS/topo_sim" --program="$WORK/m.prog" --trace="$WORK/m.btrace" \
-    > "$WORK/mmap_on.txt" 2> /dev/null
-TOPO_TRACE_MMAP=0 "$TOOLS/topo_sim" --program="$WORK/m.prog" \
-    --trace="$WORK/m.btrace" > "$WORK/mmap_off.txt" 2> /dev/null
-cmp -s "$WORK/mmap_on.txt" "$WORK/mmap_off.txt" || {
-    echo "FAIL: mmap and stream trace loads disagree"; exit 1; }
+    > "$WORK/mmap_file.txt" 2> /dev/null
+cat "$WORK/m.btrace" | "$TOOLS/topo_sim" --program="$WORK/m.prog" \
+    --trace=/dev/stdin > "$WORK/mmap_pipe.txt" 2> /dev/null
+cmp -s "$WORK/mmap_file.txt" "$WORK/mmap_pipe.txt" || {
+    echo "FAIL: mapped file and piped trace loads disagree"; exit 1; }
 
 # check_rc <description> <allowed-codes> <cmd...>: the command must
 # exit with one of the allowed codes — never a sanitizer failure (99),

@@ -3,8 +3,8 @@
 #include <fstream>
 
 #include "topo/obs/log.hh"
-#include "topo/resilience/crc32.hh"
 #include "topo/resilience/durable_io.hh"
+#include "topo/resilience/framing.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -20,34 +20,6 @@ constexpr std::uint64_t kVersion = 1;
 constexpr std::uint64_t kMaxWords = 1ULL << 27;
 
 void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-std::uint64_t
-getU64(const std::string &in, std::size_t &pos, const std::string &path)
-{
-    requireData(pos + 8 <= in.size(), "truncated checkpoint", path);
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    }
-    pos += 8;
-    return value;
-}
-
-void
 putWords(std::string &out, const std::vector<std::uint64_t> &words)
 {
     putU64(out, words.size());
@@ -56,16 +28,16 @@ putWords(std::string &out, const std::vector<std::uint64_t> &words)
 }
 
 std::vector<std::uint64_t>
-getWords(const std::string &in, std::size_t &pos, const std::string &path)
+getWords(Reader &in, const std::string &path)
 {
-    const std::uint64_t count = getU64(in, pos, path);
+    const std::uint64_t count = in.u64();
     requireData(count <= kMaxWords, "checkpoint word count implausible",
                 path);
-    requireData(pos + count * 8 <= in.size(), "truncated checkpoint",
+    requireData(count * 8 <= in.remaining(), "truncated checkpoint",
                 path);
     std::vector<std::uint64_t> words(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        words[i] = getU64(in, pos, path);
+    for (std::uint64_t &word : words)
+        word = in.u64();
     return words;
 }
 
@@ -84,17 +56,10 @@ saveCheckpoint(const std::string &path, const SimCheckpoint &ckpt)
     putWords(payload, ckpt.cache_words);
     putWords(payload, ckpt.misses_by_proc);
 
-    std::string file;
-    file.reserve(payload.size() + 16);
-    file.append(kMagic, sizeof(kMagic));
-    putU32(file, crc32(payload));
-    putU64(file, payload.size());
-    file += payload;
-
     // tmp write + fsync + rename + parent-dir fsync: without the
     // directory sync a crash after the rename could still resurface
     // the previous checkpoint (the rename itself was not durable).
-    atomicReplace(path, file, "checkpoint.save");
+    atomicReplace(path, frameFile(kMagic, payload), "checkpoint.save");
     logDebug("checkpoint", "saved",
              {{"file", path}, {"cursor", ckpt.cursor},
               {"misses", ckpt.misses}});
@@ -105,38 +70,23 @@ loadCheckpoint(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     require(is.good(), "loadCheckpoint: cannot open '" + path + "'");
-    std::string file((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    requireData(file.size() >= 16, "checkpoint too short", path);
-    requireData(file.compare(0, 4, kMagic, 4) == 0,
-                "bad checkpoint magic", path);
-    std::uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(file[4 + i]))
-               << (8 * i);
-    }
-    std::size_t pos = 8;
-    const std::uint64_t payload_size = getU64(file, pos, path);
-    requireData(payload_size == file.size() - 16,
-                "checkpoint size mismatch", path);
-    const std::string payload = file.substr(16);
-    requireData(crc32(payload) == crc, "checkpoint CRC mismatch", path);
+    const std::string file((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    const std::string payload = unframeFile(kMagic, file, path);
 
-    pos = 0;
+    Reader in(payload, path);
     SimCheckpoint ckpt;
-    const std::uint64_t version = getU64(payload, pos, path);
+    const std::uint64_t version = in.u64();
     requireData(version == kVersion,
                 "unsupported checkpoint version " +
                     std::to_string(version),
                 path);
-    ckpt.fingerprint = getU64(payload, pos, path);
-    ckpt.cursor = getU64(payload, pos, path);
-    ckpt.misses = getU64(payload, pos, path);
-    ckpt.cache_words = getWords(payload, pos, path);
-    ckpt.misses_by_proc = getWords(payload, pos, path);
-    requireData(pos == payload.size(),
-                "trailing bytes in checkpoint", path);
+    ckpt.fingerprint = in.u64();
+    ckpt.cursor = in.u64();
+    ckpt.misses = in.u64();
+    ckpt.cache_words = getWords(in, path);
+    ckpt.misses_by_proc = getWords(in, path);
+    in.expectEnd();
     return ckpt;
 }
 

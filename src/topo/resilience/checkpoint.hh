@@ -11,7 +11,7 @@
  * see DESIGN.md ("Why checkpoint state is confined to simulator +
  * cursor").
  *
- * On-disk layout (file magic "TOPK"):
+ * On-disk layout (file magic "TOPK"; the framing is framing.hh's):
  *
  *   magic "TOPK"
  *   u32le crc32(payload)

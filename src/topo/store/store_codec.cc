@@ -1,8 +1,5 @@
 #include "topo/store/store_codec.hh"
 
-#include <bit>
-#include <cstring>
-
 #include "topo/resilience/crc32.hh"
 #include "topo/util/error.hh"
 
@@ -12,8 +9,6 @@ namespace topo
 namespace
 {
 
-/** Ceiling on any length field before allocation (1 GiB). */
-constexpr std::uint64_t kMaxLen = 1ULL << 30;
 /** Ceiling on one journal record payload (256 MiB). */
 constexpr std::uint32_t kMaxRecordLen = 1u << 28;
 
@@ -40,11 +35,11 @@ WeightedGraph
 getGraph(Reader &in)
 {
     const std::uint64_t nodes = in.u64();
-    requireData(nodes <= kMaxLen, "graph node count implausible",
+    requireData(nodes <= kMaxFieldLen, "graph node count implausible",
                 "store codec");
     WeightedGraph graph(static_cast<std::size_t>(nodes));
     const std::uint64_t edges = in.u64();
-    requireData(edges <= kMaxLen, "graph edge count implausible",
+    requireData(edges <= kMaxFieldLen, "graph edge count implausible",
                 "store codec");
     for (std::uint64_t i = 0; i < edges; ++i) {
         const BlockId u = in.u32();
@@ -73,7 +68,7 @@ getPairs(Reader &in)
 {
     PairDatabase pairs;
     const std::uint64_t count = in.u64();
-    requireData(count <= kMaxLen, "pair count implausible",
+    requireData(count <= kMaxFieldLen, "pair count implausible",
                 "store codec");
     for (std::uint64_t i = 0; i < count; ++i) {
         const BlockId p = in.u32();
@@ -97,7 +92,7 @@ std::vector<std::uint64_t>
 getU64Vec(Reader &in)
 {
     const std::uint64_t count = in.u64();
-    requireData(count <= kMaxLen, "vector length implausible",
+    requireData(count <= kMaxFieldLen, "vector length implausible",
                 "store codec");
     std::vector<std::uint64_t> values(
         static_cast<std::size_t>(count));
@@ -150,99 +145,6 @@ getShardBody(Reader &in)
 
 } // namespace
 
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-void
-putF64(std::string &out, double value)
-{
-    putU64(out, std::bit_cast<std::uint64_t>(value));
-}
-
-void
-putString(std::string &out, const std::string &text)
-{
-    putU64(out, text.size());
-    out += text;
-}
-
-void
-Reader::need(std::size_t n) const
-{
-    requireData(pos_ + n <= bytes_.size(), "truncated payload",
-                context_);
-}
-
-std::uint64_t
-Reader::u64()
-{
-    need(8);
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-    }
-    pos_ += 8;
-    return value;
-}
-
-std::uint32_t
-Reader::u32()
-{
-    need(4);
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-    }
-    pos_ += 4;
-    return value;
-}
-
-double
-Reader::f64()
-{
-    return std::bit_cast<double>(u64());
-}
-
-std::uint8_t
-Reader::u8()
-{
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::string
-Reader::str()
-{
-    const std::uint64_t len = u64();
-    requireData(len <= kMaxLen, "string length implausible", context_);
-    need(static_cast<std::size_t>(len));
-    std::string text = bytes_.substr(pos_,
-                                     static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return text;
-}
-
-void
-Reader::expectEnd() const
-{
-    requireData(pos_ == bytes_.size(), "trailing bytes", context_);
-}
-
 std::string
 serializeMeta(std::uint64_t store_id, const StoreConfig &config)
 {
@@ -288,7 +190,7 @@ deserializeMeta(const std::string &payload, std::uint64_t &store_id)
     const std::string program_name = in.str();
     Program program(program_name);
     const std::uint64_t procs = in.u64();
-    requireData(procs <= kMaxLen, "procedure count implausible",
+    requireData(procs <= kMaxFieldLen, "procedure count implausible",
                 "store meta");
     for (std::uint64_t i = 0; i < procs; ++i) {
         const std::string name = in.str();
@@ -342,7 +244,7 @@ deserializeProfile(const std::string &payload,
                 context);
     StoredProfile profile;
     const std::uint64_t shards = in.u64();
-    requireData(shards <= kMaxLen, "shard count implausible", context);
+    requireData(shards <= kMaxFieldLen, "shard count implausible", context);
     profile.shards.reserve(static_cast<std::size_t>(shards));
     for (std::uint64_t i = 0; i < shards; ++i) {
         ShardInfo shard;
@@ -389,47 +291,6 @@ deserializeShardDelta(const std::string &payload,
 }
 
 std::string
-frameFile(const char magic[4], const std::string &payload)
-{
-    std::string file;
-    file.reserve(payload.size() + 16);
-    file.append(magic, 4);
-    putU32(file, crc32(payload));
-    putU64(file, payload.size());
-    file += payload;
-    return file;
-}
-
-std::string
-unframeFile(const char magic[4], const std::string &bytes,
-            const std::string &context)
-{
-    requireData(bytes.size() >= 16, "file too short", context);
-    requireData(bytes.compare(0, 4, magic, 4) == 0, "bad magic",
-                context);
-    Reader in(bytes, context);
-    (void)in.u32(); // skip magic (already checked byte-wise)
-    std::uint32_t crc = 0;
-    std::memcpy(&crc, bytes.data() + 4, 4); // little-endian host
-    std::uint32_t crc_le = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc_le |= static_cast<std::uint32_t>(
-                      static_cast<unsigned char>(bytes[4 + i]))
-                  << (8 * i);
-    }
-    std::uint64_t size = 0;
-    for (int i = 0; i < 8; ++i) {
-        size |= static_cast<std::uint64_t>(
-                    static_cast<unsigned char>(bytes[8 + i]))
-                << (8 * i);
-    }
-    requireData(size == bytes.size() - 16, "size mismatch", context);
-    std::string payload = bytes.substr(16);
-    requireData(crc32(payload) == crc_le, "CRC mismatch", context);
-    return payload;
-}
-
-std::string
 frameRecord(std::uint64_t seq, StoreRecordKind kind,
             const std::string &body)
 {
@@ -472,21 +333,13 @@ scanJournal(const std::string &bytes, const std::string &context)
                 "journal header truncated", context);
     requireData(bytes.compare(0, 4, kJournalMagic, 4) == 0,
                 "bad journal magic", context);
-    std::uint32_t version = 0;
-    for (int i = 0; i < 4; ++i) {
-        version |= static_cast<std::uint32_t>(
-                       static_cast<unsigned char>(bytes[4 + i]))
-                   << (8 * i);
-    }
+    Reader header(std::string_view(bytes).substr(4, 12), context);
+    const std::uint32_t version = header.u32();
     requireData(version == kJournalVersion,
                 "unsupported journal version " +
                     std::to_string(version),
                 context);
-    for (int i = 0; i < 8; ++i) {
-        scan.store_id |= static_cast<std::uint64_t>(
-                             static_cast<unsigned char>(bytes[8 + i]))
-                         << (8 * i);
-    }
+    scan.store_id = header.u64();
 
     std::size_t pos = journalHeaderSize();
     scan.valid_end = pos;
@@ -496,16 +349,9 @@ scanJournal(const std::string &bytes, const std::string &context)
         // Record header: u32 length + u32 crc.
         if (pos + 8 > bytes.size())
             break; // torn header
-        std::uint32_t len = 0;
-        std::uint32_t crc = 0;
-        for (int i = 0; i < 4; ++i) {
-            len |= static_cast<std::uint32_t>(
-                       static_cast<unsigned char>(bytes[pos + i]))
-                   << (8 * i);
-            crc |= static_cast<std::uint32_t>(
-                       static_cast<unsigned char>(bytes[pos + 4 + i]))
-                   << (8 * i);
-        }
+        Reader frame(std::string_view(bytes).substr(pos, 8), context);
+        const std::uint32_t len = frame.u32();
+        const std::uint32_t crc = frame.u32();
         if (len < 9 || len > kMaxRecordLen)
             break; // implausible framing (corrupt length)
         if (pos + 8 + len > bytes.size())

@@ -3,7 +3,7 @@
  * Binary codec of the persistent profile store (DESIGN.md §12).
  *
  * Three on-disk artefacts share the little-endian, CRC-32-guarded
- * framing of the checkpoint format:
+ * framing of the checkpoint format (topo/resilience/framing.hh):
  *
  *   store.meta      "TOPM" u32 crc u64 size payload
  *                   payload: version, store_id, config (cache
@@ -37,6 +37,7 @@
 #include "topo/profile/pair_database.hh"
 #include "topo/profile/weighted_graph.hh"
 #include "topo/program/program.hh"
+#include "topo/resilience/framing.hh"
 
 namespace topo
 {
@@ -154,45 +155,6 @@ struct StoreRecordExtent
     std::uint64_t seq = 0;
 };
 
-// --- primitive framing -------------------------------------------------
-
-/** Append a little-endian u64. */
-void putU64(std::string &out, std::uint64_t value);
-/** Append a little-endian u32. */
-void putU32(std::string &out, std::uint32_t value);
-/** Append a double as its IEEE-754 bit pattern. */
-void putF64(std::string &out, double value);
-/** Append a length-prefixed string. */
-void putString(std::string &out, const std::string &text);
-
-/** Cursor over a serialized payload; throws corrupt-input on misuse. */
-class Reader
-{
-  public:
-    Reader(const std::string &bytes, std::string context)
-        : bytes_(bytes), context_(std::move(context))
-    {}
-
-    std::uint64_t u64();
-    std::uint32_t u32();
-    double f64();
-    std::uint8_t u8();
-    std::string str();
-    /** Bytes not yet consumed. */
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-    /** Require the payload to be fully consumed. */
-    void expectEnd() const;
-
-  private:
-    const std::string &bytes_;
-    std::string context_;
-    std::size_t pos_ = 0;
-
-    void need(std::size_t n) const;
-};
-
-// --- store artefacts ---------------------------------------------------
-
 /** Serialize the meta payload (config + identity). */
 std::string serializeMeta(std::uint64_t store_id,
                           const StoreConfig &config);
@@ -211,15 +173,6 @@ std::string serializeShardDelta(const ShardDelta &delta);
 /** Decode a kShard record body. */
 ShardDelta deserializeShardDelta(const std::string &payload,
                                  const std::string &context);
-
-/** Frame a payload with magic + crc + size (meta and snapshots). */
-std::string frameFile(const char magic[4], const std::string &payload);
-/**
- * Unframe a file image; throws a corrupt-input TopoError on bad
- * magic, truncation, size mismatch, or CRC mismatch.
- */
-std::string unframeFile(const char magic[4], const std::string &bytes,
-                        const std::string &context);
 
 /** Serialize one journal record (seq + kind + body, framed). */
 std::string frameRecord(std::uint64_t seq, StoreRecordKind kind,

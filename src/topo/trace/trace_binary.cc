@@ -5,6 +5,8 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <sstream>
+#include <streambuf>
 #include <string_view>
 
 #include "topo/obs/log.hh"
@@ -21,7 +23,7 @@ namespace topo
 namespace
 {
 
-constexpr char kMagic[4] = {'T', 'O', 'P', 'B'};
+constexpr std::string_view kMagic = "TOPB";
 constexpr std::uint32_t kVersionV1 = 1;
 constexpr std::uint32_t kVersionV2 = 2;
 
@@ -47,36 +49,8 @@ putVarint(std::string &out, std::uint64_t value)
     out.push_back(static_cast<char>(value));
 }
 
-void
-putVarint(std::ostream &os, std::uint64_t value)
-{
-    while (value >= 0x80) {
-        os.put(static_cast<char>(0x80 | (value & 0x7f)));
-        value >>= 7;
-    }
-    os.put(static_cast<char>(value));
-}
-
 std::uint64_t
-getVarint(std::istream &is, const char *what)
-{
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-        const int byte = is.get();
-        requireData(byte != std::char_traits<char>::eof(),
-                    std::string("truncated varint in ") + what);
-        requireData(shift < 64,
-                    std::string("varint overflow in ") + what);
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return value;
-        shift += 7;
-    }
-}
-
-std::uint64_t
-getVarintBuf(std::string_view buf, std::size_t &pos, const char *what)
+getVarint(std::string_view buf, std::size_t &pos, const char *what)
 {
     std::uint64_t value = 0;
     int shift = 0;
@@ -107,7 +81,7 @@ unzigzag(std::uint64_t value)
            -static_cast<std::int64_t>(value & 1);
 }
 
-/** Decode one run; shared by the v1 stream and v2 payload decoders. */
+/** Decode one run; shared by the v1 and v2 body decoders. */
 TraceEvent
 decodeRecord(std::uint64_t zz_delta, std::uint64_t offset,
              std::uint64_t length, std::int64_t &prev_proc,
@@ -126,14 +100,61 @@ decodeRecord(std::uint64_t zz_delta, std::uint64_t offset,
                       static_cast<std::uint32_t>(length)};
 }
 
-/**
- * Shared v1 salvage/report epilogue: identical metrics, logs, and
- * error text whether the records came from a stream or a mapping.
- */
-void
-reportV1Outcome(std::uint64_t got, std::uint64_t run_count,
-                const TraceReadOptions &ropts)
+/** The fixed header every binary trace starts with. */
+struct Header
 {
+    std::uint64_t version = 0;
+    std::uint64_t proc_count = 0;
+    std::uint64_t run_count = 0;
+    /** Offset of the first byte after the header. */
+    std::size_t body = 0;
+};
+
+/** Parse and bound-check the header; @p who prefixes the errors. */
+Header
+readHeader(std::string_view buf, const std::string &who)
+{
+    requireData(buf.starts_with(kMagic), who + ": bad magic");
+    Header header;
+    header.body = 4;
+    header.version = getVarint(buf, header.body, "header");
+    requireData(header.version == kVersionV1 ||
+                    header.version == kVersionV2,
+                who + ": unsupported version " +
+                    std::to_string(header.version));
+    header.proc_count = getVarint(buf, header.body, "header");
+    requireData(header.proc_count <= kMaxProcCount,
+                who + ": implausible procedure count " +
+                    std::to_string(header.proc_count));
+    header.run_count = getVarint(buf, header.body, "header");
+    return header;
+}
+
+/** v1 body: a single undelimited run stream (salvageable per record). */
+Trace
+readBodyV1(std::string_view buf, const Header &header,
+           const TraceReadOptions &ropts)
+{
+    Trace trace(header.proc_count);
+    trace.reserve(static_cast<std::size_t>(
+        std::min(header.run_count, kReserveCap)));
+    std::size_t pos = header.body;
+    std::int64_t prev_proc = 0;
+    std::uint64_t got = 0;
+    try {
+        for (; got < header.run_count; ++got) {
+            const std::uint64_t zz = getVarint(buf, pos, "v1 record");
+            const std::uint64_t offset = getVarint(buf, pos, "v1 record");
+            const std::uint64_t length = getVarint(buf, pos, "v1 record");
+            const TraceEvent ev = decodeRecord(
+                zz, offset, length, prev_proc, header.proc_count);
+            trace.append(ev.proc, ev.offset, ev.length);
+        }
+    } catch (const TopoError &) {
+        if (!ropts.recover)
+            throw;
+    }
+    const std::uint64_t run_count = header.run_count;
     if (got < run_count) {
         if (!ropts.recover) {
             failCorrupt("readBinaryTrace: trace promises " +
@@ -147,20 +168,116 @@ reportV1Outcome(std::uint64_t got, std::uint64_t run_count,
                  {"records_dropped", run_count - got}});
         if (ropts.report != nullptr) {
             ropts.report->recovered = true;
-            ropts.report->records_recovered = got;
             ropts.report->records_dropped = run_count - got;
         }
-    } else if (ropts.report != nullptr) {
-        ropts.report->records_recovered = got;
     }
+    if (ropts.report != nullptr)
+        ropts.report->records_recovered = got;
+    return trace;
 }
 
-/** Shared v2 salvage/report epilogue (see reportV1Outcome). */
-void
-reportV2Outcome(std::uint64_t chunks, std::uint64_t got,
-                std::uint64_t run_count, bool bad_chunk,
-                const TraceReadOptions &ropts)
+/**
+ * Decode the v2 chunk at @p pos into @p out. Header varints, CRC and
+ * records are parsed in place over the image, and the CRC is computed
+ * as the chunk is decoded, with no separate checksum pass. @p out and
+ * @p flipped are caller-reused scratch, so steady-state decode does
+ * no per-chunk heap allocation. Throws a corrupt-input TopoError on
+ * truncation, implausible size fields, CRC mismatch, or malformed
+ * payload. Returns false at the clean end of the image.
+ */
+bool
+readChunkV2(std::string_view buf, std::size_t &pos,
+            std::uint64_t proc_count, std::vector<TraceEvent> &out,
+            std::string &flipped)
 {
+    if (pos == buf.size())
+        return false;
+    faultMaybeThrowIo("trace_binary.chunk");
+    const std::uint64_t record_count =
+        getVarint(buf, pos, "v2 chunk header");
+    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
+                "readBinaryTrace: implausible chunk record count " +
+                    std::to_string(record_count));
+    const std::uint64_t payload_bytes =
+        getVarint(buf, pos, "v2 chunk header");
+    requireData(payload_bytes <= record_count * kMaxRecordBytes,
+                "readBinaryTrace: implausible chunk payload size " +
+                    std::to_string(payload_bytes));
+    requireData(pos + 4 <= buf.size(),
+                "readBinaryTrace: truncated chunk checksum");
+    std::uint32_t crc = 0;
+    for (int i = 0; i < 4; ++i) {
+        crc |= static_cast<std::uint32_t>(
+                   static_cast<unsigned char>(buf[pos + i]))
+               << (8 * i);
+    }
+    pos += 4;
+    // A short read keeps part of the payload bytes the image holds.
+    const std::size_t present = std::min<std::size_t>(
+        static_cast<std::size_t>(payload_bytes), buf.size() - pos);
+    requireData(faultMaybeShortenRead("trace_binary.payload", present) ==
+                    payload_bytes,
+                "readBinaryTrace: truncated chunk payload");
+    std::string_view payload =
+        buf.substr(pos, static_cast<std::size_t>(payload_bytes));
+    if (faultArmed(FaultKind::kBitflip)) {
+        // The image may be read-only mapped memory: flip bits in a copy.
+        flipped.assign(payload);
+        faultMaybeCorrupt("trace_binary.payload", flipped.data(),
+                          flipped.size());
+        payload = flipped;
+    }
+    requireData(crc32(payload.data(), payload.size()) == crc,
+                "readBinaryTrace: chunk CRC mismatch");
+
+    out.clear();
+    out.reserve(static_cast<std::size_t>(record_count));
+    std::size_t at = 0;
+    std::int64_t prev_proc = 0;
+    for (std::uint64_t i = 0; i < record_count; ++i) {
+        const std::uint64_t zz = getVarint(payload, at, "v2 record");
+        const std::uint64_t offset = getVarint(payload, at, "v2 record");
+        const std::uint64_t length = getVarint(payload, at, "v2 record");
+        out.push_back(decodeRecord(zz, offset, length, prev_proc,
+                                   proc_count));
+    }
+    requireData(at == payload.size(),
+                "readBinaryTrace: trailing bytes in chunk payload");
+    pos += payload.size();
+    return true;
+}
+
+/** v2 body: CRC-guarded chunks (salvageable per chunk). */
+Trace
+readBodyV2(std::string_view buf, const Header &header,
+           const TraceReadOptions &ropts)
+{
+    Trace trace(header.proc_count);
+    trace.reserve(static_cast<std::size_t>(
+        std::min(header.run_count, kReserveCap)));
+    std::size_t pos = header.body;
+    std::uint64_t chunks = 0;
+    std::uint64_t got = 0;
+    bool bad_chunk = false;
+    std::vector<TraceEvent> chunk;
+    std::string flipped;
+    for (;;) {
+        try {
+            if (!readChunkV2(buf, pos, header.proc_count, chunk,
+                             flipped))
+                break;
+        } catch (const TopoError &) {
+            if (!ropts.recover)
+                throw;
+            bad_chunk = true;
+            break;
+        }
+        for (const TraceEvent &ev : chunk)
+            trace.append(ev.proc, ev.offset, ev.length);
+        got += chunk.size();
+        ++chunks;
+    }
+    const std::uint64_t run_count = header.run_count;
     if (got != run_count || bad_chunk) {
         if (!ropts.recover) {
             failCorrupt("readBinaryTrace: trace promises " +
@@ -178,262 +295,78 @@ reportV2Outcome(std::uint64_t chunks, std::uint64_t got,
                  {"records_dropped", dropped}});
         if (ropts.report != nullptr) {
             ropts.report->recovered = true;
-            ropts.report->chunks_recovered = chunks;
-            ropts.report->records_recovered = got;
             ropts.report->records_dropped = dropped;
         }
-    } else if (ropts.report != nullptr) {
+    }
+    if (ropts.report != nullptr) {
         ropts.report->chunks_recovered = chunks;
         ropts.report->records_recovered = got;
     }
+    return trace;
 }
 
-/** v1 body: a single undelimited run stream (salvageable per record). */
-Trace
-readBodyV1(std::istream &is, std::uint64_t proc_count,
-           std::uint64_t run_count, const TraceReadOptions &ropts)
+/** Every byte left in @p is. */
+std::string
+readAll(std::istream &is)
 {
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::int64_t prev_proc = 0;
-    std::uint64_t got = 0;
-    try {
-        for (; got < run_count; ++got) {
-            const std::uint64_t zz =
-                getVarint(is, "v1 record");
-            const std::uint64_t offset = getVarint(is, "v1 record");
-            const std::uint64_t length = getVarint(is, "v1 record");
-            const TraceEvent ev = decodeRecord(
-                zz, offset, length, prev_proc, proc_count);
-            trace.append(ev.proc, ev.offset, ev.length);
-        }
-    } catch (const TopoError &) {
-        if (!ropts.recover)
-            throw;
-    }
-    reportV1Outcome(got, run_count, ropts);
-    return trace;
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return std::move(bytes).str();
 }
 
 /**
- * Read and decode one v2 chunk into @p out. Throws a corrupt-input
- * TopoError on truncation, implausible size fields, CRC mismatch, or
- * malformed payload. Returns false on clean end-of-file before the
- * chunk header.
+ * A trace file's bytes: the file mapped read-only when it maps, else
+ * read into memory (a pipe, a non-regular file, a failed map, or a
+ * platform without mmap).
  */
-bool
-readChunkV2(std::istream &is, std::uint64_t proc_count,
-            std::vector<TraceEvent> &out)
+class FileBytes
 {
-    if (is.peek() == std::char_traits<char>::eof())
-        return false;
-    faultMaybeThrowIo("trace_binary.chunk");
-    const std::uint64_t record_count =
-        getVarint(is, "v2 chunk header");
-    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
-                "readBinaryTrace: implausible chunk record count " +
-                    std::to_string(record_count));
-    const std::uint64_t payload_bytes =
-        getVarint(is, "v2 chunk header");
-    requireData(payload_bytes <= record_count * kMaxRecordBytes,
-                "readBinaryTrace: implausible chunk payload size " +
-                    std::to_string(payload_bytes));
-    char crc_bytes[4] = {};
-    is.read(crc_bytes, sizeof(crc_bytes));
-    requireData(is.gcount() == 4,
-                "readBinaryTrace: truncated chunk checksum");
-    std::uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(crc_bytes[i]))
-               << (8 * i);
+  public:
+    FileBytes(const std::string &path, const char *loader)
+        : map_(MappedFile::tryMap(path))
+    {
+        if (map_.has_value())
+            return;
+        std::ifstream is(path, std::ios::binary);
+        require(is.good(),
+                std::string(loader) + ": cannot open '" + path + "'");
+        read_ = readAll(is);
     }
 
-    std::string payload(static_cast<std::size_t>(payload_bytes), '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    std::size_t got_bytes = static_cast<std::size_t>(is.gcount());
-    got_bytes = faultMaybeShortenRead("trace_binary.payload",
-                                      got_bytes);
-    requireData(got_bytes == payload.size(),
-                "readBinaryTrace: truncated chunk payload");
-    faultMaybeCorrupt("trace_binary.payload", payload.data(),
-                      payload.size());
-    requireData(crc32(payload) == crc,
-                "readBinaryTrace: chunk CRC mismatch");
-
-    out.clear();
-    out.reserve(static_cast<std::size_t>(record_count));
-    std::size_t pos = 0;
-    std::int64_t prev_proc = 0;
-    for (std::uint64_t i = 0; i < record_count; ++i) {
-        const std::uint64_t zz = getVarintBuf(payload, pos, "v2 record");
-        const std::uint64_t offset =
-            getVarintBuf(payload, pos, "v2 record");
-        const std::uint64_t length =
-            getVarintBuf(payload, pos, "v2 record");
-        out.push_back(decodeRecord(zz, offset, length, prev_proc,
-                                   proc_count));
+    std::string_view
+    view() const
+    {
+        return map_.has_value()
+                   ? std::string_view(map_->data(), map_->size())
+                   : std::string_view(read_);
     }
-    requireData(pos == payload.size(),
-                "readBinaryTrace: trailing bytes in chunk payload");
-    return true;
-}
 
-/** v2 body: CRC-guarded chunks (salvageable per chunk). */
-Trace
-readBodyV2(std::istream &is, std::uint64_t proc_count,
-           std::uint64_t run_count, const TraceReadOptions &ropts)
+    /** Decode as a binary trace, counting a mapped load. */
+    Trace
+    decode(const TraceReadOptions &ropts) const
+    {
+        if (map_.has_value())
+            MetricsRegistry::current().counter("trace.mmap_loads").add();
+        return decodeBinaryTrace(view().data(), view().size(), ropts);
+    }
+
+  private:
+    std::optional<MappedFile> map_;
+    std::string read_;
+};
+
+/** Read-only streambuf over bytes it does not own. */
+class ViewBuf : public std::streambuf
 {
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::uint64_t chunks = 0;
-    std::uint64_t got = 0;
-    bool bad_chunk = false;
-    std::vector<TraceEvent> chunk;
-    for (;;) {
-        try {
-            if (!readChunkV2(is, proc_count, chunk))
-                break;
-        } catch (const TopoError &) {
-            if (!ropts.recover)
-                throw;
-            bad_chunk = true;
-            break;
-        }
-        for (const TraceEvent &ev : chunk)
-            trace.append(ev.proc, ev.offset, ev.length);
-        got += chunk.size();
-        ++chunks;
+  public:
+    explicit ViewBuf(std::string_view bytes)
+    {
+        // Reading never writes to the get area, so mapped memory is
+        // safe behind it.
+        char *begin = const_cast<char *>(bytes.data());
+        setg(begin, begin, begin + bytes.size());
     }
-    reportV2Outcome(chunks, got, run_count, bad_chunk, ropts);
-    return trace;
-}
-
-/**
- * Zero-copy v2 chunk decode: header varints, CRC, and records are all
- * parsed in place over the mapped image — the payload is never copied
- * into a scratch buffer (contrast readChunkV2's std::string). The CRC
- * is computed over the mapped payload bytes here, on first decode of
- * the chunk ("lazy" validation: no separate checksum pass). No fault
- * hooks: when a fault plan is armed the loaders take the stream path.
- * @p out is caller-reused scratch (cleared here, capacity retained),
- * so steady-state decode performs no per-chunk heap allocation.
- */
-bool
-readChunkV2Buf(std::string_view buf, std::size_t &pos,
-               std::uint64_t proc_count, std::vector<TraceEvent> &out)
-{
-    if (pos == buf.size())
-        return false;
-    const std::uint64_t record_count =
-        getVarintBuf(buf, pos, "v2 chunk header");
-    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
-                "readBinaryTrace: implausible chunk record count " +
-                    std::to_string(record_count));
-    const std::uint64_t payload_bytes =
-        getVarintBuf(buf, pos, "v2 chunk header");
-    requireData(payload_bytes <= record_count * kMaxRecordBytes,
-                "readBinaryTrace: implausible chunk payload size " +
-                    std::to_string(payload_bytes));
-    requireData(pos + 4 <= buf.size(),
-                "readBinaryTrace: truncated chunk checksum");
-    std::uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(buf[pos + i]))
-               << (8 * i);
-    }
-    pos += 4;
-    requireData(payload_bytes <= buf.size() - pos,
-                "readBinaryTrace: truncated chunk payload");
-    const std::string_view payload =
-        buf.substr(pos, static_cast<std::size_t>(payload_bytes));
-    requireData(crc32(payload.data(), payload.size()) == crc,
-                "readBinaryTrace: chunk CRC mismatch");
-
-    out.clear();
-    out.reserve(static_cast<std::size_t>(record_count));
-    std::size_t at = 0;
-    std::int64_t prev_proc = 0;
-    for (std::uint64_t i = 0; i < record_count; ++i) {
-        const std::uint64_t zz = getVarintBuf(payload, at, "v2 record");
-        const std::uint64_t offset =
-            getVarintBuf(payload, at, "v2 record");
-        const std::uint64_t length =
-            getVarintBuf(payload, at, "v2 record");
-        out.push_back(decodeRecord(zz, offset, length, prev_proc,
-                                   proc_count));
-    }
-    requireData(at == payload.size(),
-                "readBinaryTrace: trailing bytes in chunk payload");
-    pos += payload.size();
-    return true;
-}
-
-/** v1 body over an in-memory image (salvageable per record). */
-Trace
-readBodyV1Buf(std::string_view buf, std::size_t pos,
-              std::uint64_t proc_count, std::uint64_t run_count,
-              const TraceReadOptions &ropts)
-{
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::int64_t prev_proc = 0;
-    std::uint64_t got = 0;
-    try {
-        for (; got < run_count; ++got) {
-            const std::uint64_t zz = getVarintBuf(buf, pos, "v1 record");
-            const std::uint64_t offset =
-                getVarintBuf(buf, pos, "v1 record");
-            const std::uint64_t length =
-                getVarintBuf(buf, pos, "v1 record");
-            const TraceEvent ev = decodeRecord(
-                zz, offset, length, prev_proc, proc_count);
-            trace.append(ev.proc, ev.offset, ev.length);
-        }
-    } catch (const TopoError &) {
-        if (!ropts.recover)
-            throw;
-    }
-    reportV1Outcome(got, run_count, ropts);
-    return trace;
-}
-
-/** v2 body over an in-memory image (salvageable per chunk). */
-Trace
-readBodyV2Buf(std::string_view buf, std::size_t pos,
-              std::uint64_t proc_count, std::uint64_t run_count,
-              const TraceReadOptions &ropts)
-{
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::uint64_t chunks = 0;
-    std::uint64_t got = 0;
-    bool bad_chunk = false;
-    std::vector<TraceEvent> chunk;
-    for (;;) {
-        try {
-            if (!readChunkV2Buf(buf, pos, proc_count, chunk))
-                break;
-        } catch (const TopoError &) {
-            if (!ropts.recover)
-                throw;
-            bad_chunk = true;
-            break;
-        }
-        for (const TraceEvent &ev : chunk)
-            trace.append(ev.proc, ev.offset, ev.length);
-        got += chunk.size();
-        ++chunks;
-    }
-    reportV2Outcome(chunks, got, run_count, bad_chunk, ropts);
-    return trace;
-}
+};
 
 } // namespace
 
@@ -443,10 +376,11 @@ writeBinaryTrace(std::ostream &os, const Trace &trace,
 {
     const std::size_t per_chunk =
         std::max<std::size_t>(1, wopts.records_per_chunk);
-    os.write(kMagic, sizeof(kMagic));
-    putVarint(os, kVersionV2);
-    putVarint(os, trace.procCount());
-    putVarint(os, trace.size());
+    std::string frame(kMagic);
+    putVarint(frame, kVersionV2);
+    putVarint(frame, trace.procCount());
+    putVarint(frame, trace.size());
+    os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
     const std::vector<TraceEvent> &events = trace.events();
     std::string payload;
     for (std::size_t begin = 0; begin < events.size();
@@ -464,11 +398,13 @@ writeBinaryTrace(std::ostream &os, const Trace &trace,
             putVarint(payload, ev.length);
             prev_proc = static_cast<std::int64_t>(ev.proc);
         }
-        putVarint(os, end - begin);
-        putVarint(os, payload.size());
+        frame.clear();
+        putVarint(frame, end - begin);
+        putVarint(frame, payload.size());
         const std::uint32_t crc = crc32(payload);
         for (int i = 0; i < 4; ++i)
-            os.put(static_cast<char>((crc >> (8 * i)) & 0xFF));
+            frame.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+        os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
         os.write(payload.data(),
                  static_cast<std::streamsize>(payload.size()));
     }
@@ -478,48 +414,20 @@ writeBinaryTrace(std::ostream &os, const Trace &trace,
 Trace
 readBinaryTrace(std::istream &is, const TraceReadOptions &ropts)
 {
-    faultMaybeThrowIo("trace_binary.header");
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    requireData(is.gcount() == 4 &&
-                    std::equal(magic, magic + 4, kMagic),
-                "readBinaryTrace: bad magic");
-    const std::uint64_t version = getVarint(is, "header");
-    requireData(version == kVersionV1 || version == kVersionV2,
-                "readBinaryTrace: unsupported version " +
-                    std::to_string(version));
-    const std::uint64_t proc_count = getVarint(is, "header");
-    requireData(proc_count <= kMaxProcCount,
-                "readBinaryTrace: implausible procedure count " +
-                    std::to_string(proc_count));
-    const std::uint64_t run_count = getVarint(is, "header");
-    if (version == kVersionV1)
-        return readBodyV1(is, proc_count, run_count, ropts);
-    return readBodyV2(is, proc_count, run_count, ropts);
+    const std::string bytes = readAll(is);
+    return decodeBinaryTrace(bytes.data(), bytes.size(), ropts);
 }
 
 Trace
 decodeBinaryTrace(const char *data, std::size_t size,
                   const TraceReadOptions &ropts)
 {
+    faultMaybeThrowIo("trace_binary.header");
     const std::string_view buf(data, size);
-    std::size_t pos = 0;
-    requireData(buf.size() >= 4 &&
-                    std::equal(kMagic, kMagic + 4, buf.begin()),
-                "readBinaryTrace: bad magic");
-    pos = 4;
-    const std::uint64_t version = getVarintBuf(buf, pos, "header");
-    requireData(version == kVersionV1 || version == kVersionV2,
-                "readBinaryTrace: unsupported version " +
-                    std::to_string(version));
-    const std::uint64_t proc_count = getVarintBuf(buf, pos, "header");
-    requireData(proc_count <= kMaxProcCount,
-                "readBinaryTrace: implausible procedure count " +
-                    std::to_string(proc_count));
-    const std::uint64_t run_count = getVarintBuf(buf, pos, "header");
-    if (version == kVersionV1)
-        return readBodyV1Buf(buf, pos, proc_count, run_count, ropts);
-    return readBodyV2Buf(buf, pos, proc_count, run_count, ropts);
+    const Header header = readHeader(buf, "readBinaryTrace");
+    if (header.version == kVersionV1)
+        return readBodyV1(buf, header, ropts);
+    return readBodyV2(buf, header, ropts);
 }
 
 void
@@ -536,72 +444,39 @@ saveBinaryTrace(const std::string &path, const Trace &trace,
 Trace
 loadBinaryTrace(const std::string &path, const TraceReadOptions &ropts)
 {
-    if (traceMmapEligible(ropts)) {
-        std::optional<MappedFile> map = MappedFile::tryMap(path);
-        if (map.has_value()) {
-            MetricsRegistry::current().counter("trace.mmap_loads").add();
-            return decodeBinaryTrace(map->data(), map->size(), ropts);
-        }
-        // Map failure (missing file, pipe, exotic filesystem): the
-        // stream path below produces the canonical error or result.
-    }
-    std::ifstream is(path, std::ios::binary);
-    require(is.good(), "loadBinaryTrace: cannot open '" + path + "'");
-    return readBinaryTrace(is, ropts);
+    return FileBytes(path, "loadBinaryTrace").decode(ropts);
 }
 
 Trace
 loadAnyTrace(const std::string &path, const TraceReadOptions &ropts)
 {
-    if (traceMmapEligible(ropts)) {
-        std::optional<MappedFile> map = MappedFile::tryMap(path);
-        if (map.has_value()) {
-            requireData(map->size() >= 4,
-                        "loadAnyTrace: file too short", path);
-            if (std::equal(kMagic, kMagic + 4, map->data())) {
-                MetricsRegistry::current()
-                    .counter("trace.mmap_loads")
-                    .add();
-                return decodeBinaryTrace(map->data(), map->size(),
-                                         ropts);
-            }
-            // Text traces stay on the line-oriented stream parser.
-        }
-    }
-    std::ifstream is(path, std::ios::binary);
-    require(is.good(), "loadAnyTrace: cannot open '" + path + "'");
-    char head[4] = {};
-    is.read(head, sizeof(head));
-    requireData(is.gcount() == 4, "loadAnyTrace: file too short",
+    const FileBytes file(path, "loadAnyTrace");
+    const std::string_view bytes = file.view();
+    requireData(bytes.size() >= 4, "loadAnyTrace: file too short",
                 path);
-    is.seekg(0);
-    if (std::equal(head, head + 4, kMagic))
-        return readBinaryTrace(is, ropts);
+    if (bytes.starts_with(kMagic))
+        return file.decode(ropts);
+    ViewBuf text(bytes);
+    std::istream is(&text);
     return readTrace(is, ropts);
 }
 
 std::vector<ChunkExtent>
 scanBinaryTraceChunks(const std::string &bytes)
 {
-    std::size_t pos = 0;
-    requireData(bytes.size() >= 4 &&
-                    std::equal(kMagic, kMagic + 4, bytes.begin()),
-                "scanBinaryTraceChunks: bad magic");
-    pos = 4;
-    const std::uint64_t version =
-        getVarintBuf(bytes, pos, "header");
-    requireData(version == kVersionV2,
+    const Header header = readHeader(bytes, "scanBinaryTraceChunks");
+    requireData(header.version == kVersionV2,
                 "scanBinaryTraceChunks: not a v2 trace");
-    getVarintBuf(bytes, pos, "header"); // proc_count
-    getVarintBuf(bytes, pos, "header"); // run_count
+    std::size_t pos = header.body;
     std::vector<ChunkExtent> extents;
     while (pos < bytes.size()) {
         ChunkExtent extent;
         extent.begin = pos;
-        extent.records = getVarintBuf(bytes, pos, "chunk header");
+        extent.records = getVarint(bytes, pos, "chunk header");
         const std::uint64_t payload_bytes =
-            getVarintBuf(bytes, pos, "chunk header");
-        requireData(pos + 4 + payload_bytes <= bytes.size(),
+            getVarint(bytes, pos, "chunk header");
+        requireData(bytes.size() - pos >= 4 &&
+                        payload_bytes <= bytes.size() - pos - 4,
                     "scanBinaryTraceChunks: truncated chunk");
         pos += 4 + static_cast<std::size_t>(payload_bytes);
         extent.end = pos;

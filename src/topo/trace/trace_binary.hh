@@ -55,18 +55,20 @@ void writeBinaryTrace(std::ostream &os, const Trace &trace,
                       const TraceWriteOptions &wopts = {});
 
 /**
- * Read a binary trace (v1 or v2); throws a corrupt-input TopoError on
- * malformed input unless @p ropts.recover is set.
+ * Read a binary trace (v1 or v2) from the rest of @p is: the stream is
+ * read to its end and decoded by decodeBinaryTrace.
  */
 Trace readBinaryTrace(std::istream &is,
                       const TraceReadOptions &ropts = {});
 
 /**
- * Decode a complete in-memory binary trace image (v1 or v2) without
- * copying chunk payloads — records are parsed and CRCs verified
- * directly over [data, data + size). This is the zero-copy core the
- * mmap loader uses; strict/recover semantics, salvage metrics, and
- * error text match readBinaryTrace exactly.
+ * Decode a complete in-memory binary trace image (v1 or v2). This is
+ * the one binary-trace decoder: every load ends here, whether its
+ * bytes are a mapped file, a file or pipe read into memory, or a
+ * stream. Records are parsed and CRCs verified in place over
+ * [data, data + size); payloads are copied only when a bitflip fault
+ * is armed. Throws a corrupt-input TopoError on malformed input unless
+ * @p ropts.recover is set.
  */
 Trace decodeBinaryTrace(const char *data, std::size_t size,
                         const TraceReadOptions &ropts = {});
@@ -75,13 +77,19 @@ Trace decodeBinaryTrace(const char *data, std::size_t size,
 void saveBinaryTrace(const std::string &path, const Trace &trace,
                      const TraceWriteOptions &wopts = {});
 
-/** Read a binary trace from a file path. */
+/**
+ * Read a binary trace from a file path: the file is mapped when it
+ * maps (trace_mmap.hh) and read into memory otherwise, so a pipe such
+ * as /dev/stdin loads too.
+ */
 Trace loadBinaryTrace(const std::string &path,
                       const TraceReadOptions &ropts = {});
 
 /**
  * Load a trace from a path, auto-detecting text ("topo-trace") vs
- * binary ("TOPB") by the leading magic. Recover mode applies to both
+ * binary ("TOPB") by the leading magic. The file's bytes are obtained
+ * once, as in loadBinaryTrace, and both the sniff and the parse read
+ * them, so pipes work for either format. Recover mode applies to both
  * (for text, the valid line prefix is salvaged).
  */
 Trace loadAnyTrace(const std::string &path,

@@ -10,7 +10,9 @@
  * This header also defines the read/write option structs shared with
  * the binary format (trace_binary.hh): both readers support a recover
  * mode that salvages the valid prefix of a damaged file instead of
- * aborting the run.
+ * aborting the run. loadAnyTrace (trace_binary.hh) parses a text
+ * trace from the same in-memory bytes it sniffs the magic on, so text
+ * traces load from pipes too.
  */
 
 #ifndef TOPO_TRACE_TRACE_IO_HH
@@ -45,17 +47,6 @@ struct TraceRecovery
     std::uint64_t records_dropped = 0;
 };
 
-/** How file-path loads pick between the mmap and stream readers. */
-enum class TraceMmapMode
-{
-    /** Map when supported and no fault-injection plan is armed. */
-    kAuto = 0,
-    /** Always use the buffered stream reader. */
-    kOff,
-    /** Map whenever the platform supports it (tests pin the path). */
-    kOn,
-};
-
 /** Reader knobs. */
 struct TraceReadOptions
 {
@@ -63,11 +54,6 @@ struct TraceReadOptions
     bool recover = false;
     /** When non-null, filled with what a recover-mode read salvaged. */
     TraceRecovery *report = nullptr;
-    /**
-     * mmap policy for file-path loads (trace_mmap.hh has the full
-     * fallback matrix); stream-based reads are unaffected.
-     */
-    TraceMmapMode mmap = TraceMmapMode::kAuto;
 };
 
 /** Write a trace in the text format. */

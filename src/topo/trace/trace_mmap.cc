@@ -1,10 +1,6 @@
 #include "topo/trace/trace_mmap.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <utility>
-
-#include "topo/resilience/fault.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TOPO_HAVE_MMAP 1
@@ -83,27 +79,6 @@ MappedFile::~MappedFile()
 #endif
     data_ = nullptr;
     size_ = 0;
-}
-
-bool
-traceMmapEligible(const TraceReadOptions &ropts)
-{
-    if (!mmapSupported())
-        return false;
-    if (ropts.mmap == TraceMmapMode::kOff)
-        return false;
-    if (ropts.mmap == TraceMmapMode::kOn)
-        return true;
-    // kAuto: any armed fault plan routes through the stream reader,
-    // which hosts every trace-level injection hook.
-    FaultPlan *plan = activeFaultPlan();
-    if (plan != nullptr && plan->any())
-        return false;
-    const char *env = std::getenv("TOPO_TRACE_MMAP");
-    if (env != nullptr &&
-        (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0))
-        return false;
-    return true;
 }
 
 } // namespace topo

@@ -1,24 +1,16 @@
 /**
  * @file
- * Zero-copy mmap-backed trace loading.
+ * Read-only file mapping for trace loads.
  *
  * File-path trace loads (loadBinaryTrace / loadAnyTrace) map the file
- * read-only and decode chunks directly out of the mapping: no read()
- * copies into stream buffers and no per-chunk payload allocation.
- * Chunk CRCs are validated lazily — each chunk's checksum is computed
- * over the mapped bytes as that chunk is first decoded, never as a
- * separate up-front pass over the file.
- *
- * Fallback matrix (decode semantics, salvage behavior, metrics, and
- * error text are identical on both paths; DESIGN.md §10):
- *   - platform without mmap            -> buffered stream reader
- *   - any fault-injection plan armed   -> stream reader (it hosts the
- *     trace_binary.* / read-short / bitflip injection hooks)
- *   - TraceReadOptions::mmap == kOff or TOPO_TRACE_MMAP=0/off  -> stream
- *   - open()/fstat()/mmap() failure    -> stream reader (which then
- *     reports the open error on its own)
- *   - text traces                      -> stream reader (line-oriented
- *     parse; the magic sniff still happens on the mapping)
+ * when MappedFile::tryMap succeeds and decode straight out of the
+ * mapping: no read() copies and no per-chunk payload allocation. When
+ * the file does not map (a pipe, a non-regular file, an mmap failure,
+ * or a platform without mmap) they read it into memory instead. Both
+ * sources feed the one decoder (decodeBinaryTrace), so decode
+ * semantics, fault hooks, salvage, metrics, and error text do not
+ * depend on which one a load got; a mapped load also ticks
+ * trace.mmap_loads. DESIGN.md §10 has the details.
  */
 
 #ifndef TOPO_TRACE_TRACE_MMAP_HH
@@ -27,8 +19,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-
-#include "topo/trace/trace_io.hh"
 
 namespace topo
 {
@@ -67,15 +57,6 @@ class MappedFile
     const char *data_ = nullptr;
     std::size_t size_ = 0;
 };
-
-/**
- * Should this file-path load take the mapped path? False when the
- * platform lacks mmap, the options or the TOPO_TRACE_MMAP environment
- * kill-switch disable it, or any fault-injection plan is armed (the
- * stream reader hosts the injection hooks, so faults keep their
- * deterministic semantics).
- */
-bool traceMmapEligible(const TraceReadOptions &ropts);
 
 } // namespace topo
 

@@ -182,6 +182,18 @@ set -e
 [ "$rc" = "2" ] || {
     echo "FAIL: bit-flipped trace exited $rc, want 2"; exit 1; }
 
+# Traces load from a pipe: for a text and a binary trace, a piped load
+# prints exactly what the file load prints.
+for t in m.trace m.btrace; do
+    "$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" --trace="$WORK/$t" \
+        > "$WORK/file_load.txt" 2> /dev/null
+    cat "$WORK/$t" | "$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
+        --trace=/dev/stdin > "$WORK/pipe_load.txt" 2> /dev/null || {
+        echo "FAIL: piped $t load failed"; exit 1; }
+    cmp -s "$WORK/file_load.txt" "$WORK/pipe_load.txt" || {
+        echo "FAIL: piped $t load differs from the file load"; exit 1; }
+done
+
 # Checkpoint/resume: an interrupted run resumed from its checkpoint
 # must report exactly the miss count of the uninterrupted run.
 "$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "topo/cache/simulate.hh"
@@ -262,10 +263,11 @@ TEST(Determinism, ShardBoundaryInsideChunkSpanningRuns)
 TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
 {
     // The zero-copy mapped loader must be invisible to every consumer:
-    // a trace round-tripped through disk and loaded via mmap vs the
-    // stream reader, then pushed through the full profile -> placement
-    // -> simulation pipeline at jobs 1 and 4, must yield identical
-    // layouts and miss counts in all combinations.
+    // a trace round-tripped through disk and loaded via mmap vs
+    // readBinaryTrace over a stream of the same bytes, then pushed
+    // through the full profile -> placement -> simulation pipeline at
+    // jobs 1 and 4, must yield identical layouts and miss counts in
+    // all combinations.
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const BenchmarkCase bench = paperBenchmark("gcc", 0.01);
@@ -274,12 +276,10 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
     const TestTempDir tmp;
     const std::string path = tmp.file("determinism_mmap.tpb");
     saveBinaryTrace(path, original);
-    TraceReadOptions mapped_opts;
-    mapped_opts.mmap = TraceMmapMode::kOn;
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-    const Trace mapped = loadBinaryTrace(path, mapped_opts);
-    const Trace streamed = loadBinaryTrace(path, stream_opts);
+    const Trace mapped = loadBinaryTrace(path);
+    std::stringstream bytes;
+    writeBinaryTrace(bytes, original);
+    const Trace streamed = readBinaryTrace(bytes);
     std::remove(path.c_str());
     ASSERT_EQ(mapped.size(), original.size());
     ASSERT_EQ(streamed.size(), original.size());

@@ -16,6 +16,7 @@
 
 #include "topo/cache/simulate.hh"
 #include "topo/obs/log.hh"
+#include "topo/obs/metrics.hh"
 #include "topo/resilience/resilience.hh"
 #include "topo/trace/fetch_stream.hh"
 #include "topo/trace/trace_binary.hh"
@@ -301,11 +302,176 @@ TEST(BinaryTraceV2, RejectsResourceExhaustingHeaders)
     EXPECT_EQ(codeOf([&] { readBinaryTrace(b); }), ErrCode::kCorrupt);
 }
 
+/**
+ * Encode @p trace in the v1 layout (one undelimited run stream after
+ * the header); the writer only emits v2, so tests build v1 by hand.
+ */
+std::string
+encodeV1(const Trace &trace)
+{
+    std::string out("TOPB");
+    const auto put = [&out](std::uint64_t value) {
+        while (value >= 0x80) {
+            out.push_back(static_cast<char>(0x80 | (value & 0x7f)));
+            value >>= 7;
+        }
+        out.push_back(static_cast<char>(value));
+    };
+    put(1);
+    put(trace.procCount());
+    put(trace.size());
+    std::int64_t prev = 0;
+    for (const TraceEvent &ev : trace.events()) {
+        const std::int64_t delta = static_cast<std::int64_t>(ev.proc) - prev;
+        put((static_cast<std::uint64_t>(delta) << 1) ^
+            static_cast<std::uint64_t>(delta >> 63));
+        put(ev.offset);
+        put(ev.length);
+        prev = static_cast<std::int64_t>(ev.proc);
+    }
+    return out;
+}
+
+/**
+ * One load under the installed fault plan, as text: the exit code and
+ * message of the error, or the recovery report and an FNV-1a hash of
+ * the events. @p load reads the trace with the options it is given.
+ */
+template <typename Load>
+std::string
+outcomeOf(Load &&load, bool recover)
+{
+    TraceRecovery report;
+    TraceReadOptions ropts;
+    ropts.recover = recover;
+    ropts.report = &report;
+    try {
+        const Trace back = load(ropts);
+        std::uint64_t h = kFnvBasis;
+        for (const TraceEvent &ev : back.events()) {
+            fnvMix(h, ev.proc, 4);
+            fnvMix(h, ev.offset, 4);
+            fnvMix(h, ev.length, 4);
+        }
+        char fnv[17];
+        std::snprintf(fnv, sizeof fnv, "%016llx",
+                      static_cast<unsigned long long>(h));
+        return "recovered=" + std::to_string(report.recovered) +
+               " chunks=" + std::to_string(report.chunks_recovered) +
+               " kept=" + std::to_string(report.records_recovered) +
+               " dropped=" + std::to_string(report.records_dropped) +
+               " fnv=" + fnv;
+    } catch (const TopoError &err) {
+        return "exit " + std::to_string(err.exitCode()) + ": " +
+               err.what();
+    }
+}
+
+/** outcomeOf a file-path load of @p path. */
+std::string
+loadOutcome(const std::string &path, bool recover)
+{
+    return outcomeOf(
+        [&](const TraceReadOptions &ropts) {
+            return loadBinaryTrace(path, ropts);
+        },
+        recover);
+}
+
+/** Expected strict and recover outcomes of one v2 golden load. */
+struct FaultGolden
+{
+    const char *spec;
+    const char *strict;
+    const char *recover;
+};
+
+TEST(GoldenPins, FaultPlanOutcomesOfBinaryTraceLoads)
+{
+    // check.sh's soak specs at seeds 1-3, plus throw_io at 0.01 (at
+    // 0.001 it never fires within one load), each loaded strict and
+    // with --recover from a v2 file (16 records per chunk, 500 chunks)
+    // and a v1 file. The outcomes were recorded with the istream
+    // decoder, when an armed plan still routed loads away from the
+    // mapped decoder; the one decoder must fire every hook at the same
+    // visit and so reproduce them exactly.
+    const char *const kShort =
+        "exit 2: readBinaryTrace: truncated chunk payload";
+    const char *const kCrc = "exit 2: readBinaryTrace: chunk CRC mismatch";
+    const char *const kThrow =
+        "exit 2: trace_binary.chunk: injected I/O failure";
+    const char *const kClean =
+        "recovered=0 chunks=500 kept=8000 dropped=0 fnv=34111fe0012a9c66";
+    const FaultGolden kV2[] = {
+        {"read_short@0.01:1", kShort,
+         "recovered=1 chunks=415 kept=6640 dropped=1360 fnv=cfda73d174ac11f9"},
+        {"read_short@0.01:2", kShort,
+         "recovered=1 chunks=94 kept=1504 dropped=6496 fnv=1ced16b1a052f831"},
+        {"read_short@0.01:3", kShort,
+         "recovered=1 chunks=65 kept=1040 dropped=6960 fnv=4b9e243e322cf695"},
+        {"bitflip@0.01:1", kCrc,
+         "recovered=1 chunks=415 kept=6640 dropped=1360 fnv=cfda73d174ac11f9"},
+        {"bitflip@0.01:2", kCrc,
+         "recovered=1 chunks=94 kept=1504 dropped=6496 fnv=1ced16b1a052f831"},
+        {"bitflip@0.01:3", kCrc,
+         "recovered=1 chunks=65 kept=1040 dropped=6960 fnv=4b9e243e322cf695"},
+        {"throw_io@0.001:1", kClean, kClean},
+        {"throw_io@0.001:2", kClean, kClean},
+        {"throw_io@0.001:3", kClean, kClean},
+        {"throw_io@0.01:1", kThrow,
+         "recovered=1 chunks=414 kept=6624 dropped=1376 fnv=cbd574878a41bcd2"},
+        {"throw_io@0.01:2", kThrow,
+         "recovered=1 chunks=93 kept=1488 dropped=6512 fnv=b34caa10efb78a82"},
+        {"throw_io@0.01:3", kThrow,
+         "recovered=1 chunks=64 kept=1024 dropped=6976 fnv=20de18d38ed2b020"},
+        {"read_short@0.02:1,bitflip@0.02:1,throw_io@0.002:1", kShort,
+         "recovered=1 chunks=30 kept=480 dropped=7520 fnv=535495d4079ef50f"},
+        {"read_short@0.02:2,bitflip@0.02:2,throw_io@0.002:2", kShort,
+         "recovered=1 chunks=94 kept=1504 dropped=6496 fnv=1ced16b1a052f831"},
+        {"read_short@0.02:3,bitflip@0.02:3,throw_io@0.002:3", kShort,
+         "recovered=1 chunks=30 kept=480 dropped=7520 fnv=535495d4079ef50f"},
+    };
+    // v1 has no chunk hooks, and the one header visit never fires.
+    const char *const kV1 =
+        "recovered=0 chunks=0 kept=8000 dropped=0 fnv=34111fe0012a9c66";
+    Logger::global().setLevel(LogLevel::kOff);
+    const Trace trace = randomTrace(20, 8000, 41);
+    const TestTempDir tmp;
+    const std::string v2_path = tmp.file("golden_v2.tpb");
+    const std::string v1_path = tmp.file("golden_v1.tpb");
+    TraceWriteOptions wopts;
+    wopts.records_per_chunk = 16;
+    saveBinaryTrace(v2_path, trace, wopts);
+    {
+        const std::string v1 = encodeV1(trace);
+        std::ofstream os(v1_path, std::ios::binary);
+        os.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+    }
+    const auto outcome = [](const char *spec, const std::string &path,
+                            bool recover) {
+        installFaultPlan(FaultPlan::parse(spec));
+        const std::string got = loadOutcome(path, recover);
+        clearFaultPlan();
+        return got;
+    };
+    for (const FaultGolden &row : kV2) {
+        EXPECT_EQ(outcome(row.spec, v2_path, false), row.strict)
+            << "v2 strict " << row.spec;
+        EXPECT_EQ(outcome(row.spec, v2_path, true), row.recover)
+            << "v2 recover " << row.spec;
+        EXPECT_EQ(outcome(row.spec, v1_path, false), kV1)
+            << "v1 strict " << row.spec;
+        EXPECT_EQ(outcome(row.spec, v1_path, true), kV1)
+            << "v1 recover " << row.spec;
+    }
+}
+
 TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
 {
-    // The mapped decoder must be bit-for-bit interchangeable with the
-    // stream reader on damaged files too: same salvaged records, same
-    // loss accounting, same strict-mode error class.
+    // A mapped file load must be bit-for-bit interchangeable with
+    // readBinaryTrace over a stream of the same bytes on damaged files
+    // too: same salvaged records, same loss accounting, same
+    // strict-mode error class.
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     Logger::global().setLevel(LogLevel::kOff);
@@ -321,34 +487,29 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
 
     for (std::size_t keep = 8; keep < clean.size();
          keep += 1 + keep / 8) {
+        const std::string cut = clean.substr(0, keep);
         {
             std::ofstream os(path,
                              std::ios::binary | std::ios::trunc);
-            os.write(clean.data(),
-                     static_cast<std::streamsize>(keep));
+            os.write(cut.data(), static_cast<std::streamsize>(keep));
         }
-        // Strict mode: both paths reject the truncation as corrupt.
-        for (const TraceMmapMode mode :
-             {TraceMmapMode::kOn, TraceMmapMode::kOff}) {
-            TraceReadOptions strict;
-            strict.mmap = mode;
-            EXPECT_EQ(codeOf([&] { loadBinaryTrace(path, strict); }),
-                      ErrCode::kCorrupt)
-                << "cut " << keep;
-        }
-        // Recover mode: identical salvage on both paths.
-        auto salvage = [&](TraceMmapMode mode, TraceRecovery &report) {
-            TraceReadOptions ropts;
-            ropts.recover = true;
-            ropts.report = &report;
-            ropts.mmap = mode;
-            return loadBinaryTrace(path, ropts);
-        };
+        // Strict mode: both sources reject the truncation as corrupt.
+        EXPECT_EQ(codeOf([&] { loadBinaryTrace(path); }),
+                  ErrCode::kCorrupt)
+            << "cut " << keep;
+        std::istringstream strict_in(cut);
+        EXPECT_EQ(codeOf([&] { readBinaryTrace(strict_in); }),
+                  ErrCode::kCorrupt)
+            << "cut " << keep;
+        // Recover mode: identical salvage from both sources.
         TraceRecovery mapped_report, stream_report;
-        const Trace mapped =
-            salvage(TraceMmapMode::kOn, mapped_report);
-        const Trace streamed =
-            salvage(TraceMmapMode::kOff, stream_report);
+        TraceReadOptions ropts;
+        ropts.recover = true;
+        ropts.report = &mapped_report;
+        const Trace mapped = loadBinaryTrace(path, ropts);
+        ropts.report = &stream_report;
+        std::istringstream in(cut);
+        const Trace streamed = readBinaryTrace(in, ropts);
         ASSERT_EQ(mapped.size(), streamed.size()) << "cut " << keep;
         for (std::size_t i = 0; i < mapped.size(); ++i) {
             ASSERT_EQ(mapped.events()[i], streamed.events()[i])
@@ -372,42 +533,54 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
     std::remove(path.c_str());
 }
 
-TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
+TEST(MmapTraceResilience, ArmedFaultPlanFiresOnTheMappedPath)
 {
-    // The stream reader hosts all trace-level injection hooks, so an
-    // armed plan must route kAuto loads through it. throw_io at p=1
-    // makes the routing observable: the stream header hook fires (and
-    // throws) on the very first read, while the mapped decoder has no
-    // hooks and reads the same clean file successfully.
+    // An armed plan no longer moves a load off the mapping: the mapped
+    // load counts as one, fires the throw_io and bitflip hooks (the
+    // flips land in a copy of the read-only payload), and ends exactly
+    // as readBinaryTrace over a stream of the same bytes does.
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
-    const Trace trace = randomTrace(8, 200, 13);
+    Logger::global().setLevel(LogLevel::kOff);
+    const Trace trace = randomTrace(8, 800, 13);
+    TraceWriteOptions wopts;
+    wopts.records_per_chunk = 8;
+    std::stringstream bytes;
+    writeBinaryTrace(bytes, trace, wopts);
     const TestTempDir tmp;
     const std::string path = tmp.file("resilience_mmap_fault.tpb");
-    saveBinaryTrace(path, trace);
+    saveBinaryTrace(path, trace, wopts);
 
-    FaultPlan plan;
-    plan.arm(FaultKind::kThrowIo, 1.0, 1);
-    installFaultPlan(plan);
-    TraceReadOptions auto_opts; // kAuto
-    EXPECT_FALSE(traceMmapEligible(auto_opts));
-    EXPECT_EQ(codeOf([&] { loadBinaryTrace(path, auto_opts); }),
-              ErrCode::kCorrupt);
-    // Explicit kOn bypasses the plan check and decodes the mapping.
-    TraceReadOptions pin_opts;
-    pin_opts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(pin_opts));
-    const Trace mapped = loadBinaryTrace(path, pin_opts);
-    EXPECT_EQ(mapped.size(), trace.size());
-    clearFaultPlan();
-
-    // With the plan gone, kAuto maps again and agrees with the file.
-    EXPECT_TRUE(traceMmapEligible(auto_opts));
-    const Trace back = loadBinaryTrace(path, auto_opts);
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(back.events()[i], trace.events()[i]);
-    std::remove(path.c_str());
+    MetricsRegistry metrics;
+    MetricsScope scope(metrics);
+    Counter &throws = MetricsRegistry::global().counter(
+        "fault.injected.throw_io");
+    Counter &flips =
+        MetricsRegistry::global().counter("fault.injected.bitflip");
+    const std::uint64_t throws_before = throws.value();
+    const std::uint64_t flips_before = flips.value();
+    for (int seed = 1; seed <= 6; ++seed) {
+        FaultPlan plan;
+        plan.arm(FaultKind::kThrowIo, 0.02, seed);
+        plan.arm(FaultKind::kBitflip, 0.02, 100 + seed);
+        for (const bool recover : {false, true}) {
+            installFaultPlan(plan);
+            const std::string mapped = loadOutcome(path, recover);
+            installFaultPlan(plan);
+            const std::string streamed = outcomeOf(
+                [&](const TraceReadOptions &ropts) {
+                    std::istringstream in(bytes.str());
+                    return readBinaryTrace(in, ropts);
+                },
+                recover);
+            clearFaultPlan();
+            EXPECT_EQ(mapped, streamed)
+                << "seed " << seed << " recover " << recover;
+        }
+    }
+    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 12u);
+    EXPECT_GT(throws.value(), throws_before);
+    EXPECT_GT(flips.value(), flips_before);
 }
 
 TEST(TextTrace, RecoverSalvagesTheValidLinePrefix)
@@ -444,6 +617,27 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection)
     const TestTempDir tmp;
     const std::string path = tmp.file("resilience_ckpt_test.bin");
     saveCheckpoint(path, ckpt);
+    std::string bytes;
+    {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        bytes = buf.str();
+    }
+    // The byte format, recorded before checkpoints moved onto the
+    // framing helpers they share with the profile store.
+    std::string hex;
+    for (const char c : bytes) {
+        char pair[3];
+        std::snprintf(pair, sizeof pair, "%02x",
+                      static_cast<unsigned char>(c));
+        hex += pair;
+    }
+    EXPECT_EQ(hex,
+              "544f504b09ac2dd56800000000000000010000000000000078563412cefaedfe"
+              "40e2010000000000150300000000000004000000000000000100000000000000"
+              "02000000000000000300000000000000ffffffffffffffff0300000000000000"
+              "040000000000000005000000000000000600000000000000");
     const SimCheckpoint back = loadCheckpoint(path);
     EXPECT_EQ(back.fingerprint, ckpt.fingerprint);
     EXPECT_EQ(back.cursor, ckpt.cursor);
@@ -453,10 +647,6 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection)
 
     // A flipped payload byte must be caught by the CRC.
     {
-        std::ifstream is(path, std::ios::binary);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        std::string bytes = buf.str();
         bytes[bytes.size() - 3] =
             static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -635,6 +825,16 @@ TEST(ChunkScan, MapsChunksForTargetedDrops)
     EXPECT_EQ(records, 100u);
     EXPECT_EQ(chunks.back().end, bytes.size());
     EXPECT_EQ(codeOf([] { scanBinaryTraceChunks("topo-trace v1 3"); }),
+              ErrCode::kCorrupt);
+    // A payload size of 2^64 - 2 must not wrap the bounds check and
+    // land on the valid-looking chunk after it.
+    const unsigned char wrap[] = {'T', 'O', 'P', 'B', 2, 4, 1, 1,
+                                  0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                  0xFF, 0xFF, 0xFF, 0x01, 0, 0, 1, 0,
+                                  0, 0, 0, 0};
+    const std::string wrapped(reinterpret_cast<const char *>(wrap),
+                              sizeof wrap);
+    EXPECT_EQ(codeOf([&] { scanBinaryTraceChunks(wrapped); }),
               ErrCode::kCorrupt);
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -145,14 +144,11 @@ TEST(MmapTrace, MappedAndStreamLoadsAgree)
     MetricsRegistry metrics;
     MetricsScope scope(metrics);
 
-    TraceReadOptions mapped_opts;
-    mapped_opts.mmap = TraceMmapMode::kOn;
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-
-    const Trace mapped = loadBinaryTrace(path, mapped_opts);
+    const Trace mapped = loadBinaryTrace(path);
     EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 1u);
-    const Trace streamed = loadBinaryTrace(path, stream_opts);
+    std::stringstream bytes; // the file's bytes, as an in-memory stream
+    writeBinaryTrace(bytes, trace);
+    const Trace streamed = readBinaryTrace(bytes);
     EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 1u);
 
     ASSERT_EQ(mapped.size(), trace.size());
@@ -164,7 +160,7 @@ TEST(MmapTrace, MappedAndStreamLoadsAgree)
     }
 
     // The auto-detecting loader takes the mapped path for binary magic.
-    const Trace any = loadAnyTrace(path, mapped_opts);
+    const Trace any = loadAnyTrace(path);
     EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 2u);
     EXPECT_EQ(any.size(), trace.size());
     std::remove(path.c_str());
@@ -181,11 +177,9 @@ TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
 
     MetricsRegistry metrics;
     MetricsScope scope(metrics);
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
-    const Trace back = loadAnyTrace(path, ropts);
-    // The magic sniff happens on the mapping, but the line-oriented
-    // parse itself is the stream reader's: no mapped load recorded.
+    const Trace back = loadAnyTrace(path);
+    // The line-oriented parser reads the mapped bytes; only binary
+    // decodes count as mapped loads.
     EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 0u);
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); i += 17)
@@ -193,75 +187,34 @@ TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
     std::remove(path.c_str());
 }
 
-TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
-{
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
-
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOff;
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kAuto;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-
-    // TOPO_TRACE_MMAP=0/off is the operational kill-switch: it turns
-    // kAuto into the stream path but never overrides an explicit kOn.
-    ::setenv("TOPO_TRACE_MMAP", "0", 1);
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ::setenv("TOPO_TRACE_MMAP", "off", 1);
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ::setenv("TOPO_TRACE_MMAP", "1", 1);
-    ropts.mmap = TraceMmapMode::kAuto;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ::unsetenv("TOPO_TRACE_MMAP");
-
-    // End-to-end: the kill-switch still yields a correct (streamed)
-    // load, with no mapped-load counter tick.
-    const Trace trace = randomTrace(6, 100, 9);
-    const TestTempDir tmp;
-    const std::string path = tmp.file("trace_mmap_env.tpb");
-    saveBinaryTrace(path, trace);
-    MetricsRegistry metrics;
-    MetricsScope scope(metrics);
-    ::setenv("TOPO_TRACE_MMAP", "0", 1);
-    const Trace back = loadBinaryTrace(path, ropts);
-    ::unsetenv("TOPO_TRACE_MMAP");
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 0u);
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(back.events()[i], trace.events()[i]);
-    std::remove(path.c_str());
-}
-
 TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
 {
-    // A missing file must produce the stream reader's canonical open
-    // error even when the mapped path is requested.
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_THROW(loadBinaryTrace("/nonexistent/x.tpb", ropts),
-                 TopoError);
+    // A missing file cannot map; the read fallback reports the open
+    // error.
+    try {
+        loadBinaryTrace("/nonexistent/x.tpb");
+        ADD_FAILURE() << "expected a TopoError";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.code(), ErrCode::kUser);
+        EXPECT_NE(std::string(err.what()).find("cannot open"),
+                  std::string::npos);
+    }
     EXPECT_FALSE(
         MappedFile::tryMap("/nonexistent/x.tpb").has_value());
 
     if (!mmapSupported())
         return;
-    // An empty file maps (zero-length) and fails identically to the
-    // stream reader: too short for any magic.
+    // An empty file maps (zero-length) and fails like an empty stream:
+    // too short for any magic.
     const TestTempDir tmp;
     const std::string path = tmp.file("trace_mmap_empty.tpb");
     { std::ofstream os(path, std::ios::binary); }
     std::optional<MappedFile> map = MappedFile::tryMap(path);
     ASSERT_TRUE(map.has_value());
     EXPECT_EQ(map->size(), 0u);
-    EXPECT_THROW(loadBinaryTrace(path, ropts), TopoError);
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-    EXPECT_THROW(loadBinaryTrace(path, stream_opts), TopoError);
+    EXPECT_THROW(loadBinaryTrace(path), TopoError);
+    std::istringstream empty("");
+    EXPECT_THROW(readBinaryTrace(empty), TopoError);
     std::remove(path.c_str());
 }
 
