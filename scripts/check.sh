@@ -508,9 +508,10 @@ echo "== parallel smoke (TSan) =="
 # exitcode=66 separates "TSan found a race" from the tools' own codes.
 export TSAN_OPTIONS="exitcode=66:halt_on_error=1"
 "$TSAN/tests/exec_test" > /dev/null
+# PooledProfileBuildsMatchSerial runs buildWcg's shards on pool threads
+# at jobs 4.
 "$TSAN/tests/determinism_test" > /dev/null
-# The differential TRG test builds the suite at jobs 1, 2 and 4: shard
-# walks that end inside repeat streaks run on pool threads, then merge.
+# The differential TRG test builds the suite at jobs 1, 2 and 4.
 "$TSAN/tests/trg_differential_test" > /dev/null
 # Sampled profiles at jobs 4: each segment warms up and measures its
 # own accumulator inside a pool task.

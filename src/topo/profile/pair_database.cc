@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "topo/exec/exec.hh"
 #include "topo/profile/trg_accumulator.hh"
 #include "topo/util/error.hh"
 
@@ -74,22 +73,25 @@ PairDatabase::entries() const
     return out;
 }
 
-namespace
+PairDatabase
+buildPairDatabase(const Program &program, const Trace &trace,
+                  const PairBuildOptions &options)
 {
+    require(trace.procCount() == program.procCount(),
+            "buildPairDatabase: program/trace mismatch");
+    require(options.pair_window >= 2,
+            "buildPairDatabase: pair window must be at least 2");
 
-/**
- * TRG walk options under which an accumulator counts no graph and
- * adds the Section 6 pairs of every step's between-list to @p db.
- */
-TrgBuildOptions
-pairWalk(const PairBuildOptions &options, PairDatabase *db)
-{
+    // D is read off the TRG walk at procedure granularity: the walk
+    // counts no graph and hands every step's between-list to the
+    // observer, which adds its Section 6 pairs.
+    PairDatabase db;
     TrgBuildOptions walk;
     walk.byte_budget = options.byte_budget;
     walk.build_select = false;
     walk.build_place = false;
     walk.popular = options.popular;
-    walk.observer = [db, window = options.pair_window](
+    walk.observer = [&db, window = options.pair_window](
                         ProcId proc, bool had_prev,
                         const std::vector<BlockId> &between,
                         const TemporalQueue &) {
@@ -102,50 +104,13 @@ pairWalk(const PairBuildOptions &options, PairDatabase *db)
         for (std::size_t i = between.size() - count; i < between.size();
              ++i) {
             for (std::size_t j = i + 1; j < between.size(); ++j)
-                db->add(proc, between[i], between[j], 1.0);
+                db.add(proc, between[i], between[j], 1.0);
         }
     };
-    return walk;
-}
-
-} // namespace
-
-PairDatabase
-buildPairDatabase(const Program &program, const Trace &trace,
-                  const PairBuildOptions &options)
-{
-    require(trace.procCount() == program.procCount(),
-            "buildPairDatabase: program/trace mismatch");
-    require(options.pair_window >= 2,
-            "buildPairDatabase: pair window must be at least 2");
-
-    // D is read off the TRG walk at procedure granularity; with more
-    // than one shard it shards exactly like buildTrgs. The planner
-    // only warms, so it never calls the observer.
     const ChunkMap chunks(program);
-    const std::size_t shard_count = eventShardCount(trace.size());
-    std::vector<TraceShard> shards(1);
-    shards[0].end = trace.size();
-    if (shard_count > 1) {
-        shards = planTraceShards(program, chunks, trace,
-                                 pairWalk(options, nullptr), shard_count);
-    }
-    const std::vector<TraceEvent> &events = trace.events();
-    std::vector<PairDatabase> dbs =
-        parallelMap(shards.size(), [&](std::size_t s) {
-            PairDatabase db;
-            TrgAccumulator walk(program, chunks, pairWalk(options, &db));
-            const TraceShard &shard = shards[s];
-            walk.seedState(shard.proc_queue, shard.chunk_queue,
-                           shard.last_proc, shard.last_chunk);
-            for (std::size_t i = shard.begin; i < shard.end; ++i)
-                walk.onRun(events[i].proc, events[i].offset,
-                           events[i].length);
-            return db;
-        });
-    for (std::size_t s = 1; s < dbs.size(); ++s)
-        dbs[0].merge(dbs[s]);
-    return std::move(dbs[0]);
+    TrgAccumulator accumulator(program, chunks, walk);
+    accumulator.onTrace(trace);
+    return db;
 }
 
 } // namespace topo

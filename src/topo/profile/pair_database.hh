@@ -15,10 +15,10 @@
  * cap discards the least informative pairs first. The cap is swept by
  * tests and documented in DESIGN.md.
  *
- * D is built by the TRG walk itself: a TrgAccumulator that counts no
- * graph hands each step's between-list to an observer that records
- * the pairs, so D shares the walk's input checks, popularity filter,
- * run deduplication and shard plan.
+ * D is built by the TRG walk itself: one serial TrgAccumulator session
+ * that counts no graph hands each step's between-list to an observer
+ * that records the pairs, so D shares the walk's input checks,
+ * popularity filter and run deduplication.
  */
 
 #ifndef TOPO_PROFILE_PAIR_DATABASE_HH
@@ -59,7 +59,7 @@ class PairDatabase
      * Fold another database into this one: weights of shared
      * (p,{r,s}) keys add, unshared keys are inserted. Associative and
      * commutative up to FP addition order; weights are integer counts
-     * in practice, so shard merges are exact (DESIGN.md §9).
+     * in practice, so profile-store merges are exact (DESIGN.md §9).
      */
     void merge(const PairDatabase &other);
 
@@ -102,12 +102,10 @@ struct PairBuildOptions
 };
 
 /**
- * Build D over *procedures* from a trace with the TRG walk at
- * procedure granularity. With execJobs() > 1 and a large enough trace
- * the walk shards exactly like buildTrgs (planTraceShards seeds +
- * in-order merge) and stays bit-identical to the serial build. Throws
- * TopoError, as buildTrgs does, on a popularity mask that does not
- * cover every procedure or a run outside its procedure.
+ * Build D over *procedures* from a trace with one serial TRG walk at
+ * procedure granularity. Throws TopoError, as buildTrgs does, on a
+ * popularity mask that does not cover every procedure or a run outside
+ * its procedure.
  */
 PairDatabase buildPairDatabase(const Program &program, const Trace &trace,
                                const PairBuildOptions &options);

@@ -96,19 +96,6 @@ TemporalQueue::touch(BlockId id)
     trim();
 }
 
-void
-TemporalQueue::loadState(const std::vector<BlockId> &blocks)
-{
-    clear();
-    for (const BlockId id : blocks) {
-        require(id < sizes_.size(),
-                "TemporalQueue::loadState: id out of range");
-        require(!resident_[id],
-                "TemporalQueue::loadState: duplicate block id");
-        append(id);
-    }
-}
-
 std::vector<BlockId>
 TemporalQueue::contents() const
 {

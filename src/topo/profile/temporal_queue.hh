@@ -95,19 +95,10 @@ class TemporalQueue
     /**
      * State-only reference: identical queue transition to reference()
      * — consume-and-reappend or append-and-trim — without collecting
-     * the between list. O(1); the shard planner replays the whole
-     * trace through this to capture exact boundary states.
+     * the between list. O(1); the TRG walk uses it wherever it
+     * credits nothing from the between list.
      */
     void touch(BlockId id);
-
-    /**
-     * Replace the contents with @p blocks (oldest first), as captured
-     * by contents() on another queue. No trimming is applied and the
-     * eviction counter is reset: the loaded state is trusted to be a
-     * reachable serial state, which may legitimately sit above the
-     * byte budget. Used to seed shard-local queues at boundaries.
-     */
-    void loadState(const std::vector<BlockId> &blocks);
 
     /** Resident ids from oldest to newest (for tests/diagnostics). */
     std::vector<BlockId> contents() const;

@@ -85,25 +85,6 @@ TrgPairCounts::TrgPairCounts(std::vector<BlockId> compact,
         cell_count_ = static_cast<std::size_t>(cells);
 }
 
-void
-TrgPairCounts::merge(const TrgPairCounts &other)
-{
-    // Cells are indexed by compacted id, so both sides must compact
-    // the same blocks (the same popularity mask).
-    require(other.dense_ == dense_ && other.node_count_ == node_count_ &&
-                (!dense_ || other.blocks_ == blocks_),
-            "TrgPairCounts::merge: incompatible counts");
-    if (!dense_) {
-        graph_.addGraph(other.graph_);
-        return;
-    }
-    if (other.cells_.empty())
-        return;
-    std::uint64_t *cells = cellsFor();
-    for (std::size_t i = 0; i < cell_count_; ++i)
-        cells[i] += other.cells_[i];
-}
-
 WeightedGraph
 TrgPairCounts::take()
 {
@@ -165,67 +146,17 @@ TrgAccumulator::reset()
 }
 
 void
-TrgAccumulator::seedState(const std::vector<BlockId> &proc_queue,
-                          const std::vector<BlockId> &chunk_queue,
-                          ProcId last_proc, ChunkId last_chunk)
-{
-    require(result_.proc_steps == 0 && queue_size_sum_ == 0 &&
-                proc_q_.size() == 0 && chunk_q_.size() == 0 &&
-                last_event_.proc == kInvalidProc,
-            "TrgAccumulator::seedState: session already started");
-    // Seeded blocks are credited later, so each needs a compacted id.
-    for (const BlockId p : proc_queue) {
-        require(!options_.build_select || select_.covers(p),
-                "TrgAccumulator::seedState: unpopular procedure in Q");
-    }
-    for (const BlockId c : chunk_queue) {
-        require(!options_.build_place || place_.covers(c),
-                "TrgAccumulator::seedState: unpopular chunk in Q");
-    }
-    proc_q_.loadState(proc_queue);
-    chunk_q_.loadState(chunk_queue);
-    last_proc_ = last_proc;
-    last_chunk_ = last_chunk;
-}
-
-void
-TrgAccumulator::creditStreak(ChunkId first, std::uint32_t chunks,
-                             std::uint64_t repeats)
-{
-    // Each repeat of a resident k-chunk run credits every pair of its
-    // chunks twice, once from each end (DESIGN.md §10).
-    for (std::uint32_t i = 1; i < chunks; ++i) {
-        for (std::uint32_t j = 0; j < i; ++j)
-            place_.add(first + j, first + i, 2 * repeats);
-    }
-}
-
-void
 TrgAccumulator::flushStreak()
 {
-    if (streak_ != 0)
-        creditStreak(first_chunk_, run_chunks_, streak_);
+    if (streak_ == 0)
+        return;
+    // Each repeat of a resident k-chunk run credits every pair of its
+    // chunks twice, once from each end (DESIGN.md §10).
+    for (std::uint32_t i = 1; i < run_chunks_; ++i) {
+        for (std::uint32_t j = 0; j < i; ++j)
+            place_.add(first_chunk_ + j, first_chunk_ + i, 2 * streak_);
+    }
     streak_ = 0;
-}
-
-void
-TrgAccumulator::merge(const TrgAccumulator &other)
-{
-    require(&other != this, "TrgAccumulator::merge: self merge");
-    require(other.options_.build_select == options_.build_select &&
-                other.options_.build_place == options_.build_place &&
-                other.options_.byte_budget == options_.byte_budget,
-            "TrgAccumulator::merge: incompatible build options");
-    flushStreak();
-    select_.merge(other.select_);
-    place_.merge(other.place_);
-    if (other.streak_ != 0)
-        creditStreak(other.first_chunk_, other.run_chunks_, other.streak_);
-    result_.proc_steps += other.result_.proc_steps;
-    queue_size_sum_ += other.queue_size_sum_;
-    proc_evictions_ += other.proc_evictions_ + other.proc_q_.evictionCount();
-    chunk_evictions_ +=
-        other.chunk_evictions_ + other.chunk_q_.evictionCount();
 }
 
 template <bool kCount>

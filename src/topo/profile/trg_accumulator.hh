@@ -8,9 +8,10 @@
  * time (e.g. from an instrumentation callback) and produces exactly
  * the graphs the batch builder produces from a stored trace. The batch
  * buildTrgs() is a thin wrapper over it, and it is the only
- * implementation of the Section 3 walk: shard plans and sampled
- * segments warm it up with warm(), and the Section 6 pair database
- * reads the walk's between-lists through the observer.
+ * implementation of the Section 3 walk: sampled segments warm it up
+ * with warm(), and the Section 6 pair database reads the walk's
+ * between-lists through the observer. Every session is one serial
+ * pass over its events.
  *
  * The walk counts pairs into a dense triangular matrix over
  * popular-compacted ids (a FlatMap above kDenseCountCapBytes) and
@@ -80,21 +81,11 @@ class TrgPairCounts
             ++cells[cell(c, compact_[q])];
     }
 
-    /** Add every count of @p other (same compaction) into this. */
-    void merge(const TrgPairCounts &other);
-
     /** Surrender the counts as a graph and start empty. */
     WeightedGraph take();
 
     /** True when the dense matrix backs the counts. */
     bool dense() const { return dense_; }
-
-    /** True when @p id has a compacted id. */
-    bool
-    covers(BlockId id) const
-    {
-        return id < compact_.size() && compact_[id] != TemporalQueue::kNone;
-    }
 
   private:
     /** Cell of the unordered pair {a, b} of compacted ids, a != b. */
@@ -156,34 +147,6 @@ class TrgAccumulator
     /** Feed every run of a stored trace. */
     void onTrace(const Trace &trace);
 
-    /**
-     * Seed the session's queue and run-deduplication state so onRun
-     * continues exactly where a serial walk left off at a shard
-     * boundary (parallel TRG builds; see planTraceShards). Must be
-     * called on a fresh session, before any onRun or warm.
-     *
-     * @param proc_queue  Procedure queue contents, oldest first.
-     * @param chunk_queue Chunk queue contents, oldest first.
-     * @param last_proc   Procedure of the preceding (popular) run, or
-     *                    kInvalidProc at trace start.
-     * @param last_chunk  Last chunk referenced, or ~0u at trace start.
-     */
-    void seedState(const std::vector<BlockId> &proc_queue,
-                   const std::vector<BlockId> &chunk_queue,
-                   ProcId last_proc, ChunkId last_chunk);
-
-    /**
-     * Fold another accumulator's session into this one: TRG edge
-     * weights add element-wise (including both sides' open repeat
-     * streaks), step/eviction/queue-size statistics sum. Associative,
-     * and with shards seeded via seedState the left-to-right fold over
-     * shard accumulators equals the serial walk exactly (weights are
-     * integer-valued counts below 2^53, so FP addition is exact). Both
-     * sessions must use the same popularity mask. The other
-     * accumulator's session state is left untouched.
-     */
-    void merge(const TrgAccumulator &other);
-
     /** Number of procedure-granularity steps processed so far. */
     std::uint64_t procSteps() const { return result_.proc_steps; }
 
@@ -219,8 +182,8 @@ class TrgAccumulator
     std::uint64_t queue_size_sum_ = 0;
     /**
      * Added to the queues' own eviction counts to give the session's:
-     * merged sessions' evictions are added, warm-up evictions taken
-     * off (the unsigned sums wrap but never end below zero).
+     * warm-up evictions are taken off (the unsigned sum wraps but never
+     * ends below zero).
      */
     std::uint64_t proc_evictions_ = 0;
     std::uint64_t chunk_evictions_ = 0;
@@ -238,8 +201,6 @@ class TrgAccumulator
     template <bool kCount>
     void walk(ProcId proc, std::uint32_t offset, std::uint32_t length);
     void reset();
-    void creditStreak(ChunkId first, std::uint32_t chunks,
-                      std::uint64_t repeats);
     void flushStreak();
 };
 

@@ -11,7 +11,7 @@
  *
  * The walk itself is TrgAccumulator's (trg_accumulator.hh), the one
  * implementation every profile path shares; this header holds its
- * options and results and the batch and sharded entry points.
+ * options and results and the batch entry point.
  */
 
 #ifndef TOPO_PROFILE_TRG_BUILDER_HH
@@ -81,50 +81,8 @@ struct TrgBuildResult
 };
 
 /**
- * One shard of a trace for parallel profile construction: an event
- * range plus the exact serial walk state at its first event, so a
- * shard-local accumulator seeded with it emits exactly the edges the
- * serial walk emits over [begin, end).
- */
-struct TraceShard
-{
-    /** Event index range [begin, end). */
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    /** Procedure queue contents at `begin`, oldest first. */
-    std::vector<BlockId> proc_queue;
-    /** Chunk queue contents at `begin`, oldest first. */
-    std::vector<BlockId> chunk_queue;
-    /** Procedure of the last popular run before `begin`. */
-    ProcId last_proc = kInvalidProc;
-    /** Last chunk referenced before `begin` (~0u = none). */
-    ChunkId last_chunk = static_cast<ChunkId>(~0u);
-};
-
-/**
- * Split @p trace into @p shard_count contiguous event ranges and
- * capture the exact queue and run-deduplication state at each shard
- * boundary, warming one TrgAccumulator (TrgAccumulator::warm: queue
- * transitions only, nothing counted) up to the last boundary. Seeding
- * a fresh TrgAccumulator from shard i and replaying its range
- * reproduces the serial walk over that range bit-exactly, so the
- * in-order merge of all shards equals the serial build — including
- * eviction and queue-occupancy statistics.
- */
-std::vector<TraceShard>
-planTraceShards(const Program &program, const ChunkMap &chunks,
-                const Trace &trace, const TrgBuildOptions &options,
-                std::size_t shard_count);
-
-/**
- * Build TRG_select and/or TRG_place from a trace.
- *
- * When the execution layer is configured with more than one lane
- * (execJobs() > 1), no per-step observer is installed, and the trace
- * is large enough to amortise the shard plan, the build runs sharded:
- * planTraceShards + one seeded TrgAccumulator per shard on the shared
- * pool, merged in shard order. The result is bit-identical to the
- * serial walk for any jobs value.
+ * Build TRG_select and/or TRG_place from a trace: one TrgAccumulator
+ * session over every event, serial for any execJobs() value.
  *
  * @param program Procedure inventory.
  * @param chunks  Chunking of the program (for TRG_place).

@@ -1,5 +1,7 @@
 #include "topo/profile/wcg_builder.hh"
 
+#include <algorithm>
+
 #include "topo/exec/exec.hh"
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
@@ -8,6 +10,24 @@
 
 namespace topo
 {
+
+namespace
+{
+
+/**
+ * Shards of the WCG build over @p events trace events: one per lane,
+ * but none shorter than 8192 events, below which a shard is not worth
+ * its fan-out. 0 or 1 means count serially.
+ */
+std::size_t
+eventShardCount(std::size_t events)
+{
+    constexpr std::size_t kMinEventsPerShard = 8192;
+    return std::min(static_cast<std::size_t>(execJobs()),
+                    events / kMinEventsPerShard);
+}
+
+} // namespace
 
 void
 countTransitions(const std::vector<TraceEvent> &events, std::size_t begin,

@@ -135,6 +135,39 @@ cmp -s "$WORK/grid_j1.txt" "$WORK/grid_j2.txt" || {
 grep -q "miss rate:" "$WORK/grid_j1.txt" || {
     echo "FAIL: grid run printed no miss rates"; exit 1; }
 
+# Metrics snapshots are jobs-invariant too: the same counters and
+# gauges and the same histogram keys at --jobs=1 and --jobs=4, on a
+# trace long enough for the WCG build to shard. Timings may differ.
+for jobs in 1 4; do
+    "$TOOLS_DIR/topo_sim" --benchmark=gcc --trace-scale=0.05 \
+        --algorithms=gbsc --jobs=$jobs \
+        --metrics-out="$WORK/jobs_metrics_$jobs.json" > /dev/null 2>&1
+done
+if command -v python3 > /dev/null 2>&1; then
+    if ! python3 - "$WORK/jobs_metrics_1.json" \
+        "$WORK/jobs_metrics_4.json" <<'EOF'
+import json, sys
+serial, pooled = (json.load(open(path)) for path in sys.argv[1:])
+for kind in ("counters", "gauges"):
+    assert serial[kind] == pooled[kind], kind
+assert serial["counters"]["wcg.builds"] >= 1
+assert serial["histograms"].keys() == pooled["histograms"].keys(), \
+    sorted(serial["histograms"].keys() ^ pooled["histograms"].keys())
+EOF
+    then
+        echo "FAIL: metrics snapshot differs jobs=1 vs jobs=4"; exit 1
+    fi
+else
+    # Counter and gauge lines, then histogram key lines.
+    for jobs in 1 4; do
+        sed -n '/"counters"/,/"histograms"/p; /^    "[^"]*": {$/p' \
+            "$WORK/jobs_metrics_$jobs.json" > "$WORK/jobs_keys_$jobs.txt"
+    done
+    grep -q '"wcg.builds"' "$WORK/jobs_keys_1.txt" &&
+        cmp -s "$WORK/jobs_keys_1.txt" "$WORK/jobs_keys_4.txt" || {
+        echo "FAIL: metrics snapshot differs jobs=1 vs jobs=4"; exit 1; }
+fi
+
 # --- Resilience workflow -------------------------------------------
 
 # Unknown options are a user error (exit 1) with a spelling hint.

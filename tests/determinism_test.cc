@@ -5,17 +5,15 @@
  * Two families: (1) placement algorithms run twice from independently
  * rebuilt profiles must produce identical layouts and miss counts —
  * the guard against hash-order iteration leaking into placement
- * decisions; (2) the sharded profile-construction path (planTraceShards
- * + seeded TrgAccumulators merged in shard order) must equal the serial
- * walk bit-exactly, for uneven split points, empty shards, and runs
- * that span chunk boundaries.
+ * decisions; (2) profile builds, placements and artefacts must be
+ * bit-identical for every --jobs value, including the pooled WCG
+ * build.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -31,7 +29,6 @@
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
 #include "topo/profile/pair_database.hh"
-#include "topo/profile/trg_accumulator.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
 #include "topo/workload/paper_suite.hh"
@@ -72,40 +69,6 @@ expectResultsEqual(const TrgBuildResult &a, const TrgBuildResult &b)
     EXPECT_DOUBLE_EQ(a.avg_queue_procs, b.avg_queue_procs);
 }
 
-/** Seed an accumulator from a shard and replay the shard's events. */
-TrgAccumulator
-replayShard(const Program &program, const ChunkMap &chunks,
-            const TrgBuildOptions &options, const Trace &trace,
-            const TraceShard &shard)
-{
-    TrgAccumulator acc(program, chunks, options);
-    acc.seedState(shard.proc_queue, shard.chunk_queue, shard.last_proc,
-                  shard.last_chunk);
-    const std::vector<TraceEvent> &events = trace.events();
-    for (std::size_t i = shard.begin; i < shard.end; ++i)
-        acc.onRun(events[i].proc, events[i].offset, events[i].length);
-    return acc;
-}
-
-TrgBuildResult
-shardedBuild(const Program &program, const ChunkMap &chunks,
-             const TrgBuildOptions &options, const Trace &trace,
-             std::size_t shard_count)
-{
-    const std::vector<TraceShard> shards =
-        planTraceShards(program, chunks, trace, options, shard_count);
-    std::unique_ptr<TrgAccumulator> total;
-    for (const TraceShard &shard : shards) {
-        TrgAccumulator acc =
-            replayShard(program, chunks, options, trace, shard);
-        if (!total)
-            total = std::make_unique<TrgAccumulator>(std::move(acc));
-        else
-            total->merge(acc);
-    }
-    return total->take();
-}
-
 /** Layouts must agree address-by-address, not just in order. */
 void
 expectLayoutsEqual(const Program &program, const Layout &a,
@@ -138,125 +101,6 @@ TEST(Determinism, AlgorithmsRepeatAcrossIndependentProfileBuilds)
         expectLayoutsEqual(first.program(), a, b, algorithm->name());
         EXPECT_DOUBLE_EQ(first.testMissRate(a), second.testMissRate(b))
             << algorithm->name();
-    }
-}
-
-TEST(Determinism, ShardedTrgEqualsSerialForUnevenSplits)
-{
-    const BenchmarkCase bench = paperBenchmark("gcc", 0.005);
-    const Program &program = bench.model.program;
-    const Trace trace = synthesizeTrace(bench.model, bench.train);
-    const ChunkMap chunks(program);
-    const TrgBuildOptions options;
-
-    TrgAccumulator serial(program, chunks, options);
-    serial.onTrace(trace);
-    const TrgBuildResult reference = serial.take();
-    ASSERT_GT(reference.select.edgeCount(), 0u);
-
-    // Prime shard counts guarantee uneven i*n/shards boundaries.
-    for (const std::size_t shard_count : {2u, 3u, 5u, 7u, 11u}) {
-        SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
-        const TrgBuildResult sharded =
-            shardedBuild(program, chunks, options, trace, shard_count);
-        expectResultsEqual(sharded, reference);
-    }
-}
-
-TEST(Determinism, ShardMergeIsAssociative)
-{
-    const BenchmarkCase bench = paperBenchmark("perl", 0.005);
-    const Program &program = bench.model.program;
-    const Trace trace = synthesizeTrace(bench.model, bench.train);
-    const ChunkMap chunks(program);
-    const TrgBuildOptions options;
-    const std::vector<TraceShard> shards =
-        planTraceShards(program, chunks, trace, options, 4);
-    ASSERT_EQ(shards.size(), 4u);
-
-    const auto replay = [&](std::size_t s) {
-        return replayShard(program, chunks, options, trace, shards[s]);
-    };
-
-    // Left fold: ((a + b) + c) + d.
-    TrgAccumulator left = replay(0);
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        const TrgAccumulator other = replay(s);
-        left.merge(other);
-    }
-
-    // Pairwise tree: (a + b) + (c + d).
-    TrgAccumulator ab = replay(0);
-    {
-        const TrgAccumulator b = replay(1);
-        ab.merge(b);
-    }
-    TrgAccumulator cd = replay(2);
-    {
-        const TrgAccumulator d = replay(3);
-        cd.merge(d);
-    }
-    ab.merge(cd);
-
-    expectResultsEqual(left.take(), ab.take());
-}
-
-TEST(Determinism, EmptyShardsAreNeutral)
-{
-    // More shards than events: the plan produces empty [begin, begin)
-    // ranges whose seeded accumulators contribute nothing to the merge.
-    Program p;
-    const ProcId f = p.addProcedure("f", 64);
-    const ProcId g = p.addProcedure("g", 64);
-    Trace trace(2);
-    trace.appendWhole(f, 64);
-    trace.appendWhole(g, 64);
-    trace.appendWhole(f, 64);
-
-    const ChunkMap chunks(p);
-    const TrgBuildOptions options;
-    TrgAccumulator serial(p, chunks, options);
-    serial.onTrace(trace);
-    const TrgBuildResult reference = serial.take();
-
-    const TrgBuildResult sharded =
-        shardedBuild(p, chunks, options, trace, 8);
-    expectResultsEqual(sharded, reference);
-}
-
-TEST(Determinism, ShardBoundaryInsideChunkSpanningRuns)
-{
-    // Runs that cross chunk boundaries exercise the last_chunk
-    // deduplication state; a shard boundary landing between two such
-    // runs must not re-count the chunk transition.
-    Program p;
-    const ProcId f = p.addProcedure("f", 1024);
-    const ProcId g = p.addProcedure("g", 1024);
-    Trace trace(2);
-    for (int i = 0; i < 20; ++i) {
-        // Each run covers several 256-byte chunks, and consecutive
-        // runs overlap in their first/last chunk.
-        trace.append(f, 128, 512);  // chunks 0..2 of f
-        trace.append(f, 512, 512);  // chunks 2..3 of f (2 repeats)
-        trace.append(g, 0, 640);    // chunks 0..2 of g
-        trace.append(g, 600, 424);  // chunks 2..3 of g (2 repeats)
-    }
-
-    const ChunkMap chunks(p, 256);
-    TrgBuildOptions options;
-    TrgAccumulator serial(p, chunks, options);
-    serial.onTrace(trace);
-    const TrgBuildResult reference = serial.take();
-    ASSERT_GT(reference.place.edgeCount(), 0u);
-
-    // Every possible split point, so some boundary falls between the
-    // overlapping runs of each pair.
-    for (std::size_t shard_count = 2; shard_count <= trace.size();
-         ++shard_count) {
-        SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
-        const TrgBuildResult sharded =
-            shardedBuild(p, chunks, options, trace, shard_count);
-        expectResultsEqual(sharded, reference);
     }
 }
 
@@ -357,13 +201,14 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
 TEST(Determinism, PooledProfileBuildsMatchSerial)
 {
     // End-to-end: the real buildTrgs/buildWcg/buildPairDatabase entry
-    // points with the pool engaged vs fully serial.
+    // points with the pool engaged vs fully serial. The TRG and pair
+    // walks are serial at any jobs count; buildWcg shards on the pool.
     const BenchmarkCase bench = paperBenchmark("gcc", 0.03);
     const Program &program = bench.model.program;
     const Trace trace = synthesizeTrace(bench.model, bench.train);
     const ChunkMap chunks(program);
     const TrgBuildOptions trg_options;
-    // Large enough that buildTrgs actually takes the sharded path.
+    // Large enough that buildWcg actually takes the pooled path.
     ASSERT_GE(trace.size(), 2u * 8192u);
 
     setExecJobs(1);

@@ -4,10 +4,9 @@
  *
  * The reference walk below keeps Q as an explicit vector, counts pairs
  * in a std::map and walks every event in full: no dense matrix, no
- * repeat elision, no shard seeding. The production build (dense
- * counts, closed-form repeat streaks, sharded merges, sampled
- * segments, the warm-up's repeat skip) must match it edge for edge
- * and statistic for statistic.
+ * repeat elision. The production build (dense counts, closed-form
+ * repeat streaks, sampled segments, the warm-up's repeat skip) must
+ * match it edge for edge and statistic for statistic.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "topo/profile/trg_builder.hh"
 #include "topo/sampling/sampled_profile.hh"
 #include "topo/trace/trace_stats.hh"
-#include "topo/util/error.hh"
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
@@ -279,33 +278,6 @@ accumulate(const Program &program, const ChunkMap &chunks,
     return acc.take();
 }
 
-/**
- * Planned shards replayed by seeded accumulators and folded in order,
- * at any shard count (buildTrgs only shards traces of 8K+ events).
- */
-TrgBuildResult
-shardedBuild(const Program &program, const ChunkMap &chunks,
-             const Trace &trace, const TrgBuildOptions &options,
-             std::size_t shard_count)
-{
-    const std::vector<TraceShard> shards =
-        planTraceShards(program, chunks, trace, options, shard_count);
-    const std::vector<TraceEvent> &events = trace.events();
-    std::unique_ptr<TrgAccumulator> total;
-    for (const TraceShard &shard : shards) {
-        auto acc = std::make_unique<TrgAccumulator>(program, chunks, options);
-        acc->seedState(shard.proc_queue, shard.chunk_queue, shard.last_proc,
-                       shard.last_chunk);
-        for (std::size_t i = shard.begin; i < shard.end; ++i)
-            acc->onRun(events[i].proc, events[i].offset, events[i].length);
-        if (!total)
-            total = std::move(acc);
-        else
-            total->merge(*acc);
-    }
-    return total->take();
-}
-
 /** One suite program's train trace and its default build options. */
 struct SuiteCase
 {
@@ -340,9 +312,9 @@ struct JobsGuard
 
 TEST(TrgDifferential, SuiteMatchesNaiveWalkAtEveryJobsCount)
 {
-    // Scale 0.05 gives every program at least 25K events, so buildTrgs
-    // really shards at jobs 2 and 4 (8K+ events per shard; go, the
-    // shortest, gets 3 shards at jobs 4).
+    // buildTrgs is one serial walk at every jobs count; this pins that
+    // the jobs setting cannot change its result on traces of 25K+
+    // events (every program at scale 0.05).
     const JobsGuard guard;
     for (const std::string &name : paperBenchmarkNames()) {
         SCOPED_TRACE(name);
@@ -409,9 +381,6 @@ TEST(TrgDifferential, SelectOrPlaceOff)
             naiveBuild(c.program(), *c.chunks, c.trace, options);
         expectMatchesNaive(
             accumulate(c.program(), *c.chunks, c.trace, options), want,
-            c.program(), *c.chunks, options);
-        expectMatchesNaive(
-            shardedBuild(c.program(), *c.chunks, c.trace, options, 5), want,
             c.program(), *c.chunks, options);
     }
 }
@@ -496,22 +465,6 @@ TEST(TrgDifferential, RepeatStreaksLongRunsAndSingleChunks)
     }
 }
 
-TEST(TrgDifferential, StreaksStraddlingEveryShardBoundary)
-{
-    const RepeatCase c;
-    const NaiveResult want =
-        naiveBuild(c.program, *c.chunks, c.trace, c.options);
-    ASSERT_FALSE(want.place.empty());
-    // Every shard count up to the trace length puts boundaries inside
-    // every streak, including at its first and last repeat.
-    for (std::size_t shards = 2; shards <= c.trace.size(); ++shards) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectMatchesNaive(
-            shardedBuild(c.program, *c.chunks, c.trace, c.options, shards),
-            want, c.program, *c.chunks, c.options);
-    }
-}
-
 TEST(TrgDifferential, SampledSegmentsStartingInsideStreaks)
 {
     // Unit-weight segments that tile the trace, each warmed up from a
@@ -584,27 +537,6 @@ TEST(TrgDifferential, HashBackingAboveTheDenseCap)
     const NaiveResult want = naiveBuild(program, chunks, trace, options);
     expectMatchesNaive(accumulate(program, chunks, trace, options), want,
                        program, chunks, options);
-    expectMatchesNaive(shardedBuild(program, chunks, trace, options, 3),
-                       want, program, chunks, options);
-}
-
-TEST(TrgDifferential, MergeRejectsADifferentPopularSet)
-{
-    // Dense cells are indexed by compacted id: two sessions over
-    // different popular sets of equal size cannot be added cell-wise.
-    Program program;
-    for (int i = 0; i < 4; ++i)
-        program.addProcedure("p" + std::to_string(i), 512);
-    const ChunkMap chunks(program, 256);
-    const std::vector<bool> first = {true, true, false, false};
-    const std::vector<bool> second = {false, false, true, true};
-    TrgBuildOptions a;
-    a.popular = &first;
-    TrgBuildOptions b;
-    b.popular = &second;
-    TrgAccumulator left(program, chunks, a);
-    const TrgAccumulator right(program, chunks, b);
-    EXPECT_THROW(left.merge(right), TopoError);
 }
 
 /** A warmed accumulator's reported state must equal the naive walk's. */
@@ -618,45 +550,11 @@ expectWarmState(const TrgAccumulator &warmed, const NaiveWalk &naive,
     EXPECT_EQ(warmed.lastChunk(), naive.lastChunk()) << where;
 }
 
-TEST(TrgAccumulatorWarm, ShardBoundaryStatesMatchTheFullWalk)
-{
-    const RepeatCase repeat;
-    const SuiteCase suite("m88ksim", 0.01);
-    struct Input
-    {
-        const Program &program;
-        const ChunkMap &chunks;
-        const Trace &trace;
-        const TrgBuildOptions &options;
-    };
-    for (const Input &in :
-         {Input{repeat.program, *repeat.chunks, repeat.trace,
-                repeat.options},
-          Input{suite.program(), *suite.chunks, suite.trace,
-                suite.options}}) {
-        for (const std::size_t count : {2u, 3u, 7u, 16u, 61u}) {
-            const std::vector<TraceShard> shards = planTraceShards(
-                in.program, in.chunks, in.trace, in.options, count);
-            NaiveWalk naive(in.program, in.chunks, in.options);
-            std::size_t done = 0;
-            for (const TraceShard &shard : shards) {
-                for (; done < shard.begin; ++done)
-                    naive.step(in.trace.events()[done], false);
-                const std::string where =
-                    "shard at event " + std::to_string(shard.begin);
-                EXPECT_EQ(shard.proc_queue, naive.procQueue()) << where;
-                EXPECT_EQ(shard.chunk_queue, naive.chunkQueue()) << where;
-                EXPECT_EQ(shard.last_proc, naive.lastProc()) << where;
-                EXPECT_EQ(shard.last_chunk, naive.lastChunk()) << where;
-            }
-        }
-    }
-}
-
 TEST(TrgAccumulatorWarm, SampledSegmentStartStatesMatchTheFullWalk)
 {
-    // The planner's own segments on a suite trace, and hand-placed
-    // warm-ups that end inside repeat streaks.
+    // The planner's own segments on a suite trace, warm-ups from the
+    // start of that trace to every boundary i*n/k (k = 2..7), and
+    // hand-placed warm-ups that end inside repeat streaks.
     const SuiteCase suite("m88ksim", 0.05);
     SamplingOptions sampling;
     sampling.mode = SampleMode::kSimpoint;
@@ -680,6 +578,25 @@ TEST(TrgAccumulatorWarm, SampledSegmentStartStatesMatchTheFullWalk)
         EXPECT_EQ(counted.proc_steps, 0u);
         EXPECT_EQ(counted.proc_evictions, 0u);
         EXPECT_EQ(counted.chunk_evictions, 0u);
+    }
+
+    // One warm-up from event 0, checked at each boundary in order.
+    const std::vector<TraceEvent> &events = suite.trace.events();
+    std::set<std::size_t> stops;
+    for (std::size_t k = 2; k <= 7; ++k) {
+        for (std::size_t i = 1; i < k; ++i)
+            stops.insert(i * events.size() / k);
+    }
+    TrgAccumulator warmed(suite.program(), *suite.chunks, suite.options);
+    NaiveWalk naive(suite.program(), *suite.chunks, suite.options);
+    std::size_t done = 0;
+    for (const std::size_t stop : stops) {
+        for (; done < stop; ++done) {
+            warmed.warm(events[done]);
+            naive.step(events[done], false);
+        }
+        expectWarmState(warmed, naive,
+                        "warm-up [0, " + std::to_string(stop) + ")");
     }
 
     const RepeatCase repeat;

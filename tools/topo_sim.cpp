@@ -507,7 +507,8 @@ runBenchmark(const Options &opts)
     }
 
     // Phase 1: profile every benchmark (synthesis + TRG/WCG builds —
-    // the expensive part; the builds additionally shard internally).
+    // the expensive part; the WCG build additionally shards
+    // internally, while a full TRG walk is one serial pass).
     struct BenchProfile
     {
         std::unique_ptr<ProfileBundle> bundle;
@@ -864,8 +865,8 @@ main(int argc, char **argv)
         "      [--algorithms=default,ph,hkc,gbsc] (full in-process\n"
         "      pipeline on paper-suite benchmarks instead; '*' runs\n"
         "      the whole Table 1 suite)\n"
-        "  --jobs=N (parallel grid/profiling lanes; results are\n"
-        "      bit-identical for every N)\n"
+        "  --jobs=N (parallel lanes for the grid, the WCG build and\n"
+        "      sampling; results are bit-identical for every N)\n"
         "  --cache-kb=N --line-bytes=N --assoc=N\n"
         "  --policy=lru|plru|srrip|fifo|random (set-associative\n"
         "      replacement policy; --policy-seed=N seeds 'random')\n"
