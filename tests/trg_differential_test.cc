@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -550,11 +549,48 @@ expectWarmState(const TrgAccumulator &warmed, const NaiveWalk &naive,
     EXPECT_EQ(warmed.lastChunk(), naive.lastChunk()) << where;
 }
 
+TEST(TrgAccumulatorWarm, ShardBoundaryStatesMatchTheFullWalk)
+{
+    // One warm-up from event 0, checked at every boundary i*n/k of an
+    // even k-way split of the trace.
+    const RepeatCase repeat;
+    const SuiteCase suite("m88ksim", 0.01);
+    struct Input
+    {
+        const Program &program;
+        const ChunkMap &chunks;
+        const Trace &trace;
+        const TrgBuildOptions &options;
+    };
+    for (const Input &in :
+         {Input{repeat.program, *repeat.chunks, repeat.trace,
+                repeat.options},
+          Input{suite.program(), *suite.chunks, suite.trace,
+                suite.options}}) {
+        const std::vector<TraceEvent> &events = in.trace.events();
+        for (const std::size_t count : {2u, 3u, 7u, 16u, 61u}) {
+            TrgAccumulator warmed(in.program, in.chunks, in.options);
+            NaiveWalk naive(in.program, in.chunks, in.options);
+            std::size_t done = 0;
+            for (std::size_t i = 1; i < count; ++i) {
+                for (const std::size_t stop = i * events.size() / count;
+                     done < stop; ++done) {
+                    warmed.warm(events[done]);
+                    naive.step(events[done], false);
+                }
+                expectWarmState(warmed, naive,
+                                std::to_string(count) +
+                                    "-way boundary at event " +
+                                    std::to_string(done));
+            }
+        }
+    }
+}
+
 TEST(TrgAccumulatorWarm, SampledSegmentStartStatesMatchTheFullWalk)
 {
-    // The planner's own segments on a suite trace, warm-ups from the
-    // start of that trace to every boundary i*n/k (k = 2..7), and
-    // hand-placed warm-ups that end inside repeat streaks.
+    // The planner's own segments on a suite trace, and hand-placed
+    // warm-ups that end inside repeat streaks.
     const SuiteCase suite("m88ksim", 0.05);
     SamplingOptions sampling;
     sampling.mode = SampleMode::kSimpoint;
@@ -578,25 +614,6 @@ TEST(TrgAccumulatorWarm, SampledSegmentStartStatesMatchTheFullWalk)
         EXPECT_EQ(counted.proc_steps, 0u);
         EXPECT_EQ(counted.proc_evictions, 0u);
         EXPECT_EQ(counted.chunk_evictions, 0u);
-    }
-
-    // One warm-up from event 0, checked at each boundary in order.
-    const std::vector<TraceEvent> &events = suite.trace.events();
-    std::set<std::size_t> stops;
-    for (std::size_t k = 2; k <= 7; ++k) {
-        for (std::size_t i = 1; i < k; ++i)
-            stops.insert(i * events.size() / k);
-    }
-    TrgAccumulator warmed(suite.program(), *suite.chunks, suite.options);
-    NaiveWalk naive(suite.program(), *suite.chunks, suite.options);
-    std::size_t done = 0;
-    for (const std::size_t stop : stops) {
-        for (; done < stop; ++done) {
-            warmed.warm(events[done]);
-            naive.step(events[done], false);
-        }
-        expectWarmState(warmed, naive,
-                        "warm-up [0, " + std::to_string(stop) + ")");
     }
 
     const RepeatCase repeat;
