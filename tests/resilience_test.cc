@@ -13,6 +13,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
+#include <vector>
 
 #include "topo/cache/simulate.hh"
 #include "topo/obs/log.hh"
@@ -663,6 +664,8 @@ struct SimFixture
 {
     Program program{"resilience"};
     Trace trace{0};
+    /** Loop-heavy second input: nearly every run repeats back to back. */
+    Trace loop_trace{0};
     CacheConfig cache;
 
     explicit SimFixture(std::uint32_t assoc)
@@ -672,9 +675,8 @@ struct SimFixture
                                  200 + 64 * (i % 7));
         }
         // Runs must stay inside their procedure for FetchStream.
-        trace = Trace(24);
-        Rng rng(31);
-        for (int i = 0; i < 20000; ++i) {
+        auto random_run = [this](Rng &rng, Trace &into,
+                                 std::uint64_t times) {
             const ProcId proc = static_cast<ProcId>(rng.nextBelow(24));
             const std::uint32_t size = program.proc(proc).size_bytes;
             const std::uint32_t offset =
@@ -682,52 +684,126 @@ struct SimFixture
             const std::uint32_t length =
                 1 + static_cast<std::uint32_t>(
                         rng.nextBelow(size - offset));
-            trace.append(proc, offset, length);
-        }
+            for (std::uint64_t k = 0; k < times; ++k)
+                into.append(proc, offset, length);
+        };
+        trace = Trace(24);
+        Rng rng(31);
+        for (int i = 0; i < 20000; ++i)
+            random_run(rng, trace, 1);
+        loop_trace = Trace(24);
+        Rng loop_rng(47);
+        while (loop_trace.size() < 20000)
+            random_run(loop_rng, loop_trace, 2 + loop_rng.nextBelow(30));
         cache.size_bytes = 2048;
         cache.line_bytes = 32;
         cache.associativity = assoc;
     }
 };
 
+/**
+ * Stop a checkpointing replay of @p trace at each of @p stops, resume
+ * it from the checkpoint, and require the whole run's counters; then
+ * run to the end with only periodic checkpoints every @p every fetches
+ * and resume from the last one.
+ */
 void
-expectResumeBitEquality(std::uint32_t assoc)
+expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
+                        const std::vector<std::uint64_t> &stops,
+                        std::uint64_t every)
 {
-    const SimFixture fix(assoc);
     const Layout layout =
         Layout::defaultOrder(fix.program, fix.cache.line_bytes);
-    const FetchStream stream(fix.program, fix.trace,
-                             fix.cache.line_bytes);
+    const FetchStream stream(fix.program, trace, fix.cache.line_bytes);
     const SimResult whole = simulateLayout(fix.program, layout, stream,
                                            fix.cache, true);
     ASSERT_TRUE(whole.completed);
+    ASSERT_EQ(whole.accesses, stream.size());
 
     const TestTempDir tmp;
     const std::string path = tmp.file("resilience_resume_test.bin");
-    // Interrupt at several points, including mid-checkpoint cadences.
-    for (const std::uint64_t stop : {1ULL, 777ULL, 9999ULL}) {
-        SimControl first;
-        first.checkpoint_path = path;
-        first.checkpoint_every = 500;
-        first.stop_after = stop;
-        const SimResult partial = simulateLayout(
-            fix.program, layout, stream, fix.cache, true, &first);
-        EXPECT_FALSE(partial.completed);
-        EXPECT_EQ(partial.accesses, stop);
-
+    auto expect_resumes_to_whole = [&](std::uint64_t at) {
         const SimCheckpoint ckpt = loadCheckpoint(path);
-        EXPECT_EQ(ckpt.cursor, stop);
+        EXPECT_EQ(ckpt.cursor, at);
         SimControl second;
         second.resume = &ckpt;
         const SimResult resumed = simulateLayout(
             fix.program, layout, stream, fix.cache, true, &second);
         EXPECT_TRUE(resumed.completed);
-        EXPECT_EQ(resumed.accesses, whole.accesses) << "stop " << stop;
-        EXPECT_EQ(resumed.misses, whole.misses) << "stop " << stop;
+        EXPECT_EQ(resumed.accesses, whole.accesses) << "at " << at;
+        EXPECT_EQ(resumed.misses, whole.misses) << "at " << at;
+        EXPECT_EQ(resumed.evictions, whole.evictions) << "at " << at;
         EXPECT_EQ(resumed.misses_by_proc, whole.misses_by_proc)
-            << "stop " << stop;
+            << "at " << at;
+    };
+    for (const std::uint64_t stop : stops) {
+        SimControl first;
+        first.checkpoint_path = path;
+        first.checkpoint_every = every;
+        first.stop_after = stop;
+        const SimResult partial = simulateLayout(
+            fix.program, layout, stream, fix.cache, true, &first);
+        EXPECT_FALSE(partial.completed);
+        EXPECT_EQ(partial.accesses, stop);
+        expect_resumes_to_whole(stop);
     }
+    SimControl periodic;
+    periodic.checkpoint_path = path;
+    periodic.checkpoint_every = every;
+    const SimResult full = simulateLayout(fix.program, layout, stream,
+                                          fix.cache, true, &periodic);
+    EXPECT_TRUE(full.completed);
+    EXPECT_EQ(full.misses, whole.misses);
+    // The last periodic checkpoint: the run's end never writes one.
+    expect_resumes_to_whole((stream.size() - 1) / every * every);
     std::remove(path.c_str());
+}
+
+void
+expectResumeBitEquality(std::uint32_t assoc)
+{
+    const SimFixture fix(assoc);
+    // Interrupt at several points, including mid-checkpoint cadences.
+    expectResumeBitEquality(fix, fix.trace, {1, 777, 9999}, 500);
+
+    // The loop-heavy input stops on run boundaries and inside repeats.
+    const FetchStream stream(fix.program, fix.loop_trace,
+                             fix.cache.line_bytes);
+    const std::vector<FetchRun> &runs = stream.runs();
+    std::vector<std::uint64_t> run_start(runs.size() + 1, 0);
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        run_start[r + 1] = run_start[r] +
+                           std::uint64_t{runs[r].line_count} *
+                               runs[r].repeats;
+    }
+    ASSERT_EQ(run_start.back(), stream.size());
+    // First run at or after index @p from with at least @p repeats
+    // repeats of at least @p lines lines.
+    auto find_run = [&](std::size_t from, std::uint32_t repeats,
+                        std::uint32_t lines) {
+        std::size_t r = from;
+        while (r < runs.size() &&
+               (runs[r].repeats < repeats || runs[r].line_count < lines))
+            ++r;
+        EXPECT_LT(r, runs.size());
+        return r;
+    };
+    const std::size_t boundary = find_run(runs.size() / 4, 2, 1);
+    const std::size_t inner = find_run(runs.size() / 3, 3, 3);
+    // Mid-line of the third repeat: a fetch that is neither a run's
+    // nor a repeat's first.
+    const std::uint64_t mid_repeat = run_start[inner] +
+                                     2 * runs[inner].line_count +
+                                     runs[inner].line_count / 2;
+    // One periodic checkpoint, inside a repeat past the stream's middle.
+    const std::size_t late = find_run(runs.size() * 2 / 3, 2, 2);
+    const std::uint64_t every = run_start[late] +
+                                runs[late].line_count +
+                                runs[late].line_count / 2;
+    ASSERT_GT(2 * every, stream.size());
+    expectResumeBitEquality(
+        fix, fix.loop_trace,
+        {run_start[boundary], mid_repeat, stream.size() - 1}, every);
 }
 
 TEST(CheckpointResume, BitIdenticalDirectMapped)
