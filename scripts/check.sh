@@ -182,6 +182,19 @@ grep -q '"topo_bench": 1' "$WORK/BENCH_smoke.json" || {
     > /dev/null || {
     echo "FAIL: BENCH json does not parse"; exit 1; }
 
+echo "== stream memory gate =="
+# The fetch stream is stored as repeat-compressed runs, so exact-mode
+# peak RSS grows with runs, not fetches: gcc at scale 1 (24M test
+# fetches) must stay under 40 MB. One id per fetch peaked at ~130 MB.
+"$BUILD/tools/topo_sim" --benchmark=gcc --trace-scale=1.0 \
+    --algorithms=gbsc --jobs=1 --bench-out="$WORK/stream_rss.json" \
+    > /dev/null
+rss=$(sed -n 's/^ *"peak_rss_kb": *\([0-9]*\).*/\1/p' \
+    "$WORK/stream_rss.json")
+[ -n "$rss" ] && [ "$rss" -lt 40960 ] || {
+    echo "FAIL: gcc exact-mode peak RSS ${rss:-?} KB, want < 40960"
+    exit 1; }
+
 echo "== sampling gate =="
 # Representative-interval sampling (DESIGN.md §15): across the full
 # suite x {ph,gbsc}, the sampled estimate must stay within 2% absolute

@@ -60,9 +60,9 @@ replay(const Program &program, const Layout &layout,
        const SimObservers *observers)
 {
     // Precompute the placed address of every program line so the hot
-    // loop is one table load + cache probe per reference. The stream
-    // supplies 4-byte program line ids; this table is the only part
-    // that changes between candidate layouts.
+    // loop is one table load per run + one cache probe per reference.
+    // The stream's runs name program line ids; this table is the only
+    // part that changes between candidate layouts.
     // 32-bit entries keep the table half the size (it is the loop's
     // only randomly-indexed load besides the frame array, and at
     // paper-suite scale it overflows L1); a 2^32-line layout span
@@ -114,7 +114,6 @@ replay(const Program &program, const Layout &layout,
         }
     }
 
-    const std::uint32_t *ids = stream.lineIds().data();
     std::uint64_t cursor = start;
     const std::uint64_t total = stream.size();
     auto write_ckpt = [&](std::uint64_t at) {
@@ -154,11 +153,19 @@ replay(const Program &program, const Layout &layout,
             cursor = total;
         }
     }
-    for (; cursor < total; ++cursor) {
-        const std::uint32_t id = ids[cursor];
-        const std::uint64_t line_addr = addr_of[id];
+    // Per-fetch replay walks the runs: each run's procedure and placed
+    // base line are loaded once, and its j-th line is base + j.
+    std::uint32_t run_first = 0;
+    std::uint64_t run_addr = 0;
+    ProcId proc = 0;
+    auto on_run = [&](const FetchRun &run) {
+        run_first = run.first_line;
+        run_addr = addr_of[run_first];
+        proc = stream.procOfLine(run_first);
+    };
+    auto on_fetch = [&](std::uint32_t j) {
+        const std::uint64_t line_addr = run_addr + j;
         if constexpr (kMode == ReplayMode::kObserved) {
-            const ProcId proc = stream.procOfLine(id);
             std::uint32_t set = 0;
             std::uint64_t victim = 0;
             bool victim_valid = false;
@@ -180,7 +187,7 @@ replay(const Program &program, const Layout &layout,
                 // Classify before timeline->record(): record() may
                 // close the window this fetch belongs to.
                 const TaxonomyEvent event =
-                    observers->taxonomy->record(proc, id, hit);
+                    observers->taxonomy->record(proc, run_first + j, hit);
                 if (observers->timeline != nullptr)
                     observers->timeline->noteTaxonomy(event);
             }
@@ -189,34 +196,36 @@ replay(const Program &program, const Layout &layout,
         } else if (!cache.access(line_addr)) {
             ++result.misses;
             if (attribute)
-                ++result.misses_by_proc[stream.procOfLine(id)];
+                ++result.misses_by_proc[proc];
         }
+        ++cursor;
         if constexpr (kMode == ReplayMode::kControlled) {
-            if (((cursor + 1) & kHeartbeatMask) == 0) {
+            if ((cursor & kHeartbeatMask) == 0) {
                 logDebug("simulate", "progress",
-                         {{"done", cursor + 1},
+                         {{"done", cursor},
                           {"total", total},
                           {"misses", result.misses}});
             }
-            if (((cursor + 1) & kFaultMask) == 0)
+            if ((cursor & kFaultMask) == 0)
                 faultMaybeThrowIo("simulate");
             if (control != nullptr) {
                 if (control->checkpoint_every != 0 &&
                     !control->checkpoint_path.empty() &&
-                    (cursor + 1 - start) % control->checkpoint_every ==
-                        0 &&
-                    cursor + 1 != total) {
-                    write_ckpt(cursor + 1);
+                    (cursor - start) % control->checkpoint_every == 0 &&
+                    cursor != total) {
+                    write_ckpt(cursor);
                 }
                 if (control->stop_after != 0 &&
-                    cursor + 1 >= control->stop_after) {
-                    ++cursor;
+                    cursor >= control->stop_after) {
                     result.completed = false;
-                    break;
+                    return false;
                 }
             }
         }
-    }
+        return true;
+    };
+    if (cursor < total)
+        stream.forEachFetch(cursor, on_run, on_fetch);
     if constexpr (kMode == ReplayMode::kControlled) {
         if (!result.completed && control != nullptr &&
             !control->checkpoint_path.empty()) {

@@ -14,25 +14,6 @@
 namespace topo
 {
 
-namespace
-{
-
-/**
- * Expand the fetch stream only on the exact path. A sampled bundle
- * never replays the whole trace, and at large --trace-scale the full
- * stream is the dominant memory term, so it is simply not built.
- */
-FetchStream
-makeEvalStream(const Program &program, const Trace &trace,
-               std::uint32_t line_bytes, bool sampled)
-{
-    if (!sampled)
-        return FetchStream(program, trace, line_bytes);
-    return FetchStream(program, Trace(program.procCount()), line_bytes);
-}
-
-} // namespace
-
 TrainingProfile
 buildProfile(const Program &program, const Trace &train,
              const EvalOptions &options)
@@ -111,14 +92,18 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
       program_(bench.model.program),
       train_trace_(synthesizeTrace(bench.model, bench.train)),
       test_trace_(synthesizeTrace(bench.model, bench.test)),
-      profile_(buildProfile(program_, train_trace_, options_)),
-      test_stream_(makeEvalStream(program_, test_trace_,
-                                  options_.cache.line_bytes, sampled()))
+      profile_(buildProfile(program_, train_trace_, options_))
 {
+    // Expanded after the profile is built, so the TRG build's scratch
+    // is freed before the stream is allocated (lower peak memory). A
+    // sampled bundle replays the whole test trace only for
+    // exactTestResult, so it expands the stream then.
     if (sampled()) {
         test_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
             program_, test_trace_, options_.cache.line_bytes,
             options_.sampling));
+    } else {
+        testStream();
     }
     MetricsRegistry::current().counter("eval.bundles").add();
     if (logEnabled(LogLevel::kDebug)) {
@@ -132,14 +117,12 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
 }
 
 const FetchStream &
-ProfileBundle::trainStream() const
+ProfileBundle::expandOnce(LazyStream &lazy, const Trace &trace) const
 {
-    std::call_once(train_stream_once_, [this] {
-        train_stream_.emplace(makeEvalStream(program_, train_trace_,
-                                             options_.cache.line_bytes,
-                                             sampled()));
+    std::call_once(lazy.once, [&] {
+        lazy.stream.emplace(program_, trace, options_.cache.line_bytes);
     });
-    return *train_stream_;
+    return *lazy.stream;
 }
 
 double
@@ -176,9 +159,7 @@ ProfileBundle::sampledTestResult(const Layout &layout, bool attribute) const
 SimResult
 ProfileBundle::exactTestResult(const Layout &layout, bool attribute) const
 {
-    const FetchStream stream(program_, test_trace_,
-                             options_.cache.line_bytes);
-    return simulateLayout(program_, layout, stream, options_.cache,
+    return simulateLayout(program_, layout, testStream(), options_.cache,
                           attribute);
 }
 

@@ -50,8 +50,9 @@ struct EvalOptions
     /**
      * Representative-interval sampling (DESIGN.md §15). When active,
      * profiles and miss rates are weighted estimates over sampled
-     * trace segments, the full fetch streams are never expanded, and
-     * testMissRate/trainMissRate are replaced by sampledTestResult.
+     * trace segments, the full test stream is expanded only for an
+     * exact reference (exactTestResult), and testMissRate/
+     * trainMissRate are replaced by sampledTestResult.
      */
     SamplingOptions sampling{};
 };
@@ -122,8 +123,20 @@ class ProfileBundle
      * The training trace's fetch stream, expanded on the first call
      * (thread-safe): only trainMissRate-style measurements read it.
      */
-    const FetchStream &trainStream() const;
-    const FetchStream &testStream() const { return test_stream_; }
+    const FetchStream &
+    trainStream() const
+    {
+        return expandOnce(train_stream_, train_trace_);
+    }
+    /**
+     * The testing trace's fetch stream. An exact bundle expands it in
+     * its constructor; a sampled one on the first call (thread-safe).
+     */
+    const FetchStream &
+    testStream() const
+    {
+        return expandOnce(test_stream_, test_trace_);
+    }
 
     /** The profile's placement context; see TrainingProfile::context. */
     PlacementContext makeContext(const WeightedGraph *wcg = nullptr,
@@ -154,28 +167,33 @@ class ProfileBundle
                                        bool attribute = false) const;
 
     /**
-     * Exact replay of a layout on the testing trace, expanding the
-     * fetch stream on the fly — the --sample-verify reference path of
-     * a sampled bundle (exact bundles already hold the stream; use
-     * testMissRate there).
+     * Exact replay of a layout on the testing trace — the
+     * --sample-verify reference path of a sampled bundle (exact
+     * bundles use testMissRate).
      */
     SimResult exactTestResult(const Layout &layout,
                               bool attribute = false) const;
 
   private:
+    /** A fetch stream expanded on first use. */
+    struct LazyStream
+    {
+        std::once_flag once;
+        std::optional<FetchStream> stream;
+    };
+
+    /** @p lazy's stream of @p trace, expanding it on the first call. */
+    const FetchStream &expandOnce(LazyStream &lazy,
+                                  const Trace &trace) const;
+
     std::string name_;
     EvalOptions options_;
     Program program_;
     Trace train_trace_;
     Trace test_trace_;
     TrainingProfile profile_;
-    /**
-     * Expanded after the profile is built, so the TRG build's scratch
-     * is freed before the stream is allocated (lower peak memory).
-     */
-    FetchStream test_stream_;
-    mutable std::once_flag train_stream_once_;
-    mutable std::optional<FetchStream> train_stream_;
+    mutable LazyStream test_stream_;
+    mutable LazyStream train_stream_;
     /** The testing trace's sample plan (null unless sampling). */
     std::unique_ptr<SamplePlan> test_plan_;
 };

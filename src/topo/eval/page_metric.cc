@@ -38,10 +38,14 @@ measurePageStats(const Program &program, const Layout &layout,
                        std::list<std::uint64_t>::iterator>
         where;
 
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const FetchRef ref = stream.ref(i);
-        const std::uint64_t page =
-            (base_line[ref.proc] + ref.line) / lines_per_page;
+    std::uint64_t run_line = 0; // placed line of the run's first line
+    auto on_run = [&](const FetchRun &run) {
+        const ProcId proc = stream.procOfLine(run.first_line);
+        run_line = base_line[proc] +
+                   (run.first_line - stream.lineBase(proc));
+    };
+    auto on_fetch = [&](std::uint32_t j) {
+        const std::uint64_t page = (run_line + j) / lines_per_page;
         touched.insert(page);
         if (page != last_page) {
             if (last_page != ~std::uint64_t{0})
@@ -61,7 +65,9 @@ measurePageStats(const Program &program, const Layout &layout,
                 }
             }
         }
-    }
+        return true;
+    };
+    stream.forEachFetch(0, on_run, on_fetch);
     stats.pages_touched = touched.size();
     return stats;
 }

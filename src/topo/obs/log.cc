@@ -157,13 +157,6 @@ Logger::addSink(std::shared_ptr<LogSink> sink)
 }
 
 void
-Logger::setSinks(std::vector<std::shared_ptr<LogSink>> sinks)
-{
-    const std::lock_guard<std::mutex> lock(sink_mutex_);
-    sinks_ = std::move(sinks);
-}
-
-void
 Logger::log(LogLevel level, std::string_view component,
             std::string_view message, std::vector<LogField> fields)
 {

@@ -142,9 +142,6 @@ class Logger
     /** Add a sink (records are fanned out to every sink). */
     void addSink(std::shared_ptr<LogSink> sink);
 
-    /** Replace all sinks. */
-    void setSinks(std::vector<std::shared_ptr<LogSink>> sinks);
-
     /**
      * Emit a record if @p level is enabled. Sink fan-out is serialised
      * by an internal mutex, so concurrent emitters (pool workers)

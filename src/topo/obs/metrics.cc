@@ -1,7 +1,6 @@
 #include "topo/obs/metrics.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "topo/util/error.hh"
@@ -251,18 +250,6 @@ MetricsRegistry::toJson() const
     }
     root.set("histograms", std::move(histograms));
     return root;
-}
-
-void
-MetricsRegistry::writeJsonFile(const std::string &path) const
-{
-    std::ofstream os(path);
-    require(os.good(), "MetricsRegistry: cannot open metrics file '" +
-                           path + "'");
-    toJson().write(os);
-    os << '\n';
-    require(os.good(), "MetricsRegistry: failed writing metrics file '" +
-                           path + "'");
 }
 
 } // namespace topo

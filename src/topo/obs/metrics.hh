@@ -181,9 +181,6 @@ class MetricsRegistry
      */
     JsonValue toJson() const;
 
-    /** Write the snapshot to @p path; throws TopoError on I/O error. */
-    void writeJsonFile(const std::string &path) const;
-
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;

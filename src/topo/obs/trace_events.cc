@@ -43,12 +43,6 @@ ChromeTraceLog::tsFrom(std::chrono::steady_clock::time_point tp) const
         .count();
 }
 
-double
-ChromeTraceLog::nowUs() const
-{
-    return tsFrom(std::chrono::steady_clock::now());
-}
-
 void
 ChromeTraceLog::announceThreadLocked(int tid)
 {

@@ -78,9 +78,6 @@ class ChromeTraceLog
     /** Microseconds from the log's origin to @p tp. */
     double tsFrom(std::chrono::steady_clock::time_point tp) const;
 
-    /** Microseconds from the log's origin to now. */
-    double nowUs() const;
-
     /**
      * Chrome `tid` of the calling thread: 1 for the first thread that
      * emits (the main thread in practice), then sequential in

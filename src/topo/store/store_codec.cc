@@ -280,16 +280,6 @@ serializeShardDelta(const ShardDelta &delta)
     return out;
 }
 
-ShardDelta
-deserializeShardDelta(const std::string &payload,
-                      const std::string &context)
-{
-    Reader in(payload, context);
-    ShardDelta delta = getShardBody(in);
-    in.expectEnd();
-    return delta;
-}
-
 std::string
 frameRecord(std::uint64_t seq, StoreRecordKind kind,
             const std::string &body)

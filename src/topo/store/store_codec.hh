@@ -170,9 +170,6 @@ StoredProfile deserializeProfile(const std::string &payload,
 
 /** Serialize a kShard record body. */
 std::string serializeShardDelta(const ShardDelta &delta);
-/** Decode a kShard record body. */
-ShardDelta deserializeShardDelta(const std::string &payload,
-                                 const std::string &context);
 
 /** Serialize one journal record (seq + kind + body, framed). */
 std::string frameRecord(std::uint64_t seq, StoreRecordKind kind,

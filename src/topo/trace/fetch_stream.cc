@@ -33,37 +33,48 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
             proc_of_line_[id] = static_cast<ProcId>(p);
     }
 
-    // Fault hook armed once outside the loop so the common case stays
-    // a pure expansion; the periodic check keeps the injected-error
-    // path (mid-expansion failure) exercisable without a per-event
-    // cost when armed.
+    // An event's lines, as one repeat of a run of program line ids.
+    auto run_of = [&](const TraceEvent &ev) {
+        const std::uint32_t first = ev.offset / line_bytes;
+        const auto last = static_cast<std::uint32_t>(
+            (std::uint64_t{ev.offset} + ev.length - 1) / line_bytes);
+        return FetchRun{line_base_[ev.proc] + first, last - first + 1, 1};
+    };
+
+    // Pass 1 checks every event and counts the runs, so pass 2 fills
+    // an exactly sized vector: growing it, or shrinking a reserve by
+    // event count, would briefly hold two copies of the runs. The
+    // fault hook is armed once outside the loop so the common case
+    // stays a pure scan; the periodic check keeps the injected-error
+    // path (mid-expansion failure) exercisable.
     const bool faulty = faultArmed(FaultKind::kThrowIo);
-    // Estimate: most runs span a couple of lines.
-    line_ids_.reserve(trace.size() * 2);
-    runs_.reserve(trace.size());
+    const std::vector<Procedure> &procs = program.procs();
     std::size_t processed = 0;
+    std::size_t run_count = 0;
+    FetchRun prev{0, 0, 0}; // line_count 0: equal to no event's run
     for (const TraceEvent &ev : trace.events()) {
         if (faulty && (++processed & 0xFF) == 0)
             faultMaybeThrowIo("fetch_stream");
-        requireData(ev.proc < program.procCount(),
-                    "FetchStream: invalid procedure id in trace");
-        const std::uint64_t end =
-            static_cast<std::uint64_t>(ev.offset) + ev.length;
-        requireData(end <= program.proc(ev.proc).size_bytes,
-                    "FetchStream: run exceeds procedure bounds");
-        const std::uint32_t base = line_base_[ev.proc];
-        const std::uint32_t first = ev.offset / line_bytes;
-        const std::uint32_t last =
-            static_cast<std::uint32_t>((end - 1) / line_bytes);
-        const std::uint32_t first_id = base + first;
-        const std::uint32_t count = last - first + 1;
-        if (!runs_.empty() && runs_.back().first_line == first_id &&
-            runs_.back().line_count == count)
+        // Spelled out rather than requireData() and Program::proc():
+        // their std::string arguments cost an allocation per call.
+        if (ev.proc >= procs.size())
+            failCorrupt("FetchStream: invalid procedure id in trace", "");
+        if (std::uint64_t{ev.offset} + ev.length > procs[ev.proc].size_bytes)
+            failCorrupt("FetchStream: run exceeds procedure bounds", "");
+        const FetchRun run = run_of(ev);
+        run_count += run == prev ? 0 : 1;
+        prev = run;
+    }
+    runs_.reserve(run_count);
+    prev = FetchRun{0, 0, 0};
+    for (const TraceEvent &ev : trace.events()) {
+        const FetchRun run = run_of(ev);
+        if (run == prev)
             ++runs_.back().repeats;
         else
-            runs_.push_back(FetchRun{first_id, count, 1});
-        for (std::uint32_t line = first; line <= last; ++line)
-            line_ids_.push_back(base + line);
+            runs_.push_back(run);
+        size_ += run.line_count;
+        prev = run;
     }
 }
 

@@ -8,13 +8,15 @@
  * harness: a layout only changes the *mapping* of each reference, not
  * the reference sequence itself.
  *
- * Storage is one 4-byte "program line id" per fetch — the index of the
- * line in a source-order concatenation of all procedures — instead of
- * an 8-byte (proc, line) pair. The replay loop then needs a single
- * array lookup per reference (a per-layout table maps program line id
- * to placed line address), and the stream itself moves half the bytes
- * through the memory hierarchy; with tens of millions of fetches the
- * replay is memory-bandwidth-bound, so this is the dominant term.
+ * Storage is the trace's runs in "program line id" form — the index of
+ * a line in a source-order concatenation of all procedures — with
+ * back-to-back repeats of a run folded into one FetchRun. That is
+ * 12 bytes per run where one id per fetch would be 4 bytes per fetch:
+ * loop-heavy traces repeat a run for most of their fetches, so on the
+ * paper suite at scale 1 the runs are 8-57x smaller than per-fetch
+ * ids (gcc: 1.8 MB of runs for 24M test fetches). Every reader
+ * expands the runs in registers: the batched replay reads runs
+ * directly, and the per-fetch readers share one walk, forEachFetch().
  */
 
 #ifndef TOPO_TRACE_FETCH_STREAM_HH
@@ -28,19 +30,6 @@
 
 namespace topo
 {
-
-/** One cache-line fetch: a line index within a procedure. */
-struct FetchRef
-{
-    ProcId proc;
-    std::uint32_t line; // line index within the procedure
-
-    bool
-    operator==(const FetchRef &other) const
-    {
-        return proc == other.proc && line == other.line;
-    }
-};
 
 /**
  * One trace run in line-id form, repeated @ref repeats times
@@ -63,6 +52,8 @@ struct FetchRun
     std::uint32_t first_line;
     std::uint32_t line_count;
     std::uint32_t repeats;
+
+    bool operator==(const FetchRun &) const = default;
 };
 
 /**
@@ -88,30 +79,60 @@ class FetchStream
     /** Line size the stream was expanded at. */
     std::uint32_t lineBytes() const { return line_bytes_; }
 
-    /** Number of line references. */
-    std::size_t size() const { return line_ids_.size(); }
+    /** Number of line references: the sum of line_count × repeats. */
+    std::uint64_t size() const { return size_; }
 
     /**
-     * All references as program line ids in execution order — the
-     * compact form the replay loop consumes directly.
+     * Always empty: the stream stores no per-fetch ids. Kept only
+     * because perfbench adds its capacity to trace.fetch_stream_rss_mb;
+     * delete it with the next change to perfbench.
      */
-    const std::vector<std::uint32_t> &lineIds() const { return line_ids_; }
+    const std::vector<std::uint32_t> &
+    lineIds() const
+    {
+        static const std::vector<std::uint32_t> kEmpty;
+        return kEmpty;
+    }
 
     /**
-     * The same reference sequence grouped into repeat-compressed runs
-     * of consecutive lines; concatenating the runs' expansions
-     * (line_count lines, repeats times each) reproduces lineIds()
-     * exactly (both are built in one pass over the trace).
+     * The reference sequence as repeat-compressed runs of consecutive
+     * lines: the fetches are the runs' expansions (line_count lines,
+     * repeats times each), concatenated.
      */
     const std::vector<FetchRun> &runs() const { return runs_; }
 
-    /** Decode reference @p i into its (procedure, line) form. */
-    FetchRef
-    ref(std::size_t i) const
+    /**
+     * Visit the fetches from index @p start to the end, in order.
+     * @p on_run(run) is called on entering each run (the first one
+     * possibly mid-repeat), then @p on_fetch(j) once per fetch of that
+     * run, where j is the fetch's line within the run: its program
+     * line id is run.first_line + j. The walk stops early when
+     * @p on_fetch returns false. A @p start at or past size() visits
+     * nothing.
+     */
+    template <typename OnRun, typename OnFetch>
+    void
+    forEachFetch(std::uint64_t start, OnRun &&on_run,
+                 OnFetch &&on_fetch) const
     {
-        const std::uint32_t id = line_ids_[i];
-        const ProcId proc = proc_of_line_[id];
-        return FetchRef{proc, id - line_base_[proc]};
+        // Seek: skip whole runs, then whole repeats and lines of the
+        // run holding fetch @p start.
+        std::size_t r = 0;
+        while (r < runs_.size() && start >= runLength(runs_[r]))
+            start -= runLength(runs_[r++]);
+        if (r == runs_.size())
+            return;
+        auto repeat = static_cast<std::uint32_t>(start / runs_[r].line_count);
+        auto line = static_cast<std::uint32_t>(start % runs_[r].line_count);
+        for (; r < runs_.size(); ++r, repeat = 0) {
+            on_run(runs_[r]);
+            for (; repeat < runs_[r].repeats; ++repeat, line = 0) {
+                for (; line < runs_[r].line_count; ++line) {
+                    if (!on_fetch(line))
+                        return;
+                }
+            }
+        }
     }
 
     /** Total lines across all procedures at this line size. */
@@ -128,8 +149,14 @@ class FetchStream
     ProcId procOfLine(std::uint32_t id) const { return proc_of_line_[id]; }
 
   private:
+    static std::uint64_t
+    runLength(const FetchRun &run)
+    {
+        return std::uint64_t{run.line_count} * run.repeats;
+    }
+
     std::uint32_t line_bytes_;
-    std::vector<std::uint32_t> line_ids_;
+    std::uint64_t size_ = 0;
     std::vector<FetchRun> runs_;
     /** Per procedure: first program line id (size procCount() + 1). */
     std::vector<std::uint32_t> line_base_;

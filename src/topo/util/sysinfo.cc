@@ -54,10 +54,4 @@ utcTimestamp()
     return formatUtc("%Y-%m-%dT%H:%M:%SZ");
 }
 
-std::string
-utcDateCompact()
-{
-    return formatUtc("%Y%m%d");
-}
-
 } // namespace topo

@@ -22,9 +22,6 @@ std::uint64_t peakRssKb();
 /** Current UTC time as "YYYY-MM-DDTHH:MM:SSZ". */
 std::string utcTimestamp();
 
-/** Current UTC date as "YYYYMMDD" (BENCH_<date>.json naming). */
-std::string utcDateCompact();
-
 } // namespace topo
 
 #endif // TOPO_UTIL_SYSINFO_HH

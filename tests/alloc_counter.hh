@@ -26,6 +26,9 @@ std::atomic<std::uint64_t> g_allocs{0};
 // The full replacement set (array and nothrow forms included) so every
 // allocation and deallocation pairs up on malloc/free — a partial set
 // trips ASan's alloc-dealloc-mismatch checker in the sanitized build.
+// The deletes stay out of line: inlined next to a visible operator new
+// (gtest's `new TestClass`), their free() is a GCC 12
+// -Wmismatched-new-delete false positive, which -Werror turns fatal.
 void *
 operator new(std::size_t size)
 {
@@ -54,37 +57,37 @@ operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
     return operator new(size, tag);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *ptr) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *ptr) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *ptr, std::size_t) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *ptr, std::size_t) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *ptr, const std::nothrow_t &) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *ptr, const std::nothrow_t &) noexcept
 {
     std::free(ptr);

@@ -108,21 +108,43 @@ TEST_F(EvalFixture, MissRatesAreSane)
     EXPECT_GT(train_mr, 0.0);
 }
 
-TEST_F(EvalFixture, TrainStreamExpandsOnceOnFirstUse)
+/**
+ * Concurrent first calls of @p get must all see one expansion, equal
+ * to a fresh expansion of @p trace.
+ */
+template <typename Get>
+void
+expectExpandsOnce(const ProfileBundle &bundle, const Trace &trace, Get get)
 {
-    // The bundle defers the training stream; concurrent first calls
-    // must all see one expansion equal to a fresh one.
     std::vector<const FetchStream *> seen(4, nullptr);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < seen.size(); ++t)
-        threads.emplace_back([&, t] { seen[t] = &bundle_.trainStream(); });
+        threads.emplace_back([&, t] { seen[t] = &get(); });
     for (std::thread &thread : threads)
         thread.join();
     for (const FetchStream *stream : seen)
         EXPECT_EQ(stream, seen[0]);
-    const FetchStream fresh(bundle_.program(), bundle_.trainTrace(),
-                            bundle_.options().cache.line_bytes);
-    EXPECT_EQ(seen[0]->lineIds(), fresh.lineIds());
+    const FetchStream fresh(bundle.program(), trace,
+                            bundle.options().cache.line_bytes);
+    EXPECT_EQ(seen[0]->runs(), fresh.runs());
+    EXPECT_EQ(seen[0]->size(), fresh.size());
+    EXPECT_GT(fresh.size(), 0u);
+}
+
+TEST_F(EvalFixture, TrainStreamExpandsOnceOnFirstUse)
+{
+    // The bundle defers the training stream, and a sampled bundle its
+    // testing stream too.
+    expectExpandsOnce(bundle_, bundle_.trainTrace(), [&]() -> auto & {
+        return bundle_.trainStream();
+    });
+    EvalOptions options = miniOptions();
+    options.sampling.mode = SampleMode::kSimpoint;
+    const ProfileBundle sampled(miniCase(), options);
+    ASSERT_TRUE(sampled.sampled());
+    expectExpandsOnce(sampled, sampled.testTrace(), [&]() -> auto & {
+        return sampled.testStream();
+    });
 }
 
 TEST_F(EvalFixture, GbscBeatsDefaultOnTrain)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "topo/program/program.hh"
 #include "topo/trace/fetch_stream.hh"
@@ -59,11 +60,14 @@ TEST(FetchStream, ExpandsRunsToLines)
     Trace t(p.procCount());
     t.append(0, 0, 100); // lines 0..3 at 32B lines
     t.append(1, 40, 8);  // line 1 only
+    t.append(1, 40, 8);  // back to back: a second repeat
     const FetchStream stream(p, t, 32);
-    ASSERT_EQ(stream.size(), 5u);
-    EXPECT_EQ(stream.ref(0), (FetchRef{0, 0}));
-    EXPECT_EQ(stream.ref(3), (FetchRef{0, 3}));
-    EXPECT_EQ(stream.ref(4), (FetchRef{1, 1}));
+    ASSERT_EQ(stream.size(), 6u);
+    // Program line ids: f owns 0..3, g owns 4..5.
+    EXPECT_EQ(stream.runs(),
+              (std::vector<FetchRun>{{0, 4, 1}, {5, 1, 2}}));
+    EXPECT_EQ(stream.lineBase(1), 4u);
+    EXPECT_EQ(stream.procOfLine(5), 1u);
 }
 
 TEST(FetchStream, SingleByteRun)
@@ -73,7 +77,44 @@ TEST(FetchStream, SingleByteRun)
     t.append(0, 99, 1);
     const FetchStream stream(p, t, 32);
     ASSERT_EQ(stream.size(), 1u);
-    EXPECT_EQ(stream.ref(0), (FetchRef{0, 3}));
+    EXPECT_EQ(stream.runs(), (std::vector<FetchRun>{{3, 1, 1}}));
+}
+
+TEST(FetchStream, WalkSeeksToAnyFetch)
+{
+    const Program p = makeProgram();
+    Trace t(p.procCount());
+    t.append(0, 40, 50); // lines 1..2
+    t.append(0, 40, 50);
+    t.append(0, 40, 50);
+    t.append(1, 0, 64); // lines 4..5
+    t.append(0, 0, 1);  // line 0
+    t.append(0, 0, 1);
+    const FetchStream stream(p, t, 32);
+    auto walk = [&](std::uint64_t start, std::uint64_t limit) {
+        std::vector<std::uint32_t> ids;
+        std::uint32_t first = 0;
+        stream.forEachFetch(
+            start, [&](const FetchRun &run) { first = run.first_line; },
+            [&](std::uint32_t j) {
+                ids.push_back(first + j);
+                return ids.size() < limit;
+            });
+        return ids;
+    };
+    const std::vector<std::uint32_t> all = walk(0, ~0ULL);
+    EXPECT_EQ(all, (std::vector<std::uint32_t>{1, 2, 1, 2, 1, 2, 4, 5,
+                                               0, 0}));
+    ASSERT_EQ(all.size(), stream.size());
+    for (std::uint64_t start = 0; start <= all.size(); ++start) {
+        EXPECT_EQ(walk(start, ~0ULL),
+                  std::vector<std::uint32_t>(all.begin() + start,
+                                             all.end()))
+            << "start " << start;
+    }
+    // Returning false stops the walk after that fetch.
+    EXPECT_EQ(walk(3, 2), (std::vector<std::uint32_t>{2, 1}));
+    EXPECT_TRUE(walk(stream.size() + 5, ~0ULL).empty());
 }
 
 /** Property: total lines equals the per-run line-span sum. */
