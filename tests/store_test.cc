@@ -26,6 +26,8 @@
 #include "topo/store/store_codec.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/microsuite.hh"
+#include "topo/workload/synthetic_program.hh"
+#include "topo/workload/trace_synthesizer.hh"
 #include "test_support.hh"
 
 namespace topo
@@ -510,6 +512,80 @@ TEST_F(StoreTest, JournalScanRejectsDamagedHeadersOnly)
 
     // A truncated header is corrupt input.
     EXPECT_THROW(scanJournal("TOPJ", "test"), TopoError);
+}
+
+/** FNV-1a over a file's bytes. */
+std::uint64_t
+fileHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t h = kFnvBasis;
+    char c;
+    while (in.get(c))
+        fnvMix(h, static_cast<unsigned char>(c), 1);
+    return h;
+}
+
+TEST(GoldenPins, StoreFilesAfterExactPairsSampledCompactPlace)
+{
+    // One store ingests an exact shard, an exact shard with the pair
+    // database and a simpoint-sampled shard, compacts, and force-places
+    // with GBSC. The words are the hashes of the meta, both snapshot
+    // slots and the journal, then the layout's address hash. They pin
+    // every field of the shard record and snapshot bodies.
+    static const WordGolden<5> kWant = {
+        "store",
+        {0x30b39cd34a684d9bULL, 0x44b9abddf96607e0ULL, 0x836152d22c7ef6dbULL,
+         0xe2c035ef48b469e3ULL, 0x14cc41fd82cfd300ULL}};
+    SyntheticSpec spec;
+    spec.name = "golden_store";
+    spec.proc_count = 40;
+    spec.total_bytes = 80 * 1024;
+    spec.popular_count = 14;
+    spec.popular_bytes = 24 * 1024;
+    spec.phase_count = 3;
+    spec.ranks = 3;
+    spec.seed = 31;
+    const WorkloadModel model = buildSyntheticWorkload(spec);
+    WorkloadInput input;
+    input.seed = 32;
+    input.target_runs = 15000;
+    const std::vector<Trace> shards =
+        splitTrace(synthesizeTrace(model, input), 3);
+
+    StoreConfig config;
+    config.program = model.program;
+    config.build_pairs = true;
+    StoreConfig no_pairs = config;
+    no_pairs.build_pairs = false;
+    SamplingOptions sampling;
+    sampling.mode = SampleMode::kSimpoint;
+    sampling.window_runs = 256;
+    sampling.seed = 7;
+    ASSERT_GT(buildSamplePlan(config.program, shards[2],
+                              config.cache.line_bytes, sampling)
+                  .segments.size(),
+              1u);
+
+    const TestTempDir tmp;
+    const std::string dir = tmp.file("store");
+    ProfileStore::init(dir, config);
+    ProfileStore store = ProfileStore::open(dir);
+    store.ingest(
+        buildShardDelta(no_pairs, "exact", shards[0], SamplingOptions{}));
+    store.ingest(
+        buildShardDelta(config, "pairs", shards[1], SamplingOptions{}));
+    store.ingest(buildShardDelta(no_pairs, "sampled", shards[2], sampling));
+    ASSERT_GT(store.profile().pairs.size(), 0u);
+    store.compact();
+    const StorePlaceResult placed = store.place("gbsc", 0.0, true);
+    ASSERT_TRUE(placed.placed);
+
+    const std::uint64_t got[5] = {
+        fileHash(dir + "/store.meta"), fileHash(dir + "/snapshot-0.tps"),
+        fileHash(dir + "/snapshot-1.tps"), fileHash(dir + "/journal.tpj"),
+        layoutHash(placed.layout)};
+    expectGolden(kWant, got);
 }
 
 } // namespace
