@@ -68,15 +68,7 @@ main(int argc, char **argv)
         // added together; popularity re-derived from combined stats.
         TrainingProfile merged = buildProfile(program, train_a, eval);
         const double single_mr = placeAndMeasure(merged, target);
-        const TrainingProfile other = buildProfile(program, train_b, eval);
-        merged.trg_select.addGraph(other.trg_select);
-        merged.trg_place.addGraph(other.trg_place);
-        for (std::size_t i = 0; i < program.procCount(); ++i) {
-            merged.stats.bytes_fetched[i] += other.stats.bytes_fetched[i];
-            merged.stats.run_count[i] += other.stats.run_count[i];
-        }
-        merged.stats.total_bytes += other.stats.total_bytes;
-        merged.stats.total_runs += other.stats.total_runs;
+        merged.merge(buildProfile(program, train_b, eval));
         merged.popular =
             selectPopular(program, merged.stats, eval.popularity);
         const double merged_mr = placeAndMeasure(merged, target);

@@ -52,30 +52,20 @@ main()
 
     std::cout << "collected " << collector.runCount()
               << " runs without storing a trace\n";
-    CollectedProfile profile = collector.take();
+    const TraceProfile profile = collector.take();
     std::cout << "WCG edges: " << profile.wcg.edgeCount()
               << ", TRG_select edges: "
               << profile.trg_select.edgeCount()
               << ", TRG_place edges: " << profile.trg_place.edgeCount()
-              << ", avg Q size: " << profile.avg_queue_procs << "\n";
+              << ", avg Q size: " << profile.avgQueueProcs() << "\n";
 
     // Derive the popular set from the collected statistics and place.
     const PopularSet popular =
         selectPopular(model.program, profile.stats);
-    PlacementContext ctx;
-    ctx.program = &model.program;
-    ctx.cache = cache;
-    ctx.chunks = &collector.chunks();
-    ctx.wcg = &profile.wcg;
-    ctx.trg_select = &profile.trg_select;
-    ctx.trg_place = &profile.trg_place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(model.program.procCount(), 0.0);
-    for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-        ctx.heat[i] =
-            static_cast<double>(profile.stats.bytes_fetched[i]);
     const Gbsc gbsc;
-    const Layout layout = gbsc.place(ctx);
+    const Layout layout =
+        gbsc.place(profileContext(model.program, cache, collector.chunks(),
+                                  profile, popular.mask));
 
     // Evaluate on a second, different execution of the service.
     WorkloadInput next;

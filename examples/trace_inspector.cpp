@@ -47,7 +47,7 @@ main(int argc, char **argv)
               << " (" << fmtPercent(profile.popular.covered)
               << " of dynamic bytes).\n";
     std::cout << "Average procedures resident in Q: "
-              << fmtDouble(profile.avg_queue_procs, 1) << " (Q budget "
+              << fmtDouble(profile.avgQueueProcs(), 1) << " (Q budget "
               << eval.q_budget_factor << "x " << eval.cache.size_bytes
               << " B).\n\n";
 

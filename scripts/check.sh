@@ -171,6 +171,37 @@ cmp -s "$WORK/pol_default.json" "$WORK/pol_lru.json" || {
     echo "FAIL: --probe-policy could not identify every policy"
     exit 1; }
 
+echo "== store smoke =="
+# The persistent profile store end to end: init, an exact ingest, a
+# sampled ingest, a placement, a compaction, and a reopen for the
+# status and a forced re-placement (its document carries a layout
+# diff). Every --json-out document must pass --check-json.
+"$BUILD/tools/topo_trace_gen" --benchmark=m88ksim --input=train \
+    --trace-scale=0.02 --out-program="$WORK/st.prog" \
+    --out-trace="$WORK/st.trace" 2> /dev/null
+PROFILE="$BUILD/tools/topo_profile"
+"$PROFILE" init --store="$WORK/st" --program="$WORK/st.prog" 2> /dev/null
+"$PROFILE" ingest --store="$WORK/st" --trace="$WORK/st.trace" \
+    --json-out="$WORK/st_exact.json" 2> /dev/null
+"$PROFILE" ingest --store="$WORK/st" --trace="$WORK/st.trace" \
+    --sample=simpoint --label=sampled \
+    --json-out="$WORK/st_sampled.json" 2> /dev/null
+"$PROFILE" place --store="$WORK/st" --json-out="$WORK/st_place.json" \
+    2> /dev/null
+"$PROFILE" compact --store="$WORK/st" \
+    --json-out="$WORK/st_compact.json" 2> /dev/null
+"$PROFILE" status --store="$WORK/st" --json-out="$WORK/st_status.json" \
+    > /dev/null
+"$PROFILE" place --store="$WORK/st" --algorithm=ph --force \
+    --json-out="$WORK/st_replace.json" 2> /dev/null
+grep -q '"topo_diff"' "$WORK/st_replace.json" || {
+    echo "FAIL: forced store re-placement wrote no layout diff"; exit 1; }
+for doc in exact sampled place compact status replace; do
+    "$BUILD/tools/topo_report" --check-json="$WORK/st_$doc.json" \
+        > /dev/null || {
+        echo "FAIL: store $doc document fails --check-json"; exit 1; }
+done
+
 echo "== bench smoke =="
 TOPO_BENCH_SCALE=0.02 TOPO_BENCH_NAMES=m88ksim \
     scripts/bench.sh "$WORK/BENCH_smoke.json" "$BUILD" > /dev/null

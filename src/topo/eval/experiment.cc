@@ -5,7 +5,6 @@
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/profile/perturb.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/sampling/sampled_profile.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
@@ -22,46 +21,24 @@ buildProfile(const Program &program, const Trace &train,
     const std::uint64_t byte_budget = static_cast<std::uint64_t>(
         options.q_budget_factor * options.cache.size_bytes);
     require(byte_budget > 0, "buildProfile: zero Q budget");
-    TrainingProfile profile{
-        .program = &program,
-        .cache = options.cache,
-        .stats = computeTraceStats(program, train),
-        .chunks = ChunkMap(program, options.chunk_bytes),
-    };
-    profile.popular =
-        selectPopular(program, profile.stats, options.popularity);
+    ChunkMap chunks(program, options.chunk_bytes);
+    TraceStats stats = computeTraceStats(program, train);
+    PopularSet popular = selectPopular(program, stats, options.popularity);
     TrgBuildOptions trg_options;
     trg_options.byte_budget = byte_budget;
-    trg_options.popular = &profile.popular.mask;
-    if (options.sampling.active()) {
-        require(!options.build_pairs,
-                "buildProfile: the pair database has no sampled build; "
-                "drop --pairs or --sample");
-        const SamplePlan plan = buildSamplePlan(
-            program, train, options.cache.line_bytes, options.sampling);
-        SampledProfileResult sampled = buildSampledProfile(
-            program, profile.chunks, train, plan, trg_options);
-        profile.wcg = std::move(sampled.wcg);
-        profile.trg_select = std::move(sampled.trg_select);
-        profile.trg_place = std::move(sampled.trg_place);
-        profile.avg_queue_procs = sampled.avg_queue_procs;
-    } else {
-        profile.wcg = buildWcg(program, train);
-        TrgBuildResult trgs =
-            buildTrgs(program, profile.chunks, train, trg_options);
-        profile.trg_select = std::move(trgs.select);
-        profile.trg_place = std::move(trgs.place);
-        profile.avg_queue_procs = trgs.avg_queue_procs;
-    }
-    if (options.build_pairs) {
-        PairBuildOptions pair_options;
-        pair_options.byte_budget = byte_budget;
-        pair_options.pair_window = options.pair_window;
-        pair_options.popular = &profile.popular.mask;
-        profile.pairs = buildPairDatabase(program, train, pair_options);
-        if (options.pair_prune > 0.0)
-            profile.pairs.prune(options.pair_prune);
-    }
+    trg_options.popular = &popular.mask;
+    const PairBuildOptions pair_options{byte_budget, options.pair_window,
+                                        &popular.mask};
+    // Braced initializers run in order: the build reads popular.mask
+    // before the set moves into the profile.
+    TrainingProfile profile{
+        buildTraceProfile(program, chunks, train, std::move(stats),
+                          trg_options,
+                          options.build_pairs ? &pair_options : nullptr,
+                          options.sampling, options.cache.line_bytes),
+        &program, options.cache, std::move(popular), std::move(chunks)};
+    if (options.build_pairs && options.pair_prune > 0.0)
+        profile.pairs.prune(options.pair_prune);
     return profile;
 }
 
@@ -70,18 +47,14 @@ TrainingProfile::context(const WeightedGraph *wcg_override,
                          const WeightedGraph *select_override,
                          const WeightedGraph *place_override) const
 {
-    PlacementContext ctx;
-    ctx.program = program;
-    ctx.cache = cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = wcg_override ? wcg_override : &wcg;
-    ctx.trg_select = select_override ? select_override : &trg_select;
-    ctx.trg_place = place_override ? place_override : &trg_place;
-    ctx.pairs = &pairs;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program->procCount(), 0.0);
-    for (std::size_t i = 0; i < program->procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+    PlacementContext ctx =
+        profileContext(*program, cache, chunks, *this, popular.mask);
+    if (wcg_override)
+        ctx.wcg = wcg_override;
+    if (select_override)
+        ctx.trg_select = select_override;
+    if (place_override)
+        ctx.trg_place = place_override;
     return ctx;
 }
 

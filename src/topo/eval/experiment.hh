@@ -20,8 +20,7 @@
 #include "topo/placement/placement.hh"
 #include "topo/placement/popularity.hh"
 #include "topo/profile/chunk_map.hh"
-#include "topo/profile/pair_database.hh"
-#include "topo/profile/trg_builder.hh"
+#include "topo/profile/trace_profile.hh"
 #include "topo/sampling/estimator.hh"
 #include "topo/sampling/sample_plan.hh"
 #include "topo/trace/fetch_stream.hh"
@@ -59,32 +58,24 @@ struct EvalOptions
 
 /**
  * Everything placement consumes that is derived from a training trace:
- * trace statistics, the popular set, the chunking, the WCG, both TRGs
- * and (optionally) the pair database. Every algorithm gets the same
- * profile, built the same way, which is what makes Section 5's
- * comparison fair. Hand out contexts with context().
+ * its TraceProfile (statistics, WCG, both TRGs, the optional pair
+ * database), plus the popular set and the chunking. Every algorithm
+ * gets the same profile, built the same way, which is what makes
+ * Section 5's comparison fair. Hand out contexts with context().
  */
-struct TrainingProfile
+struct TrainingProfile : TraceProfile
 {
     /** The profiled program; must outlive the profile. */
     const Program *program = nullptr;
     CacheConfig cache{};
-    TraceStats stats{};
     PopularSet popular{};
     ChunkMap chunks;
-    WeightedGraph wcg{};
-    WeightedGraph trg_select{};
-    WeightedGraph trg_place{};
-    /** Section 6 pair database; empty unless EvalOptions::build_pairs. */
-    PairDatabase pairs{};
-    /** Average procedures resident in Q during TRG build (Table 1). */
-    double avg_queue_procs = 0.0;
 
     /**
-     * Assemble a placement context over this profile: heat is the
-     * training bytes fetched per procedure. Optional overrides replace
-     * the stored graphs (used by the perturbation experiments);
-     * pointers must outlive the returned context's use.
+     * Assemble a placement context over this profile (profileContext).
+     * Optional overrides replace the stored graphs (used by the
+     * perturbation experiments); pointers must outlive the returned
+     * context's use.
      */
     PlacementContext context(const WeightedGraph *wcg_override = nullptr,
                              const WeightedGraph *select_override = nullptr,
@@ -93,9 +84,11 @@ struct TrainingProfile
 };
 
 /**
- * Build the profile of @p train under @p options: exact walks, or
- * weighted estimates over a sample plan of @p train when
- * options.sampling is active.
+ * Build the profile of @p train under @p options (buildTraceProfile):
+ * exact walks, or weighted estimates over a sample plan of @p train
+ * when options.sampling is active. The TRGs and the pair database see
+ * only the popular procedures, and pairs below options.pair_prune are
+ * pruned.
  */
 TrainingProfile buildProfile(const Program &program, const Trace &train,
                              const EvalOptions &options);

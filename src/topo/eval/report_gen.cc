@@ -306,24 +306,16 @@ reportToJson(const ComparisonReport &report)
     root.set("title", JsonValue::string(report.title));
     root.set("program", JsonValue::string(report.program));
     root.set("cache", JsonValue::string(report.cache));
-    root.set("stream_blocks",
-             JsonValue::number(
-                 static_cast<double>(report.stream_blocks)));
-    root.set("timeline_window",
-             JsonValue::number(
-                 static_cast<double>(report.timeline_window)));
+    root.set("stream_blocks", JsonValue::count(report.stream_blocks));
+    root.set("timeline_window", JsonValue::count(report.timeline_window));
 
     JsonValue layouts = JsonValue::array();
     for (const LayoutReport &entry : report.layouts) {
         JsonValue row = JsonValue::object();
         row.set("label", JsonValue::string(entry.label));
-        row.set("accesses", JsonValue::number(
-                                static_cast<double>(entry.accesses)));
-        row.set("misses", JsonValue::number(
-                              static_cast<double>(entry.misses)));
-        row.set("evictions",
-                JsonValue::number(
-                    static_cast<double>(entry.evictions)));
+        row.set("accesses", JsonValue::count(entry.accesses));
+        row.set("misses", JsonValue::count(entry.misses));
+        row.set("evictions", JsonValue::count(entry.evictions));
         row.set("miss_rate", JsonValue::number(entry.miss_rate));
 
         JsonValue pairs = JsonValue::array();
@@ -331,39 +323,27 @@ reportToJson(const ComparisonReport &report)
             JsonValue cell = JsonValue::object();
             cell.set("evictor", JsonValue::string(pair.evictor));
             cell.set("victim", JsonValue::string(pair.victim));
-            cell.set("count", JsonValue::number(
-                                  static_cast<double>(pair.count)));
+            cell.set("count", JsonValue::count(pair.count));
             pairs.push(std::move(cell));
         }
         row.set("top_pairs", std::move(pairs));
-        row.set("tracked_pairs",
-                JsonValue::number(
-                    static_cast<double>(entry.tracked_pairs)));
-        row.set("dropped_pairs",
-                JsonValue::number(
-                    static_cast<double>(entry.dropped_pairs)));
+        row.set("tracked_pairs", JsonValue::count(entry.tracked_pairs));
+        row.set("dropped_pairs", JsonValue::count(entry.dropped_pairs));
 
         JsonValue sets = JsonValue::array();
         for (const std::uint64_t misses : entry.set_misses)
-            sets.push(JsonValue::number(static_cast<double>(misses)));
+            sets.push(JsonValue::count(misses));
         row.set("set_misses", std::move(sets));
 
         const bool has_taxonomy = !entry.reuse_hist.empty();
         if (has_taxonomy) {
             JsonValue taxonomy = JsonValue::object();
-            taxonomy.set("compulsory",
-                         JsonValue::number(
-                             static_cast<double>(entry.compulsory)));
-            taxonomy.set("capacity",
-                         JsonValue::number(
-                             static_cast<double>(entry.capacity)));
-            taxonomy.set("conflict",
-                         JsonValue::number(
-                             static_cast<double>(entry.conflict)));
+            taxonomy.set("compulsory", JsonValue::count(entry.compulsory));
+            taxonomy.set("capacity", JsonValue::count(entry.capacity));
+            taxonomy.set("conflict", JsonValue::count(entry.conflict));
             JsonValue hist = JsonValue::array();
             for (const std::uint64_t count : entry.reuse_hist)
-                hist.push(
-                    JsonValue::number(static_cast<double>(count)));
+                hist.push(JsonValue::count(count));
             taxonomy.set("reuse_hist", std::move(hist));
             row.set("taxonomy", std::move(taxonomy));
         }
@@ -371,43 +351,26 @@ reportToJson(const ComparisonReport &report)
         JsonValue timeline = JsonValue::array();
         for (const TimelineSample &sample : entry.timeline) {
             JsonValue cell = JsonValue::object();
-            cell.set("start", JsonValue::number(
-                                  static_cast<double>(sample.start)));
-            cell.set("accesses",
-                     JsonValue::number(
-                         static_cast<double>(sample.accesses)));
-            cell.set("misses",
-                     JsonValue::number(
-                         static_cast<double>(sample.misses)));
+            cell.set("start", JsonValue::count(sample.start));
+            cell.set("accesses", JsonValue::count(sample.accesses));
+            cell.set("misses", JsonValue::count(sample.misses));
             cell.set("miss_rate", JsonValue::number(sample.missRate()));
             cell.set("working_set_procs",
-                     JsonValue::number(static_cast<double>(
-                         sample.distinct_procs)));
+                     JsonValue::count(sample.distinct_procs));
             if (has_taxonomy) {
-                cell.set("compulsory",
-                         JsonValue::number(static_cast<double>(
-                             sample.compulsory)));
-                cell.set("capacity",
-                         JsonValue::number(
-                             static_cast<double>(sample.capacity)));
-                cell.set("conflict",
-                         JsonValue::number(
-                             static_cast<double>(sample.conflict)));
+                cell.set("compulsory", JsonValue::count(sample.compulsory));
+                cell.set("capacity", JsonValue::count(sample.capacity));
+                cell.set("conflict", JsonValue::count(sample.conflict));
                 JsonValue hist = JsonValue::array();
                 for (const std::uint32_t count : sample.reuse_hist)
-                    hist.push(
-                        JsonValue::number(static_cast<double>(count)));
+                    hist.push(JsonValue::count(count));
                 cell.set("reuse_hist", std::move(hist));
             }
             timeline.push(std::move(cell));
         }
         row.set("timeline", std::move(timeline));
-        row.set("windows_better",
-                JsonValue::number(
-                    static_cast<double>(entry.windows_better)));
-        row.set("windows_worse",
-                JsonValue::number(
-                    static_cast<double>(entry.windows_worse)));
+        row.set("windows_better", JsonValue::count(entry.windows_better));
+        row.set("windows_worse", JsonValue::count(entry.windows_worse));
         row.set("max_window_delta",
                 JsonValue::number(entry.max_window_delta));
         layouts.push(std::move(row));
@@ -849,6 +812,63 @@ checkMetricsDoc(const JsonValue &doc, const std::string &where)
         asCount(value, where + ".counters." + name);
 }
 
+/**
+ * A topo_profile --json-out document. A key has one type at every
+ * level: strings and booleans by name, drift a number or "inf", and
+ * every other leaf a count.
+ */
+void
+checkStoreDoc(const JsonValue &doc, const std::string &where)
+{
+    checkKeys(doc,
+              {"topo_store", "command", "ingested", "sampling",
+               "algorithm", "drift", "threshold", "replaced", "store",
+               "decisions", "diff"},
+              where);
+    checkRequired(doc, {"topo_store", "command", "store"}, where);
+    const JsonValue &store = doc.at("store");
+    const std::initializer_list<const char *> store_keys = {
+        "dir", "generation", "applied_seq", "shards", "total_runs",
+        "total_bytes", "layout_algorithm", "drift", "open"};
+    checkKeys(store, store_keys, where + ".store");
+    checkRequired(store, store_keys, where + ".store");
+    const std::initializer_list<const char *> open_keys = {
+        "snapshot_generation", "salvaged", "replayed_records",
+        "dropped_bytes", "dropped_records"};
+    checkKeys(store.at("open"), open_keys, where + ".open");
+    checkRequired(store.at("open"), open_keys, where + ".open");
+    std::vector<const JsonValue *> objects = {&doc, &store,
+                                              &store.at("open")};
+    if (const JsonValue *decisions = doc.find("decisions")) {
+        checkKeys(*decisions, {"kept", "dropped", "coverage"}, where);
+        objects.push_back(decisions);
+    }
+    for (const JsonValue *object : objects) {
+        for (const auto &[key, value] : object->members()) {
+            const JsonValue::Kind kind = value.kind();
+            if (key == "command" || key == "sampling" || key == "dir" ||
+                key == "algorithm" || key == "layout_algorithm")
+                requireData(kind == JsonValue::Kind::kString,
+                            key + " must be a string", where);
+            else if (key == "salvaged" || key == "replaced")
+                requireData(kind == JsonValue::Kind::kBool,
+                            key + " must be a boolean", where);
+            else if (key == "drift" && kind == JsonValue::Kind::kString)
+                requireData(value.asString() == "inf",
+                            "drift must be a number or \"inf\"", where);
+            else if (key != "store" && key != "open" &&
+                     key != "decisions" && key != "diff")
+                asCount(value, where + "." + key);
+        }
+    }
+    // Every shard and every accepted placement is one journal record.
+    requireData(asCount(store.at("shards"), where) <=
+                    asCount(store.at("applied_seq"), where),
+                "more shards than applied journal records", where);
+    if (const JsonValue *diff = doc.find("diff"))
+        checkDiffDoc(*diff, where + ".diff");
+}
+
 } // namespace
 
 std::string
@@ -888,9 +908,14 @@ validateArtifactJson(const JsonValue &doc)
         checkDiffDoc(doc, "$");
         return "topo_diff";
     }
+    if (doc.find("topo_store") != nullptr) {
+        checkStoreDoc(doc, "$");
+        return "topo_store";
+    }
     failCorrupt("unrecognized artifact document (expected a "
                 "topo_report, topo_report_suite, topo_bench, "
-                "topo_metrics, topo_decisions, or topo_diff marker)",
+                "topo_metrics, topo_decisions, topo_diff, or topo_store "
+                "marker)",
                 "validateArtifactJson");
 }
 

@@ -29,7 +29,7 @@ computeTable1Row(const BenchmarkCase &bench, const ProfileBundle &bundle)
     const PlacementContext ctx = bundle.makeContext();
     row.default_miss_rate =
         bundle.testMissRate(default_placement.place(ctx));
-    row.avg_queue_size = bundle.profile().avg_queue_procs;
+    row.avg_queue_size = bundle.profile().avgQueueProcs();
     return row;
 }
 
@@ -106,6 +106,19 @@ evalOptionsFrom(const Options &opts)
     eval.q_budget_factor = opts.getDouble("q-factor", 2.0);
     eval.popularity.coverage = opts.getDouble("coverage", 0.999);
     eval.cache.validate();
+    // The Q budget, q-factor x cache size, becomes a byte count (the
+    // comparisons also reject a NaN factor).
+    const double budget = eval.q_budget_factor * eval.cache.size_bytes;
+    require(budget >= 1.0 && budget < 0x1p64,
+            "--q-factor must make q-factor x cache size at least 1 byte "
+            "and below 2^64 bytes (got " +
+                opts.getString("q-factor", "2") +
+                "; the paper uses --q-factor=2)");
+    require(eval.popularity.coverage > 0.0 &&
+                eval.popularity.coverage <= 1.0,
+            "--coverage must be in (0, 1] (got " +
+                opts.getString("coverage", "0.999") +
+                "; the default is --coverage=0.999)");
     return eval;
 }
 

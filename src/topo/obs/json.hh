@@ -13,6 +13,7 @@
 #define TOPO_OBS_JSON_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -42,6 +43,12 @@ class JsonValue
     static JsonValue boolean(bool value);
     /** Construct a numeric value. */
     static JsonValue number(double value);
+    /** Construct a numeric value from a count. */
+    static JsonValue
+    count(std::uint64_t value)
+    {
+        return number(static_cast<double>(value));
+    }
     /** Construct a string value. */
     static JsonValue string(std::string value);
     /** Construct an empty array. */

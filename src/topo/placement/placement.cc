@@ -82,4 +82,24 @@ procsByHeat(const PlacementContext &ctx)
     return order;
 }
 
+PlacementContext
+profileContext(const Program &program, const CacheConfig &cache,
+               const ChunkMap &chunks, const TraceProfile &profile,
+               std::vector<bool> popular)
+{
+    PlacementContext ctx;
+    ctx.program = &program;
+    ctx.cache = cache;
+    ctx.chunks = &chunks;
+    ctx.wcg = &profile.wcg;
+    ctx.trg_select = &profile.trg_select;
+    ctx.trg_place = &profile.trg_place;
+    ctx.pairs = &profile.pairs;
+    ctx.popular = std::move(popular);
+    ctx.heat.assign(program.procCount(), 0.0);
+    for (std::size_t i = 0; i < program.procCount(); ++i)
+        ctx.heat[i] = static_cast<double>(profile.stats.bytes_fetched[i]);
+    return ctx;
+}
+
 } // namespace topo

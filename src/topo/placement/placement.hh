@@ -18,6 +18,7 @@
 #include "topo/cache/cache_config.hh"
 #include "topo/profile/chunk_map.hh"
 #include "topo/profile/pair_database.hh"
+#include "topo/profile/trace_profile.hh"
 #include "topo/profile/weighted_graph.hh"
 #include "topo/program/layout.hh"
 #include "topo/program/program.hh"
@@ -113,6 +114,16 @@ class RandomPlacement : public PlacementAlgorithm
  * by several algorithms for placing leftover procedures.
  */
 std::vector<ProcId> procsByHeat(const PlacementContext &ctx);
+
+/**
+ * The one assembly of a context from a profile: its graphs and pairs,
+ * @p popular as the mask, heat = bytes fetched per procedure.
+ */
+PlacementContext profileContext(const Program &program,
+                                const CacheConfig &cache,
+                                const ChunkMap &chunks,
+                                const TraceProfile &profile,
+                                std::vector<bool> popular);
 
 } // namespace topo
 

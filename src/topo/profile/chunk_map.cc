@@ -51,13 +51,6 @@ ChunkMap::procOf(ChunkId chunk) const
 }
 
 std::uint32_t
-ChunkMap::indexOf(ChunkId chunk) const
-{
-    const ProcId proc = procOf(chunk);
-    return chunk - first_chunk_[proc];
-}
-
-std::uint32_t
 ChunkMap::chunkSizeBytes(ChunkId chunk) const
 {
     require(chunk < chunk_size_.size(),

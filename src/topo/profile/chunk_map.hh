@@ -55,9 +55,6 @@ class ChunkMap
     /** Procedure owning a chunk. */
     ProcId procOf(ChunkId chunk) const;
 
-    /** Index of a chunk within its procedure. */
-    std::uint32_t indexOf(ChunkId chunk) const;
-
     /**
      * Byte size of a chunk: chunk_bytes except possibly for the last
      * chunk of a procedure.

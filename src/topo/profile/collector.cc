@@ -9,8 +9,7 @@ ProfileCollector::ProfileCollector(const Program &program,
                                    const CollectorOptions &options)
     : program_(program),
       options_(options),
-      chunks_(std::make_unique<ChunkMap>(program, options.chunk_bytes)),
-      wcg_(0)
+      chunks_(std::make_unique<ChunkMap>(program, options.chunk_bytes))
 {
     TrgBuildOptions trg_options;
     trg_options.byte_budget = options.byte_budget;
@@ -27,11 +26,12 @@ ProfileCollector::~ProfileCollector() = default;
 void
 ProfileCollector::resetSession()
 {
-    stats_ = TraceStats{};
-    stats_.run_count.assign(program_.procCount(), 0);
-    stats_.bytes_fetched.assign(program_.procCount(), 0);
+    session_ = TraceProfile{};
+    session_.stats.run_count.assign(program_.procCount(), 0);
+    session_.stats.bytes_fetched.assign(program_.procCount(), 0);
+    session_.wcg =
+        WeightedGraph(options_.build_wcg ? program_.procCount() : 0);
     last_proc_ = kInvalidProc;
-    wcg_ = WeightedGraph(options_.build_wcg ? program_.procCount() : 0);
 }
 
 void
@@ -46,17 +46,18 @@ ProfileCollector::onRun(ProcId proc, std::uint32_t offset,
             "ProfileCollector: run exceeds procedure bounds");
 
     // Statistics (always full-program).
-    if (stats_.run_count[proc] == 0)
-        ++stats_.procs_touched;
-    ++stats_.run_count[proc];
-    stats_.bytes_fetched[proc] += length;
-    ++stats_.total_runs;
-    stats_.total_bytes += length;
+    TraceStats &stats = session_.stats;
+    if (stats.run_count[proc] == 0)
+        ++stats.procs_touched;
+    ++stats.run_count[proc];
+    stats.bytes_fetched[proc] += length;
+    ++stats.total_runs;
+    stats.total_bytes += length;
 
     // WCG: one transition per change of procedure.
     if (options_.build_wcg && last_proc_ != kInvalidProc &&
         last_proc_ != proc) {
-        wcg_.addWeight(last_proc_, proc, 1.0);
+        session_.wcg.addWeight(last_proc_, proc, 1.0);
     }
     last_proc_ = proc;
 
@@ -81,17 +82,11 @@ ProfileCollector::onTrace(const Trace &trace)
         onRun(ev.proc, ev.offset, ev.length);
 }
 
-CollectedProfile
+TraceProfile
 ProfileCollector::take()
 {
-    CollectedProfile profile;
-    TrgBuildResult trgs = trgs_->take();
-    profile.trg_select = std::move(trgs.select);
-    profile.trg_place = std::move(trgs.place);
-    profile.avg_queue_procs = trgs.avg_queue_procs;
-    profile.proc_steps = trgs.proc_steps;
-    profile.wcg = std::move(wcg_);
-    profile.stats = std::move(stats_);
+    session_.setTrgs(trgs_->take());
+    TraceProfile profile = std::move(session_);
     resetSession();
     return profile;
 }

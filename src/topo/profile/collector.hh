@@ -16,9 +16,8 @@
 
 #include <memory>
 
+#include "topo/profile/trace_profile.hh"
 #include "topo/profile/trg_accumulator.hh"
-#include "topo/profile/wcg_builder.hh"
-#include "topo/trace/trace_stats.hh"
 
 namespace topo
 {
@@ -42,17 +41,6 @@ struct CollectorOptions
      * usually *derived* from them).
      */
     const std::vector<bool> *popular = nullptr;
-};
-
-/** Everything a collection session produces. */
-struct CollectedProfile
-{
-    WeightedGraph wcg;
-    WeightedGraph trg_select;
-    WeightedGraph trg_place;
-    TraceStats stats;
-    double avg_queue_procs = 0.0;
-    std::uint64_t proc_steps = 0;
 };
 
 /**
@@ -85,22 +73,22 @@ class ProfileCollector
     const ChunkMap &chunks() const { return *chunks_; }
 
     /** Runs recorded so far. */
-    std::uint64_t runCount() const { return stats_.total_runs; }
+    std::uint64_t runCount() const { return session_.stats.total_runs; }
 
     /**
-     * End the session and surrender the profile. The collector resets
-     * and can record a fresh session afterwards.
+     * End the session and surrender the profile (no pair database).
+     * The collector resets and can record a fresh session afterwards.
      */
-    CollectedProfile take();
+    TraceProfile take();
 
   private:
     const Program &program_;
     CollectorOptions options_;
     std::unique_ptr<ChunkMap> chunks_;
     std::unique_ptr<TrgAccumulator> trgs_;
-    TraceStats stats_;
+    /** The session's statistics and WCG; the TRGs live in trgs_. */
+    TraceProfile session_;
     ProcId last_proc_ = kInvalidProc;
-    WeightedGraph wcg_;
 
     void resetSession();
 };

@@ -65,9 +65,6 @@ class TemporalQueue
     /** Sum of resident block sizes in bytes. */
     std::uint64_t residentBytes() const { return resident_bytes_; }
 
-    /** Byte budget governing eviction. */
-    std::uint64_t byteBudget() const { return byte_budget_; }
-
     /**
      * Budget-driven removals since construction or clear(). Repeat
      * references consuming their older entry do not count; this is

@@ -147,9 +147,6 @@ class TrgAccumulator
     /** Feed every run of a stored trace. */
     void onTrace(const Trace &trace);
 
-    /** Number of procedure-granularity steps processed so far. */
-    std::uint64_t procSteps() const { return result_.proc_steps; }
-
     /** Procedure queue contents, oldest first. */
     std::vector<BlockId> procQueue() const { return proc_q_.contents(); }
     /** Chunk queue contents, oldest first. */

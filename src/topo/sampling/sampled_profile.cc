@@ -105,4 +105,37 @@ buildSampledProfile(const Program &program, const ChunkMap &chunks,
     return result;
 }
 
+TraceProfile
+buildTraceProfile(const Program &program, const ChunkMap &chunks,
+                  const Trace &trace, TraceStats stats,
+                  const TrgBuildOptions &trg, const PairBuildOptions *pairs,
+                  const SamplingOptions &sampling, std::uint32_t line_bytes)
+{
+    TraceProfile profile;
+    profile.stats = std::move(stats);
+    if (sampling.active()) {
+        require(pairs == nullptr,
+                "the pair database has no sampled build; drop "
+                "--build-pairs or --sample");
+        const SamplePlan plan =
+            buildSamplePlan(program, trace, line_bytes, sampling);
+        SampledProfileResult sampled =
+            buildSampledProfile(program, chunks, trace, plan, trg);
+        profile.wcg = std::move(sampled.wcg);
+        profile.trg_select = std::move(sampled.trg_select);
+        profile.trg_place = std::move(sampled.trg_place);
+        profile.queue_procs_sum = sampled.avg_queue_procs *
+                                  static_cast<double>(sampled.proc_steps);
+        profile.proc_steps = sampled.proc_steps;
+        profile.proc_evictions = sampled.proc_evictions;
+        profile.chunk_evictions = sampled.chunk_evictions;
+        return profile;
+    }
+    profile.wcg = buildWcg(program, trace);
+    profile.setTrgs(buildTrgs(program, chunks, trace, trg));
+    if (pairs != nullptr)
+        profile.pairs = buildPairDatabase(program, trace, *pairs);
+    return profile;
+}
+
 } // namespace topo

@@ -17,6 +17,9 @@
  * the result is bit-identical for any --jobs value. The degenerate
  * single-segment whole-trace plan (scale 1.0, no warm-up) reproduces
  * the exact profile bit-for-bit.
+ *
+ * buildTraceProfile is the one trace -> TraceProfile builder, exact or
+ * sampled: buildProfile and the profile store's shards both use it.
  */
 
 #ifndef TOPO_SAMPLING_SAMPLED_PROFILE_HH
@@ -25,8 +28,7 @@
 #include <cstdint>
 
 #include "topo/profile/chunk_map.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/weighted_graph.hh"
+#include "topo/profile/trace_profile.hh"
 #include "topo/sampling/sample_plan.hh"
 
 namespace topo
@@ -62,6 +64,20 @@ SampledProfileResult buildSampledProfile(const Program &program,
                                          const Trace &trace,
                                          const SamplePlan &plan,
                                          const TrgBuildOptions &options);
+
+/**
+ * Profile @p trace: the WCG and TRGs from exact walks, or weighted
+ * estimates over a sample plan (at @p line_bytes) when @p sampling is
+ * active; the pair database (exact only) when @p pairs is set. @p stats
+ * are computeTraceStats(trace), which the masks may derive from; null
+ * masks in @p trg and @p pairs profile every procedure.
+ */
+TraceProfile buildTraceProfile(const Program &program,
+                               const ChunkMap &chunks, const Trace &trace,
+                               TraceStats stats, const TrgBuildOptions &trg,
+                               const PairBuildOptions *pairs,
+                               const SamplingOptions &sampling,
+                               std::uint32_t line_bytes);
 
 } // namespace topo
 

@@ -15,10 +15,8 @@
 #include "topo/obs/phase_timer.hh"
 #include "topo/placement/decision_log.hh"
 #include "topo/placement/placement_table.hh"
+#include "topo/placement/popularity.hh"
 #include "topo/profile/chunk_map.hh"
-#include "topo/profile/pair_database.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/sampling/sampled_profile.hh"
 #include "topo/resilience/checkpoint.hh"
 #include "topo/resilience/crc32.hh"
@@ -107,15 +105,6 @@ parseSnapshot(const std::string &path, std::uint64_t store_id)
     return image;
 }
 
-Layout
-layoutFromAddresses(const std::vector<std::uint64_t> &addresses)
-{
-    Layout layout(addresses.size());
-    for (std::size_t i = 0; i < addresses.size(); ++i)
-        layout.setAddress(static_cast<ProcId>(i), addresses[i]);
-    return layout;
-}
-
 std::vector<std::uint64_t>
 addressesFromLayout(const Layout &layout)
 {
@@ -127,13 +116,22 @@ addressesFromLayout(const Layout &layout)
 
 } // namespace
 
+Layout
+layoutFromAddresses(const std::vector<std::uint64_t> &addresses)
+{
+    Layout layout(addresses.size());
+    for (std::size_t i = 0; i < addresses.size(); ++i)
+        layout.setAddress(static_cast<ProcId>(i), addresses[i]);
+    return layout;
+}
+
 StoredProfile
 emptyProfile(const StoreConfig &config)
 {
     StoredProfile profile;
     const std::size_t procs = config.program.procCount();
-    profile.run_count.assign(procs, 0);
-    profile.bytes_fetched.assign(procs, 0);
+    profile.stats.run_count.assign(procs, 0);
+    profile.stats.bytes_fetched.assign(procs, 0);
     profile.wcg = WeightedGraph(procs);
     profile.trg_select = WeightedGraph(procs);
     profile.trg_place = WeightedGraph(
@@ -144,105 +142,30 @@ emptyProfile(const StoreConfig &config)
 
 ShardDelta
 buildShardDelta(const StoreConfig &config, const std::string &label,
-                const Trace &trace)
-{
-    return buildShardDelta(config, label, trace, SamplingOptions{});
-}
-
-ShardDelta
-buildShardDelta(const StoreConfig &config, const std::string &label,
                 const Trace &trace, const SamplingOptions &sampling)
 {
     require(trace.procCount() == config.program.procCount(),
             "shard trace and store program disagree on the procedure "
             "count");
     trace.validate(config.program);
-
-    ShardDelta delta;
-    delta.info.label = label;
-    delta.info.events = trace.size();
-
-    const TraceStats stats = computeTraceStats(config.program, trace);
-    delta.run_count = stats.run_count;
-    delta.bytes_fetched = stats.bytes_fetched;
-    delta.total_runs = stats.total_runs;
-    delta.total_bytes = stats.total_bytes;
-
     const ChunkMap chunks(config.program, config.chunk_bytes);
-    TrgBuildOptions topts;
-    topts.byte_budget = config.byte_budget;
-    // No popularity mask: the popular set depends on all shards and
-    // is therefore applied at placement time, not at ingest time.
-    if (sampling.active()) {
-        require(!config.build_pairs,
-                "sampled ingest: the pair database has no sampled "
-                "build; drop pairs or sampling");
-        const SamplePlan plan = buildSamplePlan(
-            config.program, trace, config.cache.line_bytes, sampling);
-        const SampledProfileResult profile = buildSampledProfile(
-            config.program, chunks, trace, plan, topts);
-        delta.wcg = profile.wcg;
-        delta.trg_select = profile.trg_select;
-        delta.trg_place = profile.trg_place;
-        delta.queue_procs_sum =
-            profile.avg_queue_procs *
-            static_cast<double>(profile.proc_steps);
-        delta.proc_steps = profile.proc_steps;
-        delta.proc_evictions = profile.proc_evictions;
-        delta.chunk_evictions = profile.chunk_evictions;
-        return delta;
-    }
-
-    delta.wcg = buildWcg(config.program, trace);
-    const TrgBuildResult trgs =
-        buildTrgs(config.program, chunks, trace, topts);
-    delta.trg_select = trgs.select;
-    delta.trg_place = trgs.place;
-    delta.queue_procs_sum =
-        trgs.avg_queue_procs * static_cast<double>(trgs.proc_steps);
-    delta.proc_steps = trgs.proc_steps;
-    delta.proc_evictions = trgs.proc_evictions;
-    delta.chunk_evictions = trgs.chunk_evictions;
-
-    if (config.build_pairs) {
-        PairBuildOptions popts;
-        popts.byte_budget = config.byte_budget;
-        popts.pair_window = config.pair_window;
-        delta.pairs =
-            buildPairDatabase(config.program, trace, popts);
-    }
-    return delta;
+    TrgBuildOptions trg_options;
+    trg_options.byte_budget = config.byte_budget;
+    const PairBuildOptions pair_options{config.byte_budget,
+                                        config.pair_window, nullptr};
+    return ShardDelta{
+        buildTraceProfile(config.program, chunks, trace,
+                          computeTraceStats(config.program, trace),
+                          trg_options,
+                          config.build_pairs ? &pair_options : nullptr,
+                          sampling, config.cache.line_bytes),
+        ShardInfo{label, trace.size(), 0}};
 }
 
 void
 applyShardDelta(StoredProfile &profile, const ShardDelta &delta)
 {
-    if (profile.run_count.empty() && !delta.run_count.empty()) {
-        profile.run_count.assign(delta.run_count.size(), 0);
-        profile.bytes_fetched.assign(delta.bytes_fetched.size(), 0);
-        profile.wcg = WeightedGraph(delta.wcg.nodeCount());
-        profile.trg_select = WeightedGraph(
-            delta.trg_select.nodeCount());
-        profile.trg_place = WeightedGraph(delta.trg_place.nodeCount());
-        profile.baseline_select =
-            WeightedGraph(delta.trg_select.nodeCount());
-    }
-    require(profile.run_count.size() == delta.run_count.size(),
-            "shard delta and profile disagree on the procedure count");
-    for (std::size_t i = 0; i < delta.run_count.size(); ++i) {
-        profile.run_count[i] += delta.run_count[i];
-        profile.bytes_fetched[i] += delta.bytes_fetched[i];
-    }
-    profile.total_runs += delta.total_runs;
-    profile.total_bytes += delta.total_bytes;
-    profile.wcg.addGraph(delta.wcg);
-    profile.trg_select.addGraph(delta.trg_select);
-    profile.trg_place.addGraph(delta.trg_place);
-    profile.pairs.merge(delta.pairs);
-    profile.queue_procs_sum += delta.queue_procs_sum;
-    profile.proc_steps += delta.proc_steps;
-    profile.proc_evictions += delta.proc_evictions;
-    profile.chunk_evictions += delta.chunk_evictions;
+    profile.merge(delta);
     profile.shards.push_back(delta.info);
 }
 
@@ -286,39 +209,19 @@ StorePlaceResult
 placeProfile(const StoreConfig &config, const StoredProfile &profile,
              const std::string &algorithm, DecisionLog *decisions)
 {
-    TraceStats stats;
-    stats.run_count = profile.run_count;
-    stats.bytes_fetched = profile.bytes_fetched;
-    stats.total_runs = profile.total_runs;
-    stats.total_bytes = profile.total_bytes;
-    for (std::uint64_t runs : profile.run_count)
-        stats.procs_touched += runs > 0 ? 1 : 0;
-
     PopularityOptions popts;
     popts.coverage = config.coverage;
-    StorePlaceResult result;
-    result.popular = selectPopular(config.program, stats, popts);
-
     const ChunkMap chunks(config.program, config.chunk_bytes);
-    PlacementContext ctx;
-    ctx.program = &config.program;
-    ctx.cache = config.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &profile.wcg;
-    ctx.trg_select = &profile.trg_select;
-    ctx.trg_place = &profile.trg_place;
-    if (config.build_pairs)
-        ctx.pairs = &profile.pairs;
-    ctx.popular = result.popular.mask;
-    ctx.heat.assign(config.program.procCount(), 0.0);
-    for (std::size_t i = 0; i < config.program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(profile.bytes_fetched[i]);
+    PlacementContext ctx = profileContext(
+        config.program, config.cache, chunks, profile,
+        selectPopular(config.program, profile.stats, popts).mask);
     if (decisions) {
         decisions->setAlgorithm(algorithm);
         decisions->setCache(config.cache);
         ctx.decisions = decisions;
     }
 
+    StorePlaceResult result;
     result.layout = placementEntry(algorithm).algorithm.place(ctx);
     result.layout.validate(config.program, config.cache.line_bytes);
     result.algorithm = algorithm;
@@ -539,12 +442,6 @@ ProfileStore::ingest(const ShardDelta &delta)
             {{"label", numbered.info.label},
              {"seq", numbered.info.seq},
              {"events", numbered.info.events}});
-}
-
-void
-ProfileStore::ingestTrace(const std::string &label, const Trace &trace)
-{
-    ingest(buildShardDelta(config_, label, trace));
 }
 
 double

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <string>
 
-#include "topo/placement/popularity.hh"
 #include "topo/program/layout.hh"
 #include "topo/sampling/sample_plan.hh"
 #include "topo/store/store_codec.hh"
@@ -75,37 +74,28 @@ struct StorePlaceResult
     Layout layout;
     /** Algorithm of the current layout. */
     std::string algorithm;
-    /** Popularity mask used (meaningful when placed). */
-    PopularSet popular;
 };
+
+/** The layout of stored addresses (empty when never placed). */
+Layout layoutFromAddresses(const std::vector<std::uint64_t> &addresses);
 
 /** An empty profile sized for @p config (all-zero statistics). */
 StoredProfile emptyProfile(const StoreConfig &config);
 
 /**
- * Profile one trace into a mergeable delta. The TRGs are accumulated
- * UNMASKED (no popularity restriction): the popular set depends on
- * every shard merged so far, so it is applied at placement time from
- * the merged statistics instead — the one semantic difference from
- * the single-shot topo_place pipeline.
- */
-ShardDelta buildShardDelta(const StoreConfig &config,
-                           const std::string &label, const Trace &trace);
-
-/**
- * Sampled variant: with an active @p sampling, the WCG and TRGs are
- * weighted estimates over the trace's representative segments
- * (buildSampledProfile) — the per-procedure statistics stay exact
- * (computeTraceStats is a cheap linear pass). Ingesting a sampled
- * delta is indistinguishable from ingesting an exact one; only the
- * edge weights carry estimation error. Falls through to the exact
- * build when sampling is off.
+ * Profile one trace into a mergeable delta with buildTraceProfile (as
+ * buildProfile does) and a null popularity mask: TRGs unmasked, pairs
+ * unpruned. The popular set depends on every shard merged so far, so
+ * placeProfile selects it from the merged statistics — the one
+ * semantic difference from the single-shot topo_place pipeline. With
+ * an active @p sampling the graphs are weighted estimates; the
+ * statistics stay exact.
  */
 ShardDelta buildShardDelta(const StoreConfig &config,
                            const std::string &label, const Trace &trace,
                            const SamplingOptions &sampling);
 
-/** Fold a delta into a profile (order-sensitive, bit-deterministic). */
+/** Fold a delta into a profile (TraceProfile::merge) and list it. */
 void applyShardDelta(StoredProfile &profile, const ShardDelta &delta);
 
 /**
@@ -156,8 +146,6 @@ class ProfileStore
     const StoreOpenStats &openStats() const { return open_stats_; }
     /** Store directory. */
     const std::string &dir() const { return dir_; }
-    /** Store identity (random-free hash of the initial config). */
-    std::uint64_t storeId() const { return store_id_; }
     /** Newest valid snapshot generation. */
     std::uint64_t generation() const { return generation_; }
     /** Sequence number of the last applied journal record. */
@@ -171,9 +159,6 @@ class ProfileStore
      * journal at worst carries a torn tail that the next open drops.
      */
     void ingest(const ShardDelta &delta);
-
-    /** Convenience: profile a trace and ingest it. */
-    void ingestTrace(const std::string &label, const Trace &trace);
 
     /**
      * Incremental re-placement. Computes the drift of the current

@@ -101,46 +101,62 @@ getU64Vec(Reader &in)
     return values;
 }
 
+/**
+ * The TraceProfile body shared by kShard records and snapshots. The
+ * statistics' procs_touched is derived, so it is recounted on read.
+ */
 void
-putShardBody(std::string &out, const ShardDelta &delta)
+putProfileBody(std::string &out, const TraceProfile &profile)
 {
-    putString(out, delta.info.label);
-    putU64(out, delta.info.events);
-    putU64(out, delta.info.seq);
-    putU64Vec(out, delta.run_count);
-    putU64Vec(out, delta.bytes_fetched);
-    putU64(out, delta.total_runs);
-    putU64(out, delta.total_bytes);
-    putGraph(out, delta.wcg);
-    putGraph(out, delta.trg_select);
-    putGraph(out, delta.trg_place);
-    putPairs(out, delta.pairs);
-    putF64(out, delta.queue_procs_sum);
-    putU64(out, delta.proc_steps);
-    putU64(out, delta.proc_evictions);
-    putU64(out, delta.chunk_evictions);
+    putU64Vec(out, profile.stats.run_count);
+    putU64Vec(out, profile.stats.bytes_fetched);
+    putU64(out, profile.stats.total_runs);
+    putU64(out, profile.stats.total_bytes);
+    putGraph(out, profile.wcg);
+    putGraph(out, profile.trg_select);
+    putGraph(out, profile.trg_place);
+    putPairs(out, profile.pairs);
+    putF64(out, profile.queue_procs_sum);
+    putU64(out, profile.proc_steps);
+    putU64(out, profile.proc_evictions);
+    putU64(out, profile.chunk_evictions);
 }
 
-ShardDelta
-getShardBody(Reader &in)
+void
+getProfileBody(Reader &in, TraceProfile &profile)
 {
-    ShardDelta delta;
-    delta.info.label = in.str();
-    delta.info.events = in.u64();
-    delta.info.seq = in.u64();
-    delta.run_count = getU64Vec(in);
-    delta.bytes_fetched = getU64Vec(in);
-    delta.total_runs = in.u64();
-    delta.total_bytes = in.u64();
-    delta.wcg = getGraph(in);
-    delta.trg_select = getGraph(in);
-    delta.trg_place = getGraph(in);
-    delta.pairs = getPairs(in);
-    delta.queue_procs_sum = in.f64();
-    delta.proc_steps = in.u64();
-    delta.proc_evictions = in.u64();
-    delta.chunk_evictions = in.u64();
-    return delta;
+    profile.stats.run_count = getU64Vec(in);
+    profile.stats.bytes_fetched = getU64Vec(in);
+    profile.stats.total_runs = in.u64();
+    profile.stats.total_bytes = in.u64();
+    for (std::uint64_t runs : profile.stats.run_count)
+        profile.stats.procs_touched += runs > 0 ? 1 : 0;
+    profile.wcg = getGraph(in);
+    profile.trg_select = getGraph(in);
+    profile.trg_place = getGraph(in);
+    profile.pairs = getPairs(in);
+    profile.queue_procs_sum = in.f64();
+    profile.proc_steps = in.u64();
+    profile.proc_evictions = in.u64();
+    profile.chunk_evictions = in.u64();
+}
+
+void
+putShardInfo(std::string &out, const ShardInfo &info)
+{
+    putString(out, info.label);
+    putU64(out, info.events);
+    putU64(out, info.seq);
+}
+
+ShardInfo
+getShardInfo(Reader &in)
+{
+    ShardInfo info;
+    info.label = in.str();
+    info.events = in.u64();
+    info.seq = in.u64();
+    return info;
 }
 
 } // namespace
@@ -209,23 +225,9 @@ serializeProfile(const StoredProfile &profile)
     std::string out;
     putU64(out, kProfileVersion);
     putU64(out, profile.shards.size());
-    for (const ShardInfo &shard : profile.shards) {
-        putString(out, shard.label);
-        putU64(out, shard.events);
-        putU64(out, shard.seq);
-    }
-    putU64Vec(out, profile.run_count);
-    putU64Vec(out, profile.bytes_fetched);
-    putU64(out, profile.total_runs);
-    putU64(out, profile.total_bytes);
-    putGraph(out, profile.wcg);
-    putGraph(out, profile.trg_select);
-    putGraph(out, profile.trg_place);
-    putPairs(out, profile.pairs);
-    putF64(out, profile.queue_procs_sum);
-    putU64(out, profile.proc_steps);
-    putU64(out, profile.proc_evictions);
-    putU64(out, profile.chunk_evictions);
+    for (const ShardInfo &shard : profile.shards)
+        putShardInfo(out, shard);
+    putProfileBody(out, profile);
     putGraph(out, profile.baseline_select);
     putU64Vec(out, profile.layout_addresses);
     putString(out, profile.layout_algorithm);
@@ -246,25 +248,9 @@ deserializeProfile(const std::string &payload,
     const std::uint64_t shards = in.u64();
     requireData(shards <= kMaxFieldLen, "shard count implausible", context);
     profile.shards.reserve(static_cast<std::size_t>(shards));
-    for (std::uint64_t i = 0; i < shards; ++i) {
-        ShardInfo shard;
-        shard.label = in.str();
-        shard.events = in.u64();
-        shard.seq = in.u64();
-        profile.shards.push_back(std::move(shard));
-    }
-    profile.run_count = getU64Vec(in);
-    profile.bytes_fetched = getU64Vec(in);
-    profile.total_runs = in.u64();
-    profile.total_bytes = in.u64();
-    profile.wcg = getGraph(in);
-    profile.trg_select = getGraph(in);
-    profile.trg_place = getGraph(in);
-    profile.pairs = getPairs(in);
-    profile.queue_procs_sum = in.f64();
-    profile.proc_steps = in.u64();
-    profile.proc_evictions = in.u64();
-    profile.chunk_evictions = in.u64();
+    for (std::uint64_t i = 0; i < shards; ++i)
+        profile.shards.push_back(getShardInfo(in));
+    getProfileBody(in, profile);
     profile.baseline_select = getGraph(in);
     profile.layout_addresses = getU64Vec(in);
     profile.layout_algorithm = in.str();
@@ -276,7 +262,8 @@ std::string
 serializeShardDelta(const ShardDelta &delta)
 {
     std::string out;
-    putShardBody(out, delta);
+    putShardInfo(out, delta.info);
+    putProfileBody(out, delta);
     return out;
 }
 
@@ -359,7 +346,8 @@ scanJournal(const std::string &bytes, const std::string &context)
             if (kind == static_cast<std::uint8_t>(
                             StoreRecordKind::kShard)) {
                 record.kind = StoreRecordKind::kShard;
-                record.shard = getShardBody(in);
+                record.shard.info = getShardInfo(in);
+                getProfileBody(in, record.shard);
             } else if (kind == static_cast<std::uint8_t>(
                                    StoreRecordKind::kPlace)) {
                 record.kind = StoreRecordKind::kPlace;

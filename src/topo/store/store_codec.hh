@@ -17,7 +17,9 @@
  *
  *   journal.tpj     "TOPJ" u32 version u64 store_id, then records:
  *                   u32 payload_len, u32 crc32(payload), payload
- *                   payload: u64 seq, u8 kind, body
+ *                   payload: u64 seq, u8 kind, body; a kShard body
+ *                   is a ShardInfo and the TraceProfile body that a
+ *                   snapshot writes after its shard list
  *
  * Every weight is serialized as the raw IEEE-754 bit pattern, so a
  * round trip is bit-exact and "reopened store == in-memory fold of
@@ -34,8 +36,7 @@
 #include <vector>
 
 #include "topo/cache/cache_config.hh"
-#include "topo/profile/pair_database.hh"
-#include "topo/profile/weighted_graph.hh"
+#include "topo/profile/trace_profile.hh"
 #include "topo/program/program.hh"
 #include "topo/resilience/framing.hh"
 
@@ -74,32 +75,13 @@ struct ShardInfo
 
 /**
  * The store's logical state: the standing profile every ingest merges
- * into, plus the last accepted placement and its TRG baseline (the
- * drift reference).
+ * into (the sum of the shards' TraceProfiles), plus the last accepted
+ * placement and its TRG baseline (the drift reference).
  */
-struct StoredProfile
+struct StoredProfile : TraceProfile
 {
     /** Shards folded in so far, in ingest order. */
     std::vector<ShardInfo> shards;
-
-    // Merged dynamic statistics (computeTraceStats shape).
-    std::vector<std::uint64_t> run_count;
-    std::vector<std::uint64_t> bytes_fetched;
-    std::uint64_t total_runs = 0;
-    std::uint64_t total_bytes = 0;
-
-    // Merged relationship graphs.
-    WeightedGraph wcg;
-    WeightedGraph trg_select;
-    WeightedGraph trg_place;
-    PairDatabase pairs;
-
-    // Queue-occupancy statistics (additive; avg = sum / steps).
-    double queue_procs_sum = 0.0;
-    std::uint64_t proc_steps = 0;
-    std::uint64_t proc_evictions = 0;
-    std::uint64_t chunk_evictions = 0;
-
     /** TRG_select at the last accepted placement (drift baseline). */
     WeightedGraph baseline_select;
     /** Last accepted layout addresses (empty = never placed). */
@@ -109,21 +91,9 @@ struct StoredProfile
 };
 
 /** One shard's contribution, the body of a kShard journal record. */
-struct ShardDelta
+struct ShardDelta : TraceProfile
 {
     ShardInfo info;
-    std::vector<std::uint64_t> run_count;
-    std::vector<std::uint64_t> bytes_fetched;
-    std::uint64_t total_runs = 0;
-    std::uint64_t total_bytes = 0;
-    WeightedGraph wcg;
-    WeightedGraph trg_select;
-    WeightedGraph trg_place;
-    PairDatabase pairs;
-    double queue_procs_sum = 0.0;
-    std::uint64_t proc_steps = 0;
-    std::uint64_t proc_evictions = 0;
-    std::uint64_t chunk_evictions = 0;
 };
 
 /** Journal record kinds. */

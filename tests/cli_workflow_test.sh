@@ -366,3 +366,35 @@ set -e
     echo "FAIL: topo_report --algorithms=ph,bogus exited $rc:"
     cat "$WORK/bogus.log"; exit 1; }
 
+
+# Out-of-range Q factors and coverages are usage errors (exit 1) where
+# they are parsed, never an undefined budget conversion or a store
+# that fails at every later place. topo_profile init takes no
+# replacement policy: the store never replays a cache, and its meta has
+# no field for one.
+for bad in "--q-factor=-1" "--q-factor=nan" "--q-factor=0" \
+    "--q-factor=1e30" "--coverage=0" "--coverage=2"; do
+    set +e
+    "$TOOLS_DIR/topo_place" --program="$WORK/m.prog" \
+        --trace="$WORK/m.trace" --out-layout="$WORK/bad.layout" \
+        "$bad" > /dev/null 2> "$WORK/bad.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: topo_place $bad exited $rc, want 1"; exit 1; }
+    grep -q "error: ${bad%%=*} must" "$WORK/bad.log" || {
+        echo "FAIL: topo_place $bad gave no actionable message"
+        cat "$WORK/bad.log"; exit 1; }
+done
+for bad in "--q-factor=-1" "--q-factor=1e30" "--coverage=2" \
+    "--policy=fifo" "--policy-seed=7"; do
+    set +e
+    "$TOOLS_DIR/topo_profile" init --store="$WORK/bad_store" \
+        --program="$WORK/m.prog" "$bad" > /dev/null 2> "$WORK/bad.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: topo_profile init $bad exited $rc, want 1"; exit 1; }
+    [ ! -e "$WORK/bad_store/store.meta" ] || {
+        echo "FAIL: topo_profile init $bad created a store"; exit 1; }
+done

@@ -115,7 +115,7 @@ TEST(ProfileCollector, MatchesBatchPipeline)
     ProfileCollector collector(s.model.program, opts);
     collector.onTrace(s.trace);
     EXPECT_EQ(collector.runCount(), s.trace.size());
-    const CollectedProfile profile = collector.take();
+    const TraceProfile profile = collector.take();
 
     const WeightedGraph wcg = buildWcg(s.model.program, s.trace);
     expectSameGraph(profile.wcg, wcg);
@@ -127,7 +127,7 @@ TEST(ProfileCollector, MatchesBatchPipeline)
         buildTrgs(s.model.program, chunks, s.trace, trg_opts);
     expectSameGraph(profile.trg_select, batch.select);
     expectSameGraph(profile.trg_place, batch.place);
-    EXPECT_DOUBLE_EQ(profile.avg_queue_procs, batch.avg_queue_procs);
+    EXPECT_DOUBLE_EQ(profile.avgQueueProcs(), batch.avg_queue_procs);
 
     const TraceStats stats = computeTraceStats(s.model.program, s.trace);
     EXPECT_EQ(profile.stats.total_runs, stats.total_runs);
@@ -146,7 +146,7 @@ TEST(ProfileCollector, OnProcedureIsWholeRun)
     opts.byte_budget = 4096;
     ProfileCollector collector(program, opts);
     collector.onProcedure(f);
-    const CollectedProfile profile = collector.take();
+    const TraceProfile profile = collector.take();
     EXPECT_EQ(profile.stats.bytes_fetched[f], 300u);
     EXPECT_EQ(profile.stats.total_runs, 1u);
 }
@@ -160,7 +160,7 @@ TEST(ProfileCollector, GraphSelectionFlags)
     opts.build_place = false;
     ProfileCollector collector(s.model.program, opts);
     collector.onTrace(s.trace);
-    const CollectedProfile profile = collector.take();
+    const TraceProfile profile = collector.take();
     EXPECT_EQ(profile.wcg.nodeCount(), 0u);
     EXPECT_EQ(profile.trg_place.nodeCount(), 0u);
     EXPECT_GT(profile.trg_select.edgeCount(), 0u);
@@ -175,7 +175,7 @@ TEST(ProfileCollector, PopularFilterOnlyAffectsTrgs)
     opts.popular = &nobody;
     ProfileCollector collector(s.model.program, opts);
     collector.onTrace(s.trace);
-    const CollectedProfile profile = collector.take();
+    const TraceProfile profile = collector.take();
     EXPECT_EQ(profile.trg_select.edgeCount(), 0u);
     EXPECT_GT(profile.wcg.edgeCount(), 0u);       // unfiltered
     EXPECT_GT(profile.stats.total_runs, 0u);      // unfiltered

@@ -66,6 +66,41 @@ class EvalFixture : public ::testing::Test
     ProfileBundle bundle_;
 };
 
+TEST_F(EvalFixture, MergedProfilesAddTheirCountsAndWeights)
+{
+    const TrainingProfile &train = bundle_.profile();
+    const TraceProfile test = buildProfile(bundle_.program(),
+                                           bundle_.testTrace(),
+                                           bundle_.options());
+    TraceProfile merged = train;
+    merged.merge(test);
+    std::size_t touched = 0;
+    for (std::size_t i = 0; i < merged.stats.run_count.size(); ++i) {
+        EXPECT_EQ(merged.stats.run_count[i],
+                  train.stats.run_count[i] + test.stats.run_count[i]);
+        EXPECT_EQ(merged.stats.bytes_fetched[i],
+                  train.stats.bytes_fetched[i] +
+                      test.stats.bytes_fetched[i]);
+        touched += merged.stats.run_count[i] > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(merged.stats.procs_touched, touched);
+    EXPECT_EQ(merged.stats.total_runs,
+              train.stats.total_runs + test.stats.total_runs);
+    // TRG weights are integer counts, so the sums are exact.
+    EXPECT_EQ(merged.trg_select.totalWeight(),
+              train.trg_select.totalWeight() +
+                  test.trg_select.totalWeight());
+    EXPECT_EQ(merged.wcg.totalWeight(),
+              train.wcg.totalWeight() + test.wcg.totalWeight());
+    EXPECT_EQ(merged.proc_steps, train.proc_steps + test.proc_steps);
+    EXPECT_EQ(merged.queue_procs_sum,
+              train.queue_procs_sum + test.queue_procs_sum);
+    // A profile of another program does not merge.
+    TraceProfile other;
+    other.stats.run_count.assign(3, 0);
+    EXPECT_THROW(merged.merge(other), TopoError);
+}
+
 TEST_F(EvalFixture, BundlePipelineConsistency)
 {
     EXPECT_EQ(bundle_.name(), "mini");
@@ -77,7 +112,7 @@ TEST_F(EvalFixture, BundlePipelineConsistency)
     EXPECT_GT(bundle_.wcg().edgeCount(), 0u);
     EXPECT_GT(bundle_.trgSelect().edgeCount(), 0u);
     EXPECT_GT(bundle_.trgPlace().edgeCount(), 0u);
-    EXPECT_GT(bundle_.profile().avg_queue_procs, 1.0);
+    EXPECT_GT(bundle_.profile().avgQueueProcs(), 1.0);
     // The TRG has at least the popular-popular interleavings the WCG
     // lacks: typically strictly more edges than popular WCG pairs.
     EXPECT_GT(bundle_.trgSelect().edgeCount(), 0u);

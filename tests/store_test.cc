@@ -20,6 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "topo/eval/experiment.hh"
+#include "topo/eval/report_gen.hh"
+#include "topo/obs/json.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/resilience/fault.hh"
 #include "topo/store/profile_store.hh"
@@ -76,8 +79,9 @@ microDeltas(const StoreConfig &config)
     std::vector<ShardDelta> deltas;
     std::size_t index = 0;
     for (const Trace &shard : splitTrace(micro.trace, 3)) {
-        deltas.push_back(buildShardDelta(
-            config, "shard" + std::to_string(index++), shard));
+        deltas.push_back(buildShardDelta(config,
+                                         "shard" + std::to_string(index++),
+                                         shard, SamplingOptions{}));
     }
     return deltas;
 }
@@ -512,6 +516,61 @@ TEST_F(StoreTest, JournalScanRejectsDamagedHeadersOnly)
 
     // A truncated header is corrupt input.
     EXPECT_THROW(scanJournal("TOPJ", "test"), TopoError);
+}
+
+TEST(ProfileBuild, SampledPairsFailWithOneTextOnEveryPath)
+{
+    const MicroCase micro = microCase("phase_flip");
+    SamplingOptions sampling;
+    sampling.mode = SampleMode::kSimpoint;
+    StoreConfig config = microConfig();
+    config.build_pairs = true;
+    EvalOptions eval;
+    eval.cache = micro.cache;
+    eval.build_pairs = true;
+    eval.sampling = sampling;
+    const auto message = [](const auto &build) -> std::string {
+        try {
+            build();
+        } catch (const TopoError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    const std::string store = message(
+        [&] { buildShardDelta(config, "s", micro.trace, sampling); });
+    EXPECT_NE(store.find("no sampled build"), std::string::npos) << store;
+    EXPECT_EQ(store, message([&] {
+                  buildProfile(micro.program, micro.trace, eval);
+              }));
+}
+
+TEST(StoreJson, ValidatorChecksKeysTypesAndTheShardCount)
+{
+    // A topo_profile status document, as the tool writes it.
+    const std::string status =
+        R"({"topo_store": 1, "command": "status", "store": {)"
+        R"("dir": "s", "generation": 1, "applied_seq": 3, "shards": 2,)"
+        R"( "total_runs": 10, "total_bytes": 80, "layout_algorithm":)"
+        R"( "gbsc", "drift": "inf", "open": {"snapshot_generation": 1,)"
+        R"( "salvaged": false, "replayed_records": 1, "dropped_bytes": 0,)"
+        R"( "dropped_records": 0}}})";
+    EXPECT_EQ(validateArtifactJson(JsonValue::parse(status)), "topo_store");
+    const auto rejects = [&](const std::string &from,
+                             const std::string &to) {
+        std::string text = status;
+        text.replace(text.find(from), from.size(), to);
+        EXPECT_THROW(validateArtifactJson(JsonValue::parse(text)),
+                     TopoError)
+            << to;
+    };
+    rejects(R"("shards": 2)", R"("shards": 4)"); // > applied_seq
+    rejects(R"("salvaged": false)", R"("salvaged": 0)");
+    rejects(R"("drift": "inf")", R"("drift": "nan")");
+    rejects(R"("dir": "s")", R"("dir": 7)");
+    rejects(R"("generation": 1)", R"("generation": {})");
+    rejects(R"("total_runs": 10)", R"("total_runs": 10, "extra": 1)");
+    rejects(R"("dir": "s", )", "");
 }
 
 /** FNV-1a over a file's bytes. */

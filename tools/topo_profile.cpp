@@ -61,42 +61,48 @@ storeDir(const Options &opts)
     return dir;
 }
 
+/** Drift as JSON: "inf" until the first placement. */
+JsonValue
+driftJson(double drift)
+{
+    return std::isfinite(drift) ? JsonValue::number(drift)
+                                : JsonValue::string("inf");
+}
+
 /** Shared store-state JSON fragment. */
 JsonValue
 storeStateJson(const ProfileStore &store)
 {
+    const StoredProfile &profile = store.profile();
     JsonValue state = JsonValue::object();
     state.set("dir", JsonValue::string(store.dir()));
-    state.set("generation", JsonValue::number(
-                                static_cast<double>(store.generation())));
-    state.set("applied_seq", JsonValue::number(
-                                 static_cast<double>(store.appliedSeq())));
-    state.set("shards", JsonValue::number(static_cast<double>(
-                            store.profile().shards.size())));
-    state.set("total_runs", JsonValue::number(static_cast<double>(
-                                store.profile().total_runs)));
-    state.set("total_bytes", JsonValue::number(static_cast<double>(
-                                 store.profile().total_bytes)));
+    state.set("generation", JsonValue::count(store.generation()));
+    state.set("applied_seq", JsonValue::count(store.appliedSeq()));
+    state.set("shards", JsonValue::count(profile.shards.size()));
+    state.set("total_runs", JsonValue::count(profile.stats.total_runs));
+    state.set("total_bytes", JsonValue::count(profile.stats.total_bytes));
     state.set("layout_algorithm",
-              JsonValue::string(store.profile().layout_algorithm));
-    const double drift = store.drift();
-    state.set("drift", std::isfinite(drift)
-                           ? JsonValue::number(drift)
-                           : JsonValue::string("inf"));
+              JsonValue::string(profile.layout_algorithm));
+    state.set("drift", driftJson(store.drift()));
     const StoreOpenStats &os = store.openStats();
     JsonValue open = JsonValue::object();
-    open.set("snapshot_generation",
-             JsonValue::number(static_cast<double>(
-                 os.snapshot_generation)));
+    open.set("snapshot_generation", JsonValue::count(os.snapshot_generation));
     open.set("salvaged", JsonValue::boolean(os.salvaged));
-    open.set("replayed_records", JsonValue::number(static_cast<double>(
-                                     os.replayed_records)));
-    open.set("dropped_bytes", JsonValue::number(static_cast<double>(
-                                  os.dropped_bytes)));
-    open.set("dropped_records", JsonValue::number(static_cast<double>(
-                                    os.dropped_records)));
+    open.set("replayed_records", JsonValue::count(os.replayed_records));
+    open.set("dropped_bytes", JsonValue::count(os.dropped_bytes));
+    open.set("dropped_records", JsonValue::count(os.dropped_records));
     state.set("open", std::move(open));
     return state;
+}
+
+/** A --json-out document: the topo_store marker and the command. */
+JsonValue
+storeDoc(const char *command)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("topo_store", JsonValue::number(1));
+    doc.set("command", JsonValue::string(command));
+    return doc;
 }
 
 void
@@ -169,12 +175,8 @@ runIngest(const Options &opts)
             label_override.empty() ? source : label_override;
         if (!label_override.empty() && ingested > 0)
             label += "#" + std::to_string(ingested);
-        if (sampling.active()) {
-            store.ingest(buildShardDelta(store.config(), label, trace,
-                                         sampling));
-        } else {
-            store.ingestTrace(label, trace);
-        }
+        store.ingest(
+            buildShardDelta(store.config(), label, trace, sampling));
         ++ingested;
         std::cerr << "ingested " << source << " as shard '" << label
                   << "' (seq " << store.appliedSeq() << ")\n";
@@ -209,10 +211,8 @@ runIngest(const Options &opts)
     require(ingested > 0,
             "topo_profile ingest: no trace files given");
     announceGeneration(store);
-    JsonValue doc = JsonValue::object();
-    doc.set("command", JsonValue::string("ingest"));
-    doc.set("ingested", JsonValue::number(
-                            static_cast<double>(ingested)));
+    JsonValue doc = storeDoc("ingest");
+    doc.set("ingested", JsonValue::count(ingested));
     if (sampling.active())
         doc.set("sampling", JsonValue::string("simpoint"));
     doc.set("store", storeStateJson(store));
@@ -232,8 +232,8 @@ runStatus(const Options &opts)
               << "\n"
               << "  applied seq  " << store.appliedSeq() << "\n"
               << "  shards       " << profile.shards.size() << "\n"
-              << "  total runs   " << profile.total_runs << "\n"
-              << "  total bytes  " << profile.total_bytes << "\n"
+              << "  total runs   " << profile.stats.total_runs << "\n"
+              << "  total bytes  " << profile.stats.total_bytes << "\n"
               << "  layout       "
               << (profile.layout_algorithm.empty()
                       ? "(never placed)"
@@ -248,8 +248,7 @@ runStatus(const Options &opts)
         std::cout << "  journal: dropped " << store.openStats().dropped_bytes
                   << " torn byte(s) at open\n";
     }
-    JsonValue doc = JsonValue::object();
-    doc.set("command", JsonValue::string("status"));
+    JsonValue doc = storeDoc("status");
     doc.set("store", storeStateJson(store));
     writeJsonIfRequested(opts, doc);
     return 0;
@@ -263,8 +262,7 @@ runCompact(const Options &opts)
     announceGeneration(store);
     std::cerr << "compacted store to generation " << store.generation()
               << " (applied seq " << store.appliedSeq() << ")\n";
-    JsonValue doc = JsonValue::object();
-    doc.set("command", JsonValue::string("compact"));
+    JsonValue doc = storeDoc("compact");
     doc.set("store", storeStateJson(store));
     writeJsonIfRequested(opts, doc);
     return 0;
@@ -290,16 +288,9 @@ runPlace(const Options &opts)
     // placement runs with a null log, exactly as before.
     const bool want_explain = !opts.getString("json-out", "").empty();
     const std::string prev_algorithm = store.profile().layout_algorithm;
-    Layout previous(0);
-    bool have_previous = false;
-    if (want_explain && !prev_algorithm.empty()) {
-        const std::vector<std::uint64_t> &addrs =
-            store.profile().layout_addresses;
-        previous = Layout(addrs.size());
-        for (std::size_t i = 0; i < addrs.size(); ++i)
-            previous.setAddress(static_cast<ProcId>(i), addrs[i]);
-        have_previous = true;
-    }
+    const bool have_previous = want_explain && !prev_algorithm.empty();
+    const Layout previous =
+        layoutFromAddresses(store.profile().layout_addresses);
 
     DecisionLog decisions;
     const StorePlaceResult result =
@@ -322,22 +313,17 @@ runPlace(const Options &opts)
         saveLayout(out_layout, program, result.layout, provenance);
         std::cerr << "wrote layout to " << out_layout << "\n";
     }
-    JsonValue doc = JsonValue::object();
-    doc.set("command", JsonValue::string("place"));
+    JsonValue doc = storeDoc("place");
     doc.set("algorithm", JsonValue::string(result.algorithm));
-    doc.set("drift", std::isfinite(result.drift)
-                         ? JsonValue::number(result.drift)
-                         : JsonValue::string("inf"));
+    doc.set("drift", driftJson(result.drift));
     doc.set("threshold", JsonValue::number(threshold));
     doc.set("replaced", JsonValue::boolean(result.placed));
     doc.set("store", storeStateJson(store));
     if (want_explain && result.placed) {
         decisions.publishMetrics(program);
         JsonValue dec = JsonValue::object();
-        dec.set("kept", JsonValue::number(
-                            static_cast<double>(decisions.kept())));
-        dec.set("dropped", JsonValue::number(static_cast<double>(
-                               decisions.dropped())));
+        dec.set("kept", JsonValue::count(decisions.kept()));
+        dec.set("dropped", JsonValue::count(decisions.dropped()));
         dec.set("coverage",
                 JsonValue::number(decisions.coverage(program)));
         doc.set("decisions", std::move(dec));
@@ -401,8 +387,7 @@ main(int argc, char **argv)
     if (command == "init") {
         spec.options.insert(spec.options.end(),
                             {"program", "build-pairs", "cache-kb",
-                             "line-bytes", "assoc", "policy",
-                             "policy-seed", "chunk-bytes",
+                             "line-bytes", "assoc", "chunk-bytes",
                              "coverage", "q-factor"});
         spec.run = runInit;
     } else if (command == "ingest") {
