@@ -226,6 +226,21 @@ rss=$(sed -n 's/^ *"peak_rss_kb": *\([0-9]*\).*/\1/p' \
     echo "FAIL: gcc exact-mode peak RSS ${rss:-?} KB, want < 40960"
     exit 1; }
 
+echo "== gbsc time gate =="
+# GBSC's Figure 4 alignment walks flat chunk spans (DESIGN.md §10):
+# placing gcc at scale 1 must take under 40 ms, best of 3 runs. It
+# took 83-100 ms when every merge rebuilt a chunk-colour map.
+best=$(for run in 1 2 3; do
+    "$BUILD/tools/topo_sim" --benchmark=gcc --trace-scale=1.0 \
+        --algorithms=gbsc --jobs=1 \
+        --metrics-out="$WORK/gbsc_time_$run.json" > /dev/null 2>&1
+    sed -n '/"phase.placement.gbsc.ms"/,/}/s/^ *"min": *\([0-9.e+-]*\).*/\1/p' \
+        "$WORK/gbsc_time_$run.json"
+done | sort -g | head -n 1)
+[ -n "$best" ] && awk -v ms="$best" 'BEGIN { exit !(ms < 40) }' || {
+    echo "FAIL: gcc placement.gbsc best of 3 is ${best:-?} ms, want < 40"
+    exit 1; }
+
 echo "== sampling gate =="
 # Representative-interval sampling (DESIGN.md §15): across the full
 # suite x {ph,gbsc}, the sampled estimate must stay within 2% absolute

@@ -118,10 +118,7 @@ OrderStatTree::detachMin(std::uint32_t n, std::uint32_t &min_out)
 std::uint32_t
 OrderStatTree::eraseRec(std::uint32_t n, std::uint64_t key)
 {
-    // Not require(): this sits on the per-access hot path, and the
-    // message string must only be built when the tree is misused.
-    if (n == kNil)
-        fail("OrderStatTree: erase of absent key");
+    require(n != kNil, "OrderStatTree: erase of absent key");
     if (key < nodes_[n].key) {
         nodes_[n].left = eraseRec(nodes_[n].left, key);
     } else if (key > nodes_[n].key) {

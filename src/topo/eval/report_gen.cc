@@ -394,7 +394,8 @@ checkKeys(const JsonValue &value,
         bool known = false;
         for (const char *name : allowed)
             known = known || key == name;
-        requireData(known, "unknown key '" + key + "'", where);
+        if (!known)
+            failCorrupt("unknown key '" + key + "'", where);
     }
 }
 
@@ -403,9 +404,10 @@ checkRequired(const JsonValue &value,
               std::initializer_list<const char *> required,
               const std::string &where)
 {
-    for (const char *name : required)
-        requireData(value.find(name) != nullptr,
-                    std::string("missing key '") + name + "'", where);
+    for (const char *name : required) {
+        if (value.find(name) == nullptr)
+            failCorrupt(std::string("missing key '") + name + "'", where);
+    }
 }
 
 std::uint64_t
@@ -424,18 +426,18 @@ checkReuseHist(const JsonValue &hist, std::uint64_t total,
                const std::string &where)
 {
     requireData(hist.isArray(), "reuse_hist must be an array", where);
-    requireData(hist.size() == kReuseBucketCount,
-                "reuse_hist must have " +
-                    std::to_string(kReuseBucketCount) + " buckets",
-                where);
+    if (hist.size() != kReuseBucketCount)
+        failCorrupt("reuse_hist must have " +
+                        std::to_string(kReuseBucketCount) + " buckets",
+                    where);
     std::uint64_t sum = 0;
     for (const JsonValue &bucket : hist.elements())
         sum += asCount(bucket, where);
-    requireData(sum == total,
-                "reuse_hist sums to " + std::to_string(sum) +
-                    ", expected the access count " +
-                    std::to_string(total),
-                where);
+    if (sum != total)
+        failCorrupt("reuse_hist sums to " + std::to_string(sum) +
+                        ", expected the access count " +
+                        std::to_string(total),
+                    where);
 }
 
 /** 3C members of @p value must sum to exactly @p misses. */
@@ -447,11 +449,11 @@ checkThreeCSum(const JsonValue &value, std::uint64_t misses,
         asCount(value.at("compulsory"), where) +
         asCount(value.at("capacity"), where) +
         asCount(value.at("conflict"), where);
-    requireData(sum == misses,
-                "compulsory+capacity+conflict is " +
-                    std::to_string(sum) + ", expected misses " +
-                    std::to_string(misses),
-                where);
+    if (sum != misses)
+        failCorrupt("compulsory+capacity+conflict is " +
+                        std::to_string(sum) + ", expected misses " +
+                        std::to_string(misses),
+                    where);
 }
 
 void
@@ -460,10 +462,11 @@ checkProvenance(const JsonValue &value, const std::string &where)
     requireData(value.isObject(), "provenance must be an object",
                 where);
     checkRequired(value, {"git_sha", "build_type", "compiler"}, where);
-    for (const auto &[key, member] : value.members())
-        requireData(member.kind() == JsonValue::Kind::kString,
-                    "provenance value '" + key + "' must be a string",
-                    where);
+    for (const auto &[key, member] : value.members()) {
+        if (member.kind() != JsonValue::Kind::kString)
+            failCorrupt("provenance value '" + key + "' must be a string",
+                        where);
+    }
 }
 
 void
@@ -701,10 +704,9 @@ checkDecisionsDoc(const JsonValue &doc, const std::string &where)
                        "tie_break"},
                       row_where);
         const std::string &kind = row.at("kind").asString();
-        requireData(kind == "merge" || kind == "place" ||
-                        kind == "color" || kind == "split" ||
-                        kind == "reject",
-                    "unknown decision kind '" + kind + "'", row_where);
+        if (kind != "merge" && kind != "place" && kind != "color" &&
+            kind != "split" && kind != "reject")
+            failCorrupt("unknown decision kind '" + kind + "'", row_where);
         if (const JsonValue *alts = row.find("alternatives")) {
             requireData(alts->isArray(),
                         "alternatives must be an array", row_where);
@@ -759,10 +761,10 @@ checkDiffDoc(const JsonValue &doc, const std::string &where)
          doc.at("set_occupancy_delta").elements())
         occupancy_sum += asDelta(row.at("delta"),
                                  where + ".set_occupancy_delta");
-    requireData(occupancy_sum == 0,
-                "set_occupancy_delta sums to " +
-                    std::to_string(occupancy_sum) + ", expected 0",
-                where);
+    if (occupancy_sum != 0)
+        failCorrupt("set_occupancy_delta sums to " +
+                        std::to_string(occupancy_sum) + ", expected 0",
+                    where);
     if (!doc.at("attributed").asBool())
         return;
     // Exactness invariant: the per-procedure (and per-set) deltas sum
@@ -784,12 +786,12 @@ checkDiffDoc(const JsonValue &doc, const std::string &where)
         for (const JsonValue &row : doc.at(field).elements())
             sum += asDelta(row.at("delta"),
                            where + "." + field);
-        requireData(sum == miss_delta,
-                    std::string(field) + " sums to " +
-                        std::to_string(sum) +
-                        ", expected the total miss delta " +
-                        std::to_string(miss_delta),
-                    where);
+        if (sum != miss_delta)
+            failCorrupt(std::string(field) + " sums to " +
+                            std::to_string(sum) +
+                            ", expected the total miss delta " +
+                            std::to_string(miss_delta),
+                        where);
     }
 }
 
@@ -847,18 +849,20 @@ checkStoreDoc(const JsonValue &doc, const std::string &where)
         for (const auto &[key, value] : object->members()) {
             const JsonValue::Kind kind = value.kind();
             if (key == "command" || key == "sampling" || key == "dir" ||
-                key == "algorithm" || key == "layout_algorithm")
-                requireData(kind == JsonValue::Kind::kString,
-                            key + " must be a string", where);
-            else if (key == "salvaged" || key == "replaced")
-                requireData(kind == JsonValue::Kind::kBool,
-                            key + " must be a boolean", where);
-            else if (key == "drift" && kind == JsonValue::Kind::kString)
+                key == "algorithm" || key == "layout_algorithm") {
+                if (kind != JsonValue::Kind::kString)
+                    failCorrupt(key + " must be a string", where);
+            } else if (key == "salvaged" || key == "replaced") {
+                if (kind != JsonValue::Kind::kBool)
+                    failCorrupt(key + " must be a boolean", where);
+            } else if (key == "drift" &&
+                       kind == JsonValue::Kind::kString) {
                 requireData(value.asString() == "inf",
                             "drift must be a number or \"inf\"", where);
-            else if (key != "store" && key != "open" &&
-                     key != "decisions" && key != "diff")
+            } else if (key != "store" && key != "open" &&
+                       key != "decisions" && key != "diff") {
                 asCount(value, where + "." + key);
+            }
         }
     }
     // Every shard and every accepted placement is one journal record.

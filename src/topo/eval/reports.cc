@@ -109,16 +109,16 @@ evalOptionsFrom(const Options &opts)
     // The Q budget, q-factor x cache size, becomes a byte count (the
     // comparisons also reject a NaN factor).
     const double budget = eval.q_budget_factor * eval.cache.size_bytes;
-    require(budget >= 1.0 && budget < 0x1p64,
-            "--q-factor must make q-factor x cache size at least 1 byte "
-            "and below 2^64 bytes (got " +
-                opts.getString("q-factor", "2") +
-                "; the paper uses --q-factor=2)");
-    require(eval.popularity.coverage > 0.0 &&
-                eval.popularity.coverage <= 1.0,
-            "--coverage must be in (0, 1] (got " +
-                opts.getString("coverage", "0.999") +
-                "; the default is --coverage=0.999)");
+    if (!(budget >= 1.0 && budget < 0x1p64))
+        fail("--q-factor must make q-factor x cache size at least 1 byte "
+             "and below 2^64 bytes (got " +
+                 opts.getString("q-factor", "2") +
+                 "; the paper uses --q-factor=2)");
+    if (!(eval.popularity.coverage > 0.0 &&
+          eval.popularity.coverage <= 1.0))
+        fail("--coverage must be in (0, 1] (got " +
+                 opts.getString("coverage", "0.999") +
+                 "; the default is --coverage=0.999)");
     return eval;
 }
 
@@ -126,10 +126,10 @@ double
 traceScaleFrom(const Options &opts)
 {
     const double scale = opts.getDouble("trace-scale", 1.0);
-    require(std::isfinite(scale) && scale > 0.0,
-            "--trace-scale must be a positive, finite number (got " +
-                opts.getString("trace-scale", "1.0") +
-                "; did you mean --trace-scale=1.0?)");
+    if (!(std::isfinite(scale) && scale > 0.0))
+        fail("--trace-scale must be a positive, finite number (got " +
+                 opts.getString("trace-scale", "1.0") +
+                 "; did you mean --trace-scale=1.0?)");
     return scale;
 }
 

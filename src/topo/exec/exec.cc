@@ -21,9 +21,9 @@ initExec(const Options &opts, int fallback)
     if (!opts.has("jobs") && fallback == 0)
         return;
     const std::int64_t jobs = opts.getInt("jobs", fallback);
-    require(jobs >= 1 && jobs <= 4096,
-            "--jobs must be an integer in [1, 4096], got " +
-                std::to_string(jobs));
+    if (jobs < 1 || jobs > 4096)
+        fail("--jobs must be an integer in [1, 4096], got " +
+                 std::to_string(jobs));
     setExecJobs(static_cast<int>(jobs));
 }
 

@@ -75,8 +75,8 @@ class Parser
     void
     expect(char c)
     {
-        require(pos_ < text_.size() && text_[pos_] == c,
-                std::string("JsonValue::parse: expected '") + c + "'");
+        if (pos_ >= text_.size() || text_[pos_] != c)
+            fail(std::string("JsonValue::parse: expected '") + c + "'");
         ++pos_;
     }
 
@@ -244,8 +244,8 @@ class Parser
         } catch (const std::exception &) {
             fail("JsonValue::parse: malformed number '" + slice + "'");
         }
-        require(used == slice.size(),
-                "JsonValue::parse: malformed number '" + slice + "'");
+        if (used != slice.size())
+            fail("JsonValue::parse: malformed number '" + slice + "'");
         return JsonValue::number(value);
     }
 
@@ -375,8 +375,8 @@ const JsonValue &
 JsonValue::at(const std::string &key) const
 {
     const JsonValue *value = find(key);
-    require(value != nullptr,
-            "JsonValue::at: missing object member '" + key + "'");
+    if (value == nullptr)
+        fail("JsonValue::at: missing object member '" + key + "'");
     return *value;
 }
 

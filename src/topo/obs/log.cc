@@ -111,8 +111,8 @@ struct FileSink::Impl
 FileSink::FileSink(const std::string &path) : impl_(new Impl)
 {
     impl_->os.open(path, std::ios::app);
-    require(impl_->os.good(),
-            "FileSink: cannot open log file '" + path + "'");
+    if (!impl_->os.good())
+        fail("FileSink: cannot open log file '" + path + "'");
 }
 
 FileSink::~FileSink() = default;

@@ -159,9 +159,9 @@ Counter &
 MetricsRegistry::counter(const std::string &name)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    require(!gauges_.count(name) && !histograms_.count(name),
-            "MetricsRegistry: '" + name +
-                "' is already registered as another metric kind");
+    if (gauges_.count(name) || histograms_.count(name))
+        fail("MetricsRegistry: '" + name +
+                 "' is already registered as another metric kind");
     auto &slot = counters_[name];
     if (!slot)
         slot = std::make_unique<Counter>();
@@ -172,9 +172,9 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    require(!counters_.count(name) && !histograms_.count(name),
-            "MetricsRegistry: '" + name +
-                "' is already registered as another metric kind");
+    if (counters_.count(name) || histograms_.count(name))
+        fail("MetricsRegistry: '" + name +
+                 "' is already registered as another metric kind");
     auto &slot = gauges_[name];
     if (!slot)
         slot = std::make_unique<Gauge>();
@@ -185,9 +185,9 @@ Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    require(!counters_.count(name) && !gauges_.count(name),
-            "MetricsRegistry: '" + name +
-                "' is already registered as another metric kind");
+    if (counters_.count(name) || gauges_.count(name))
+        fail("MetricsRegistry: '" + name +
+                 "' is already registered as another metric kind");
     auto &slot = histograms_[name];
     if (!slot)
         slot = std::make_unique<Histogram>();

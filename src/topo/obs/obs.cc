@@ -31,12 +31,12 @@ writeMetricsIfRequested(const Options &opts)
     JsonValue snapshot = MetricsRegistry::global().toJson();
     snapshot.set("provenance", provenanceJson());
     std::ofstream os(path);
-    require(os.good(),
-            "metrics: cannot open metrics file '" + path + "'");
+    if (!os.good())
+        fail("metrics: cannot open metrics file '" + path + "'");
     snapshot.write(os);
     os << '\n';
-    require(os.good(),
-            "metrics: failed writing metrics file '" + path + "'");
+    if (!os.good())
+        fail("metrics: failed writing metrics file '" + path + "'");
     logInfo("metrics", "snapshot written", {{"file", path}});
     return true;
 }

@@ -51,9 +51,9 @@ PhaseTimer::stop()
         return;
     final_ms_ = elapsedMs();
     running_ = false;
-    require(!t_phase_stack.empty() && t_phase_stack.back() == path_,
-            "PhaseTimer: spans must stop in LIFO order ('" + path_ +
-                "' is not the innermost live span)");
+    if (t_phase_stack.empty() || t_phase_stack.back() != path_)
+        fail("PhaseTimer: spans must stop in LIFO order ('" + path_ +
+                 "' is not the innermost live span)");
     t_phase_stack.pop_back();
     registry_->histogram("phase." + path_ + ".ms").observe(final_ms_);
     ChromeTraceLog &trace = ChromeTraceLog::global();

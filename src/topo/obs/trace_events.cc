@@ -162,12 +162,12 @@ void
 ChromeTraceLog::writeFile(const std::string &path) const
 {
     std::ofstream os(path);
-    require(os.good(),
-            "ChromeTraceLog: cannot open trace file '" + path + "'");
+    if (!os.good())
+        fail("ChromeTraceLog: cannot open trace file '" + path + "'");
     toJson().write(os);
     os << '\n';
-    require(os.good(),
-            "ChromeTraceLog: failed writing trace file '" + path + "'");
+    if (!os.good())
+        fail("ChromeTraceLog: failed writing trace file '" + path + "'");
 }
 
 } // namespace topo

@@ -267,7 +267,8 @@ LoadedDecisions
 readDecisionFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    require(static_cast<bool>(in), "cannot open decisions file: " + path);
+    if (!in)
+        fail("cannot open decisions file: " + path);
     std::ostringstream text;
     text << in.rdbuf();
 

@@ -1,8 +1,8 @@
 #include "topo/placement/gbsc.hh"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
+#include <string>
+#include <string_view>
 
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
@@ -19,42 +19,78 @@ namespace
 {
 
 /**
- * Chunk occupancy of a node: chunk id -> cache-line colours. Ordered
- * map: alignmentCost iterates this into a floating-point cost
- * accumulation, so the iteration order must be deterministic (hash
- * order would make the best-offset argmin depend on insertion history
- * — the DESIGN.md §9 determinism contract forbids that).
+ * One chunk's lines in a node's current layout: the chunk, the colour
+ * of its first line (modulo the alignment modulus) and its line count.
+ * The lines are consecutive, so their colours are colour, colour + 1,
+ * ... (mod modulus).
  */
-using ChunkColors = std::map<ChunkId, std::vector<std::uint32_t>>;
-
-/** Derive the chunk/colour occupancy of a node's current layout. */
-ChunkColors
-chunkColors(const PlacementContext &ctx, const GbscNode &node)
+struct ChunkSpan
 {
-    const std::uint32_t cache_lines = ctx.cache.lineCount();
-    const std::uint32_t line_bytes = ctx.cache.line_bytes;
-    ChunkColors colors;
+    ChunkId chunk;
+    std::uint32_t color;
+    std::uint32_t lines;
+};
+
+bool
+spanBefore(const ChunkSpan &span, ChunkId chunk)
+{
+    return span.chunk < chunk;
+}
+
+/**
+ * The chunk spans of a node, sorted by chunk id. A line belongs to the
+ * chunk holding its first byte (ChunkMap::chunkAtLine), so chunk k of
+ * a procedure holds lines ceil(k * chunk_bytes / line_bytes) up to
+ * ceil((k + 1) * chunk_bytes / line_bytes), clipped to the procedure.
+ * A chunk that holds no line's first byte has no span.
+ */
+std::vector<ChunkSpan>
+chunkSpans(const PlacementContext &ctx, const GbscNode &node,
+           std::uint32_t modulus)
+{
+    const ChunkMap &chunks = *ctx.chunks;
+    const std::uint64_t line_bytes = ctx.cache.line_bytes;
+    const std::uint64_t chunk_bytes = chunks.chunkBytes();
+    std::size_t capacity = 0;
+    for (const auto &entry : node.procs)
+        capacity += chunks.chunksOf(entry.first);
+    std::vector<ChunkSpan> spans;
+    spans.reserve(capacity);
     for (const auto &[proc, offset] : node.procs) {
-        const std::uint32_t len =
-            ctx.program->sizeInLines(proc, line_bytes);
-        for (std::uint32_t line = 0; line < len; ++line) {
-            const ChunkId chunk =
-                ctx.chunks->chunkAtLine(proc, line, line_bytes);
-            const std::uint32_t color = (offset + line) % cache_lines;
-            colors[chunk].push_back(color);
+        const std::uint64_t len =
+            ctx.program->sizeInLines(proc, ctx.cache.line_bytes);
+        const ChunkId first = chunks.chunkId(proc, 0);
+        std::uint64_t begin = 0;
+        for (std::uint32_t k = 0; begin < len; ++k) {
+            const std::uint64_t end = std::min(
+                len, ((k + 1) * chunk_bytes + line_bytes - 1) / line_bytes);
+            if (end > begin) {
+                spans.push_back(ChunkSpan{
+                    first + k,
+                    static_cast<std::uint32_t>((offset + begin) % modulus),
+                    static_cast<std::uint32_t>(end - begin)});
+            }
+            begin = end;
         }
     }
-    return colors;
+    std::sort(spans.begin(), spans.end(),
+              [](const ChunkSpan &a, const ChunkSpan &b) {
+                  return a.chunk < b.chunk;
+              });
+    return spans;
 }
 
 void
-requireGbscInputs(const PlacementContext &ctx, const std::string &who)
+requireGbscInputs(const PlacementContext &ctx, std::string_view who)
 {
     ctx.requireBasics(who);
-    require(ctx.chunks != nullptr, who + ": context has no chunk map");
-    require(ctx.trg_place != nullptr, who + ": context has no TRG_place");
-    require(ctx.trg_place->nodeCount() == ctx.chunks->chunkCount(),
-            who + ": TRG_place node count does not match the chunk map");
+    if (ctx.chunks == nullptr)
+        fail(std::string(who) + ": context has no chunk map");
+    if (ctx.trg_place == nullptr)
+        fail(std::string(who) + ": context has no TRG_place");
+    if (ctx.trg_place->nodeCount() != ctx.chunks->chunkCount())
+        fail(std::string(who) +
+             ": TRG_place node count does not match the chunk map");
 }
 
 } // namespace
@@ -65,35 +101,52 @@ Gbsc::alignmentCost(const PlacementContext &ctx, const GbscNode &n1,
 {
     requireGbscInputs(ctx, "Gbsc::alignmentCost");
     require(modulus > 0, "Gbsc::alignmentCost: zero modulus");
+    require(ctx.cache.lineCount() % modulus == 0,
+            "Gbsc::alignmentCost: modulus must divide the cache line "
+            "count");
     const WeightedGraph &trg_place = *ctx.trg_place;
 
-    const ChunkColors colors1 = chunkColors(ctx, n1);
-    const ChunkColors colors2 = chunkColors(ctx, n2);
+    const std::vector<ChunkSpan> spans1 = chunkSpans(ctx, n1, modulus);
+    const std::vector<ChunkSpan> spans2 = chunkSpans(ctx, n2, modulus);
 
     // Sparse Figure 4 cost accumulation: iterate TRG_place edges from
     // the smaller node's chunks; each crossing edge credits its weight
     // to every relative offset placing the two chunks in one frame.
+    // Offset i shifts n2, so a collision needs
+    // (colour_in_n2 + i) == colour_in_n1 (mod modulus). The additions
+    // run in a fixed order (the smaller node's chunks by id, their
+    // neighbours by id, then this node's lines and the other node's
+    // lines in line order), which keeps the sums bit-identical for any
+    // weights. Within that order the offset steps by +-1 per line.
     std::vector<double> cost(modulus, 0.0);
-    const bool iterate_first = colors1.size() <= colors2.size();
-    const ChunkColors &mine = iterate_first ? colors1 : colors2;
-    const ChunkColors &theirs = iterate_first ? colors2 : colors1;
-    for (const auto &[chunk, my_colors] : mine) {
+    const bool iterate_first = spans1.size() <= spans2.size();
+    const std::vector<ChunkSpan> &mine = iterate_first ? spans1 : spans2;
+    const std::vector<ChunkSpan> &theirs = iterate_first ? spans2 : spans1;
+    const std::uint32_t my_step = iterate_first ? 1 : modulus - 1;
+    const std::uint32_t their_step = modulus - my_step;
+    for (const ChunkSpan &my : mine) {
+        auto it = theirs.begin();
         for (const auto &[other, weight] :
-             trg_place.sortedNeighbors(chunk)) {
-            auto it = theirs.find(other);
+             trg_place.sortedNeighbors(my.chunk)) {
+            it = std::lower_bound(it, theirs.end(), other, spanBefore);
             if (it == theirs.end())
+                break;
+            if (it->chunk != other)
                 continue;
-            for (const std::uint32_t a : my_colors) {
-                for (const std::uint32_t b : it->second) {
-                    // Offset i shifts n2: a collision needs
-                    // (colour_in_n2 + i) == colour_in_n1 (mod modulus).
-                    const std::uint32_t in_n1 = iterate_first ? a : b;
-                    const std::uint32_t in_n2 = iterate_first ? b : a;
-                    const std::uint32_t i =
-                        (in_n1 % modulus + modulus - in_n2 % modulus) %
-                        modulus;
+            const std::uint32_t in_n1 = iterate_first ? my.color : it->color;
+            const std::uint32_t in_n2 = iterate_first ? it->color : my.color;
+            std::uint32_t row = (in_n1 + modulus - in_n2) % modulus;
+            for (std::uint32_t a = 0; a < my.lines; ++a) {
+                std::uint32_t i = row;
+                for (std::uint32_t b = 0; b < it->lines; ++b) {
                     cost[i] += weight;
+                    i += their_step;
+                    if (i >= modulus)
+                        i -= modulus;
                 }
+                row += my_step;
+                if (row >= modulus)
+                    row -= modulus;
             }
         }
     }

@@ -19,6 +19,18 @@
  * scan of the pseudo-code but far cheaper. Ties select the smallest
  * offset, preserving the paper's "first zero-cost line after p"
  * PH-equivalence in the small case.
+ *
+ * Each node's chunks are flat spans (chunk, colour of its first line,
+ * line count), sorted by chunk id and derived arithmetically from each
+ * procedure's chunk range; a line belongs to the chunk holding its
+ * first byte. A crossing edge's partner span is found by binary
+ * search, and the offset of each line pair steps by +-1 instead of
+ * being recomputed modulo the cache. The additions keep one fixed
+ * order: the smaller node's chunks by id, their TRG_place neighbours
+ * by id, then that node's lines and the other node's lines in line
+ * order. Floating-point sums depend on order, so this rule is what
+ * keeps the cost array bit-identical for perturbed (non-integral)
+ * weights as well as for integer counts.
  */
 
 #ifndef TOPO_PLACEMENT_GBSC_HH
@@ -79,7 +91,8 @@ class Gbsc : public PlacementAlgorithm
      * would share a cache frame when n2 is shifted by i lines, with
      * frame collisions evaluated modulo @p modulus. mergeNodes uses
      * modulus == lineCount(); the set-associative variant reuses the
-     * same array at modulus == setCount().
+     * same array at modulus == setCount(). @p modulus must divide
+     * lineCount().
      */
     static std::vector<double> alignmentCost(const PlacementContext &ctx,
                                              const GbscNode &n1,

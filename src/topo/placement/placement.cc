@@ -28,18 +28,15 @@ recordWholeLayout(const PlacementContext &ctx, const Layout &layout,
 } // namespace
 
 void
-PlacementContext::requireBasics(const std::string &who) const
+PlacementContext::requireBasics(std::string_view who) const
 {
-    require(program != nullptr, who + ": context has no program");
+    if (program == nullptr)
+        fail(std::string(who) + ": context has no program");
     cache.validate();
-    if (!popular.empty()) {
-        require(popular.size() == program->procCount(),
-                who + ": popularity mask size mismatch");
-    }
-    if (!heat.empty()) {
-        require(heat.size() == program->procCount(),
-                who + ": heat vector size mismatch");
-    }
+    if (!popular.empty() && popular.size() != program->procCount())
+        fail(std::string(who) + ": popularity mask size mismatch");
+    if (!heat.empty() && heat.size() != program->procCount())
+        fail(std::string(who) + ": heat vector size mismatch");
 }
 
 Layout

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "topo/cache/cache_config.hh"
@@ -67,8 +68,11 @@ struct PlacementContext
         return proc < heat.size() ? heat[proc] : 0.0;
     }
 
-    /** Check the universally required fields. */
-    void requireBasics(const std::string &who) const;
+    /**
+     * Check the universally required fields. @p who prefixes the
+     * failure message, which is built only when a check fails.
+     */
+    void requireBasics(std::string_view who) const;
 };
 
 /** Abstract procedure-placement algorithm. */

@@ -102,24 +102,23 @@ Layout::validate(const Program &program, std::uint32_t line_bytes) const
     require(line_bytes > 0, "Layout::validate: zero line size");
     for (std::size_t i = 0; i < address_.size(); ++i) {
         const auto id = static_cast<ProcId>(i);
-        require(address_[i] != kUnassigned,
-                "Layout::validate: procedure '" + program.proc(id).name +
-                    "' has no address");
-        require(address_[i] % line_bytes == 0,
-                "Layout::validate: procedure '" + program.proc(id).name +
-                    "' is not line-aligned");
+        if (address_[i] == kUnassigned)
+            fail("Layout::validate: procedure '" + program.proc(id).name +
+                     "' has no address");
+        if (address_[i] % line_bytes != 0)
+            fail("Layout::validate: procedure '" + program.proc(id).name +
+                     "' is not line-aligned");
         // The cache models reserve line address 2^64-1 as their
         // invalid-frame sentinel; a procedure ending at the very top
         // of the address space would fetch it and alias every empty
         // frame as resident.
         const std::uint64_t size = program.proc(id).size_bytes;
-        require(size <= ~std::uint64_t{0} - address_[i] &&
-                    (size == 0 ||
-                     (address_[i] + size - 1) / line_bytes !=
-                         ~std::uint64_t{0}),
-                "Layout::validate: procedure '" + program.proc(id).name +
-                    "' reaches the reserved top-of-address-space "
-                    "cache line");
+        if (size > ~std::uint64_t{0} - address_[i] ||
+            (size != 0 &&
+             (address_[i] + size - 1) / line_bytes == ~std::uint64_t{0}))
+            fail("Layout::validate: procedure '" + program.proc(id).name +
+                     "' reaches the reserved top-of-address-space "
+                     "cache line");
     }
     const std::vector<ProcId> order = orderByAddress();
     for (std::size_t i = 1; i < order.size(); ++i) {
@@ -127,10 +126,10 @@ Layout::validate(const Program &program, std::uint32_t line_bytes) const
         const ProcId cur = order[i];
         const std::uint64_t prev_end =
             address_[prev] + program.proc(prev).size_bytes;
-        require(address_[cur] >= prev_end,
-                "Layout::validate: procedures '" + program.proc(prev).name +
-                    "' and '" + program.proc(cur).name +
-                    "' overlap in the address space");
+        if (address_[cur] < prev_end)
+            fail("Layout::validate: procedures '" + program.proc(prev).name +
+                     "' and '" + program.proc(cur).name +
+                     "' overlap in the address space");
     }
 }
 
@@ -161,8 +160,9 @@ Layout::fromOrder(const Program &program, const std::vector<ProcId> &order,
     std::vector<bool> seen(program.procCount(), false);
     auto place = [&](ProcId id) {
         require(id < program.procCount(), "Layout::fromOrder: invalid id");
-        require(!seen[id], "Layout::fromOrder: duplicate procedure '" +
-                               program.proc(id).name + "' in order");
+        if (seen[id])
+            fail("Layout::fromOrder: duplicate procedure '" +
+                     program.proc(id).name + "' in order");
         seen[id] = true;
         cursor = alignUp(cursor, line_bytes);
         layout.setAddress(id, cursor);

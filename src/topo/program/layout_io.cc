@@ -80,8 +80,8 @@ readLayout(std::istream &is, const Program &program,
                 "readLayout: missing header");
     const std::string header = trim(line);
     const bool v2 = header == "topo-layout v2";
-    requireData(header == "topo-layout v1" || v2,
-                "readLayout: bad header '" + line + "'");
+    if (header != "topo-layout v1" && !v2)
+        failCorrupt("readLayout: bad header '" + line + "'");
     Layout layout(program.procCount());
     LayoutProvenance meta;
     std::size_t line_no = 1;
@@ -91,9 +91,9 @@ readLayout(std::istream &is, const Program &program,
         if (body.empty() || body[0] == '#')
             continue;
         if (body[0] == '!') {
-            requireData(v2,
-                        "readLayout: metadata line in a v1 file at line " +
-                            std::to_string(line_no));
+            if (!v2)
+                failCorrupt("readLayout: metadata line in a v1 file at line " +
+                                std::to_string(line_no));
             const std::size_t space = body.find(' ');
             const std::string key =
                 body.substr(1, space == std::string::npos
@@ -119,16 +119,16 @@ readLayout(std::istream &is, const Program &program,
         std::string name;
         std::uint64_t address = 0;
         fields >> name >> address;
-        requireData(!fields.fail() && !name.empty(),
-                    "readLayout: malformed entry at line " +
-                        std::to_string(line_no));
+        if (fields.fail() || name.empty())
+            failCorrupt("readLayout: malformed entry at line " +
+                            std::to_string(line_no));
         const ProcId id = program.findProc(name);
-        requireData(id != kInvalidProc,
-                    "readLayout: unknown procedure '" + name +
-                        "' at line " + std::to_string(line_no));
-        requireData(!layout.assigned(id),
-                    "readLayout: duplicate procedure '" + name +
-                        "' at line " + std::to_string(line_no));
+        if (id == kInvalidProc)
+            failCorrupt("readLayout: unknown procedure '" + name +
+                            "' at line " + std::to_string(line_no));
+        if (layout.assigned(id))
+            failCorrupt("readLayout: duplicate procedure '" + name +
+                            "' at line " + std::to_string(line_no));
         layout.setAddress(id, address);
     }
     requireData(layout.complete(),
@@ -143,9 +143,11 @@ saveLayout(const std::string &path, const Program &program,
            const Layout &layout)
 {
     std::ofstream os(path);
-    require(os.good(), "saveLayout: cannot open '" + path + "'");
+    if (!os.good())
+        fail("saveLayout: cannot open '" + path + "'");
     writeLayout(os, program, layout);
-    require(os.good(), "saveLayout: write failed for '" + path + "'");
+    if (!os.good())
+        fail("saveLayout: write failed for '" + path + "'");
 }
 
 void
@@ -153,9 +155,11 @@ saveLayout(const std::string &path, const Program &program,
            const Layout &layout, const LayoutProvenance &provenance)
 {
     std::ofstream os(path);
-    require(os.good(), "saveLayout: cannot open '" + path + "'");
+    if (!os.good())
+        fail("saveLayout: cannot open '" + path + "'");
     writeLayout(os, program, layout, provenance);
-    require(os.good(), "saveLayout: write failed for '" + path + "'");
+    if (!os.good())
+        fail("saveLayout: write failed for '" + path + "'");
 }
 
 Layout
@@ -163,7 +167,8 @@ loadLayout(const std::string &path, const Program &program,
            LayoutProvenance *provenance)
 {
     std::ifstream is(path);
-    require(is.good(), "loadLayout: cannot open '" + path + "'");
+    if (!is.good())
+        fail("loadLayout: cannot open '" + path + "'");
     return readLayout(is, program, provenance);
 }
 

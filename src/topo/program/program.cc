@@ -13,8 +13,8 @@ Program::Program(std::string name)
 ProcId
 Program::addProcedure(const std::string &name, std::uint32_t size_bytes)
 {
-    require(size_bytes > 0, "Program::addProcedure: zero-sized procedure '" +
-                                name + "'");
+    if (size_bytes == 0)
+        fail("Program::addProcedure: zero-sized procedure '" + name + "'");
     require(procs_.size() < kInvalidProc,
             "Program::addProcedure: too many procedures");
     procs_.push_back(Procedure{name, size_bytes});

@@ -25,8 +25,8 @@ readProgram(std::istream &is, const std::string &name)
     std::string line;
     requireData(static_cast<bool>(std::getline(is, line)),
                 "readProgram: missing header");
-    requireData(trim(line) == "topo-program v1",
-            "readProgram: bad header '" + line + "'");
+    if (trim(line) != "topo-program v1")
+        failCorrupt("readProgram: bad header '" + line + "'");
     Program program(name);
     std::size_t line_no = 1;
     while (std::getline(is, line)) {
@@ -38,15 +38,15 @@ readProgram(std::istream &is, const std::string &name)
         std::string proc_name;
         std::uint64_t size = 0;
         fields >> proc_name >> size;
-        requireData(!fields.fail() && !proc_name.empty(),
-                    "readProgram: malformed procedure at line " +
-                        std::to_string(line_no));
-        requireData(size > 0 && size <= ~std::uint32_t{0},
-                    "readProgram: bad size at line " +
-                        std::to_string(line_no));
-        requireData(program.findProc(proc_name) == kInvalidProc,
-                    "readProgram: duplicate procedure '" + proc_name +
-                        "' at line " + std::to_string(line_no));
+        if (fields.fail() || proc_name.empty())
+            failCorrupt("readProgram: malformed procedure at line " +
+                            std::to_string(line_no));
+        if (size == 0 || size > ~std::uint32_t{0})
+            failCorrupt("readProgram: bad size at line " +
+                            std::to_string(line_no));
+        if (program.findProc(proc_name) != kInvalidProc)
+            failCorrupt("readProgram: duplicate procedure '" + proc_name +
+                            "' at line " + std::to_string(line_no));
         program.addProcedure(proc_name,
                              static_cast<std::uint32_t>(size));
     }
@@ -57,16 +57,19 @@ void
 saveProgram(const std::string &path, const Program &program)
 {
     std::ofstream os(path);
-    require(os.good(), "saveProgram: cannot open '" + path + "'");
+    if (!os.good())
+        fail("saveProgram: cannot open '" + path + "'");
     writeProgram(os, program);
-    require(os.good(), "saveProgram: write failed for '" + path + "'");
+    if (!os.good())
+        fail("saveProgram: write failed for '" + path + "'");
 }
 
 Program
 loadProgram(const std::string &path)
 {
     std::ifstream is(path);
-    require(is.good(), "loadProgram: cannot open '" + path + "'");
+    if (!is.good())
+        fail("loadProgram: cannot open '" + path + "'");
     // Derive a display name from the file name.
     std::string name = path;
     const std::size_t slash = name.find_last_of('/');

@@ -69,7 +69,8 @@ SimCheckpoint
 loadCheckpoint(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
-    require(is.good(), "loadCheckpoint: cannot open '" + path + "'");
+    if (!is.good())
+        fail("loadCheckpoint: cannot open '" + path + "'");
     const std::string file((std::istreambuf_iterator<char>(is)),
                            std::istreambuf_iterator<char>());
     const std::string payload = unframeFile(kMagic, file, path);
@@ -77,10 +78,10 @@ loadCheckpoint(const std::string &path)
     Reader in(payload, path);
     SimCheckpoint ckpt;
     const std::uint64_t version = in.u64();
-    requireData(version == kVersion,
-                "unsupported checkpoint version " +
-                    std::to_string(version),
-                path);
+    if (version != kVersion)
+        failCorrupt("unsupported checkpoint version " +
+                        std::to_string(version),
+                    path);
     ckpt.fingerprint = in.u64();
     ckpt.cursor = in.u64();
     ckpt.misses = in.u64();

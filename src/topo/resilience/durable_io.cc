@@ -41,8 +41,8 @@ openAppend(const std::string &path)
 {
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND,
                           0644);
-    require(fd >= 0, "cannot open '" + path + "' for append: " +
-                         errnoText());
+    if (fd < 0)
+        fail("cannot open '" + path + "' for append: " + errnoText());
     return Fd(fd);
 }
 
@@ -50,8 +50,8 @@ Fd
 openRead(const std::string &path)
 {
     const int fd = ::open(path.c_str(), O_RDONLY);
-    require(fd >= 0,
-            "cannot open '" + path + "' for read: " + errnoText());
+    if (fd < 0)
+        fail("cannot open '" + path + "' for read: " + errnoText());
     return Fd(fd);
 }
 
@@ -89,8 +89,8 @@ void
 fsyncDir(const std::string &dir, const char *site)
 {
     Fd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-    require(fd.valid(), "cannot open directory '" + dir +
-                            "' for fsync: " + errnoText());
+    if (!fd.valid())
+        fail("cannot open directory '" + dir + "' for fsync: " + errnoText());
     MetricsRegistry::global().counter("store.dir_fsyncs").add();
     if (::fsync(fd.get()) != 0)
         failCorrupt("directory fsync failed: " + errnoText(), site);
@@ -138,15 +138,14 @@ atomicReplace(const std::string &path, const std::string &bytes,
     const std::string tmp = path + ".tmp";
     {
         Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-        require(fd.valid(),
-                "cannot open '" + tmp + "': " + errnoText());
+        if (!fd.valid())
+            fail("cannot open '" + tmp + "': " + errnoText());
         writeAll(fd, bytes.data(), bytes.size(), site);
         fsyncFd(fd, site);
     }
     faultMaybeCrash((std::string(site) + ".pre_rename").c_str());
-    require(std::rename(tmp.c_str(), path.c_str()) == 0,
-            "cannot rename '" + tmp + "' to '" + path +
-                "': " + errnoText());
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        fail("cannot rename '" + tmp + "' to '" + path + "': " + errnoText());
     faultMaybeCrash((std::string(site) + ".post_rename").c_str());
     fsyncDir(parentDir(path), site);
 }

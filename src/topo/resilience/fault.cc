@@ -77,9 +77,8 @@ FaultPlan::parse(const std::string &spec)
         if (arm_text.empty())
             continue;
         const std::size_t at = arm_text.find('@');
-        require(at != std::string::npos,
-                "fault-spec: arm '" + arm_text +
-                    "' is not KIND@PROB[:seed]");
+        if (at == std::string::npos)
+            fail("fault-spec: arm '" + arm_text + "' is not KIND@PROB[:seed]");
         const FaultKind kind = parseKind(arm_text.substr(0, at));
         std::string prob_text = arm_text.substr(at + 1);
         std::uint64_t seed =
@@ -93,9 +92,8 @@ FaultPlan::parse(const std::string &spec)
         }
         const double p =
             parseDouble(prob_text, "fault-spec probability");
-        require(p >= 0.0 && p <= 1.0,
-                "fault-spec: probability " + prob_text +
-                    " outside [0, 1]");
+        if (!(p >= 0.0 && p <= 1.0))
+            fail("fault-spec: probability " + prob_text + " outside [0, 1]");
         plan.arm(kind, p, seed);
     }
     return plan;

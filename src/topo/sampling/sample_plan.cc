@@ -206,8 +206,8 @@ samplingFrom(const Options &options)
     } else if (mode == "simpoint") {
         sampling.mode = SampleMode::kSimpoint;
     } else {
-        require(false, "unknown --sample mode '" + mode +
-                           "'; did you mean --sample=simpoint?");
+        fail("unknown --sample mode '" + mode +
+                 "'; did you mean --sample=simpoint?");
     }
 
     const std::int64_t window = options.getInt("sample-window", 0);

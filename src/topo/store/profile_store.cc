@@ -85,10 +85,10 @@ parseSnapshot(const std::string &path, std::uint64_t store_id)
             unframeFile(kSnapshotMagic, bytes, path);
         Reader in(payload, path);
         const std::uint64_t version = in.u64();
-        requireData(version == kSnapshotVersion,
-                    "unsupported snapshot version " +
-                        std::to_string(version),
-                    path);
+        if (version != kSnapshotVersion)
+            failCorrupt("unsupported snapshot version " +
+                            std::to_string(version),
+                        path);
         const std::uint64_t sid = in.u64();
         requireData(sid == store_id, "snapshot store id mismatch",
                     path);
@@ -270,8 +270,8 @@ ProfileStore::init(const std::string &dir, const StoreConfig &config)
     }
     ProfileStore store;
     store.dir_ = dir;
-    require(!fileExists(store.metaPath()),
-            "'" + dir + "' already holds a profile store");
+    if (fileExists(store.metaPath()))
+        fail("'" + dir + "' already holds a profile store");
 
     // Identity: a fingerprint of the configuration. Deterministic on
     // purpose — reproducible runs build bit-identical stores.
@@ -303,8 +303,8 @@ ProfileStore::open(const std::string &dir)
     PhaseTimer timer("store.open");
     ProfileStore store;
     store.dir_ = dir;
-    require(fileExists(store.metaPath()),
-            "'" + dir + "' is not a profile store (no store.meta)");
+    if (!fileExists(store.metaPath()))
+        fail("'" + dir + "' is not a profile store (no store.meta)");
     const std::string meta_bytes =
         readFileBytes(store.metaPath(), "store.meta.read");
     const std::string meta_payload =
@@ -369,10 +369,10 @@ ProfileStore::open(const std::string &dir)
     for (const StoreRecord &record : scan.records) {
         if (record.seq <= store.applied_seq_)
             continue; // already folded into the snapshot
-        requireData(record.seq == store.applied_seq_ + 1,
-                    "journal is missing records before seq " +
-                        std::to_string(record.seq),
-                    store.journalPath());
+        if (record.seq != store.applied_seq_ + 1)
+            failCorrupt("journal is missing records before seq " +
+                            std::to_string(record.seq),
+                        store.journalPath());
         if (record.kind == StoreRecordKind::kShard)
             applyShardDelta(store.profile_, record.shard);
         else

@@ -189,10 +189,10 @@ deserializeMeta(const std::string &payload, std::uint64_t &store_id)
 {
     Reader in(payload, "store meta");
     const std::uint64_t version = in.u64();
-    requireData(version == kMetaVersion,
-                "unsupported store meta version " +
-                    std::to_string(version),
-                "store meta");
+    if (version != kMetaVersion)
+        failCorrupt("unsupported store meta version " +
+                        std::to_string(version),
+                    "store meta");
     store_id = in.u64();
     StoreConfig config;
     config.cache.size_bytes = in.u32();
@@ -240,10 +240,9 @@ deserializeProfile(const std::string &payload,
 {
     Reader in(payload, context);
     const std::uint64_t version = in.u64();
-    requireData(version == kProfileVersion,
-                "unsupported profile version " +
-                    std::to_string(version),
-                context);
+    if (version != kProfileVersion)
+        failCorrupt("unsupported profile version " + std::to_string(version),
+                    context);
     StoredProfile profile;
     const std::uint64_t shards = in.u64();
     requireData(shards <= kMaxFieldLen, "shard count implausible", context);
@@ -312,10 +311,9 @@ scanJournal(const std::string &bytes, const std::string &context)
                 "bad journal magic", context);
     Reader header(std::string_view(bytes).substr(4, 12), context);
     const std::uint32_t version = header.u32();
-    requireData(version == kJournalVersion,
-                "unsupported journal version " +
-                    std::to_string(version),
-                context);
+    if (version != kJournalVersion)
+        failCorrupt("unsupported journal version " + std::to_string(version),
+                    context);
     scan.store_id = header.u64();
 
     std::size_t pos = journalHeaderSize();

@@ -28,10 +28,10 @@ Trace::validate(const Program &program) const
                 "Trace::validate: invalid procedure id");
         const Procedure &p = program.proc(ev.proc);
         require(ev.length > 0, "Trace::validate: zero-length run");
-        require(static_cast<std::uint64_t>(ev.offset) + ev.length <=
-                    p.size_bytes,
-                "Trace::validate: run exceeds bounds of procedure '" +
-                    p.name + "'");
+        if (static_cast<std::uint64_t>(ev.offset) + ev.length >
+            p.size_bytes)
+            fail("Trace::validate: run exceeds bounds of procedure '" +
+                     p.name + "'");
     }
 }
 

@@ -55,10 +55,10 @@ getVarint(std::string_view buf, std::size_t &pos, const char *what)
     std::uint64_t value = 0;
     int shift = 0;
     for (;;) {
-        requireData(pos < buf.size(),
-                    std::string("truncated varint in ") + what);
-        requireData(shift < 64,
-                    std::string("varint overflow in ") + what);
+        if (pos >= buf.size())
+            failCorrupt(std::string("truncated varint in ") + what);
+        if (shift >= 64)
+            failCorrupt(std::string("varint overflow in ") + what);
         const int byte = static_cast<unsigned char>(buf[pos++]);
         value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
@@ -114,18 +114,18 @@ struct Header
 Header
 readHeader(std::string_view buf, const std::string &who)
 {
-    requireData(buf.starts_with(kMagic), who + ": bad magic");
+    if (!buf.starts_with(kMagic))
+        failCorrupt(who + ": bad magic");
     Header header;
     header.body = 4;
     header.version = getVarint(buf, header.body, "header");
-    requireData(header.version == kVersionV1 ||
-                    header.version == kVersionV2,
-                who + ": unsupported version " +
-                    std::to_string(header.version));
+    if (header.version != kVersionV1 && header.version != kVersionV2)
+        failCorrupt(who + ": unsupported version " +
+                        std::to_string(header.version));
     header.proc_count = getVarint(buf, header.body, "header");
-    requireData(header.proc_count <= kMaxProcCount,
-                who + ": implausible procedure count " +
-                    std::to_string(header.proc_count));
+    if (header.proc_count > kMaxProcCount)
+        failCorrupt(who + ": implausible procedure count " +
+                        std::to_string(header.proc_count));
     header.run_count = getVarint(buf, header.body, "header");
     return header;
 }
@@ -195,14 +195,14 @@ readChunkV2(std::string_view buf, std::size_t &pos,
     faultMaybeThrowIo("trace_binary.chunk");
     const std::uint64_t record_count =
         getVarint(buf, pos, "v2 chunk header");
-    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
-                "readBinaryTrace: implausible chunk record count " +
-                    std::to_string(record_count));
+    if (record_count == 0 || record_count > kMaxChunkRecords)
+        failCorrupt("readBinaryTrace: implausible chunk record count " +
+                        std::to_string(record_count));
     const std::uint64_t payload_bytes =
         getVarint(buf, pos, "v2 chunk header");
-    requireData(payload_bytes <= record_count * kMaxRecordBytes,
-                "readBinaryTrace: implausible chunk payload size " +
-                    std::to_string(payload_bytes));
+    if (payload_bytes > record_count * kMaxRecordBytes)
+        failCorrupt("readBinaryTrace: implausible chunk payload size " +
+                        std::to_string(payload_bytes));
     requireData(pos + 4 <= buf.size(),
                 "readBinaryTrace: truncated chunk checksum");
     std::uint32_t crc = 0;
@@ -328,8 +328,8 @@ class FileBytes
         if (map_.has_value())
             return;
         std::ifstream is(path, std::ios::binary);
-        require(is.good(),
-                std::string(loader) + ": cannot open '" + path + "'");
+        if (!is.good())
+            fail(std::string(loader) + ": cannot open '" + path + "'");
         read_ = readAll(is);
     }
 
@@ -435,10 +435,11 @@ saveBinaryTrace(const std::string &path, const Trace &trace,
                 const TraceWriteOptions &wopts)
 {
     std::ofstream os(path, std::ios::binary);
-    require(os.good(), "saveBinaryTrace: cannot open '" + path + "'");
+    if (!os.good())
+        fail("saveBinaryTrace: cannot open '" + path + "'");
     writeBinaryTrace(os, trace, wopts);
-    require(os.good(), "saveBinaryTrace: write failed for '" + path +
-                           "'");
+    if (!os.good())
+        fail("saveBinaryTrace: write failed for '" + path + "'");
 }
 
 Trace

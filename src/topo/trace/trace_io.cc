@@ -66,11 +66,11 @@ readTrace(std::istream &is, const TraceReadOptions &ropts)
     std::string magic, version;
     std::uint64_t proc_count = 0;
     header >> magic >> version >> proc_count;
-    requireData(magic == "topo-trace" && version == "v1",
-                "readTrace: bad header '" + line + "'");
-    requireData(proc_count <= kMaxProcCount,
-                "readTrace: implausible procedure count " +
-                    std::to_string(proc_count));
+    if (magic != "topo-trace" || version != "v1")
+        failCorrupt("readTrace: bad header '" + line + "'");
+    if (proc_count > kMaxProcCount)
+        failCorrupt("readTrace: implausible procedure count " +
+                        std::to_string(proc_count));
     Trace trace(proc_count);
     std::size_t line_no = 1;
     while (std::getline(is, line)) {
@@ -92,9 +92,9 @@ readTrace(std::istream &is, const TraceReadOptions &ropts)
                                   ropts);
                 return trace;
             }
-            requireData(!fields.fail(),
-                        "readTrace: malformed run at line " +
-                            std::to_string(line_no));
+            if (fields.fail())
+                failCorrupt("readTrace: malformed run at line " +
+                                std::to_string(line_no));
             failCorrupt("readTrace: procedure id out of range at "
                         "line " +
                         std::to_string(line_no));
@@ -112,16 +112,19 @@ void
 saveTrace(const std::string &path, const Trace &trace)
 {
     std::ofstream os(path);
-    require(os.good(), "saveTrace: cannot open '" + path + "'");
+    if (!os.good())
+        fail("saveTrace: cannot open '" + path + "'");
     writeTrace(os, trace);
-    require(os.good(), "saveTrace: write failed for '" + path + "'");
+    if (!os.good())
+        fail("saveTrace: write failed for '" + path + "'");
 }
 
 Trace
 loadTrace(const std::string &path, const TraceReadOptions &ropts)
 {
     std::ifstream is(path);
-    require(is.good(), "loadTrace: cannot open '" + path + "'");
+    if (!is.good())
+        fail("loadTrace: cannot open '" + path + "'");
     return readTrace(is, ropts);
 }
 

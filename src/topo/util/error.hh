@@ -23,6 +23,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace topo
 {
@@ -92,26 +93,35 @@ class TopoError : public std::runtime_error
 /**
  * Check a caller-facing precondition; throws TopoError on failure.
  *
+ * The message is a view, and the std::string that TopoError needs is
+ * built only inside the failing branch, so a passing check with a
+ * literal message costs a compare and no allocation. That holds only
+ * while the argument itself is free to make: a message concatenated
+ * from parts is built before the call, on the pass path too. Where
+ * a message needs a name or a number, write
+ * `if (!cond) fail(...)` instead, so the pass path never concatenates.
+ *
  * @param cond Condition that must hold.
  * @param msg  Message used when the condition does not hold.
  */
 inline void
-require(bool cond, const std::string &msg)
+require(bool cond, std::string_view msg)
 {
-    if (!cond)
-        fail(msg);
+    if (!cond) [[unlikely]]
+        fail(std::string(msg));
 }
 
 /**
  * Check a property of external input data; throws a corrupt-input
- * TopoError (exit code 2) on failure.
+ * TopoError (exit code 2) on failure. Like require(), it builds its
+ * strings only on failure; use `if (!cond) failCorrupt(...)` for a
+ * message that must be concatenated.
  */
 inline void
-requireData(bool cond, const std::string &msg,
-            const std::string &context = "")
+requireData(bool cond, std::string_view msg, std::string_view context = {})
 {
-    if (!cond)
-        failCorrupt(msg, context);
+    if (!cond) [[unlikely]]
+        failCorrupt(std::string(msg), std::string(context));
 }
 
 } // namespace topo

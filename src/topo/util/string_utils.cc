@@ -44,7 +44,8 @@ std::int64_t
 parseInt(const std::string &text, const std::string &what)
 {
     const std::string s = trim(text);
-    require(!s.empty(), what + ": empty integer");
+    if (s.empty())
+        fail(what + ": empty integer");
     std::int64_t scale = 1;
     std::string digits = s;
     const char last = s.back();
@@ -58,8 +59,8 @@ parseInt(const std::string &text, const std::string &what)
         digits = s.substr(0, s.size() - 1);
     char *endp = nullptr;
     const long long value = std::strtoll(digits.c_str(), &endp, 10);
-    require(endp && *endp == '\0' && endp != digits.c_str(),
-            what + ": malformed integer '" + text + "'");
+    if (!endp || *endp != '\0' || endp == digits.c_str())
+        fail(what + ": malformed integer '" + text + "'");
     return static_cast<std::int64_t>(value) * scale;
 }
 
@@ -67,11 +68,12 @@ double
 parseDouble(const std::string &text, const std::string &what)
 {
     const std::string s = trim(text);
-    require(!s.empty(), what + ": empty number");
+    if (s.empty())
+        fail(what + ": empty number");
     char *endp = nullptr;
     const double value = std::strtod(s.c_str(), &endp);
-    require(endp && *endp == '\0' && endp != s.c_str(),
-            what + ": malformed number '" + text + "'");
+    if (!endp || *endp != '\0' || endp == s.c_str())
+        fail(what + ": malformed number '" + text + "'");
     return value;
 }
 

@@ -13,22 +13,22 @@ WorkloadModel::validate() const
     for (std::size_t i = 0; i < bodies.size(); ++i) {
         const auto id = static_cast<ProcId>(i);
         const std::uint32_t size = program.proc(id).size_bytes;
-        require(!bodies[i].items.empty(),
-                "WorkloadModel: empty body for '" + program.proc(id).name +
-                    "'");
+        if (bodies[i].items.empty())
+            fail("WorkloadModel: empty body for '" + program.proc(id).name +
+                     "'");
         for (const BodyItem &item : bodies[i].items) {
-            require(item.run_length > 0,
-                    "WorkloadModel: zero-length run in '" +
-                        program.proc(id).name + "'");
-            require(static_cast<std::uint64_t>(item.run_begin) +
-                            item.run_length <=
-                        size,
-                    "WorkloadModel: run outside procedure '" +
-                        program.proc(id).name + "'");
+            if (item.run_length == 0)
+                fail("WorkloadModel: zero-length run in '" +
+                         program.proc(id).name + "'");
+            if (static_cast<std::uint64_t>(item.run_begin) +
+                    item.run_length >
+                size)
+                fail("WorkloadModel: run outside procedure '" +
+                         program.proc(id).name + "'");
             if (item.callee != kInvalidProc) {
-                require(item.callee < program.procCount(),
-                        "WorkloadModel: invalid callee in '" +
-                            program.proc(id).name + "'");
+                if (item.callee >= program.procCount())
+                    fail("WorkloadModel: invalid callee in '" +
+                             program.proc(id).name + "'");
                 require(item.callee != id,
                         "WorkloadModel: direct recursion not supported");
                 require(item.call_prob >= 0.0 && item.call_prob <= 1.0,
@@ -40,12 +40,12 @@ WorkloadModel::validate() const
     }
     require(!phases.empty(), "WorkloadModel: at least one phase required");
     for (const Phase &phase : phases) {
-        require(!phase.roots.empty(),
-                "WorkloadModel: phase '" + phase.name + "' has no roots");
+        if (phase.roots.empty())
+            fail("WorkloadModel: phase '" + phase.name + "' has no roots");
         for (ProcId root : phase.roots) {
-            require(root < program.procCount(),
-                    "WorkloadModel: invalid root in phase '" + phase.name +
-                        "'");
+            if (root >= program.procCount())
+                fail("WorkloadModel: invalid root in phase '" + phase.name +
+                         "'");
         }
         require(phase.mean_iterations >= 1.0,
                 "WorkloadModel: phase iterations must be >= 1");

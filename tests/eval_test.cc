@@ -348,5 +348,51 @@ TEST(EvalGolden, SuiteLayoutsAtScale005)
     }
 }
 
+TEST(EvalGolden, PerturbedComparisonMissRatesAtScale005)
+{
+    // Recorded before GBSC's alignment moved from per-merge chunk maps
+    // to flat chunk spans. Perturbed weights are not integers, so a
+    // change in how alignmentCost sums them can move a layout. Each
+    // row holds the bits of the unperturbed miss rate and of the four
+    // perturbed ones.
+    static const WordGolden<5> kGolden[] = {
+        {"PH",
+         {0x3fba5e9fc65dbfecULL, 0x3fba4851250b1c31ULL,
+          0x3fba643702b00e2bULL, 0x3fba71cce9bfbcf4ULL,
+          0x3fba648ce2778dbeULL}},
+        {"HKC",
+         {0x3fba5ef5a6253f7fULL, 0x3fba52366e884fa6ULL,
+          0x3fba6225740c7b75ULL, 0x3fba734108cae5c7ULL,
+          0x3fba6ca82d2218ceULL}},
+        {"GBSC",
+         {0x3fba1b6c5294ea6aULL, 0x3fba042a61e25d39ULL,
+          0x3fba194c73fac271ULL, 0x3fba11a3a904e17bULL,
+          0x3fb9fdbc761d5009ULL}},
+    };
+    const ProfileBundle bundle(paperBenchmark("gcc", 0.05),
+                               EvalOptions{});
+    ComparisonOptions options;
+    options.repetitions = 4;
+    options.seed = 2024;
+    const std::vector<const PlacementAlgorithm *> algorithms = {
+        &placementEntry("ph").algorithm,
+        &placementEntry("hkc").algorithm,
+        &placementEntry("gbsc").algorithm};
+    const std::vector<AlgorithmResult> results =
+        runComparison(bundle, algorithms, options);
+    ASSERT_EQ(results.size(), std::size(kGolden));
+    for (std::size_t a = 0; a < results.size(); ++a) {
+        SCOPED_TRACE(kGolden[a].name);
+        EXPECT_EQ(results[a].algorithm, kGolden[a].name);
+        ASSERT_EQ(results[a].perturbed.size(), 4u);
+        std::uint64_t got[5] = {
+            std::bit_cast<std::uint64_t>(results[a].unperturbed)};
+        for (std::size_t r = 0; r < 4; ++r)
+            got[r + 1] = std::bit_cast<std::uint64_t>(
+                results[a].perturbed[r]);
+        expectGolden(kGolden[a], got);
+    }
+}
+
 } // namespace
 } // namespace topo

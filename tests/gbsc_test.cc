@@ -2,21 +2,31 @@
  * @file
  * Tests for GBSC (Section 4): merge_nodes semantics, the PH
  * equivalence in the small case, the final linear list, the conflict
- * metric, the Figure 1 end-to-end claims, and the set-associative
- * variant.
+ * metric, the Figure 1 end-to-end claims, the set-associative
+ * variant, a differential test of the Figure 4 cost array against the
+ * map-based form it replaced, and golden pins of both variants'
+ * alignment decisions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+
 #include "topo/cache/simulate.hh"
 #include "topo/eval/experiment.hh"
+#include "topo/placement/decision_log.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/gbsc_setassoc.hh"
+#include "topo/profile/perturb.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 #include "topo/workload/figure1.hh"
+#include "topo/workload/paper_suite.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -264,6 +274,166 @@ TEST(GbscSetAssoc, SeparatesTripleConflicts)
     EXPECT_EQ(sa.name(), "GBSC-SA");
 }
 
+/**
+ * The Figure 4 cost array as GBSC computed it before chunk spans: each
+ * node's chunk colours in an ordered map built one chunkAtLine call per
+ * line, and three modulo operations per colour pair. The oracle of the
+ * differential test below.
+ */
+std::vector<double>
+mapAlignmentCost(const PlacementContext &ctx, const GbscNode &n1,
+                 const GbscNode &n2, std::uint32_t modulus)
+{
+    using ChunkColors = std::map<ChunkId, std::vector<std::uint32_t>>;
+    auto chunk_colors = [&](const GbscNode &node) {
+        const std::uint32_t cache_lines = ctx.cache.lineCount();
+        const std::uint32_t line_bytes = ctx.cache.line_bytes;
+        ChunkColors colors;
+        for (const auto &[proc, offset] : node.procs) {
+            const std::uint32_t len =
+                ctx.program->sizeInLines(proc, line_bytes);
+            for (std::uint32_t line = 0; line < len; ++line) {
+                const ChunkId chunk =
+                    ctx.chunks->chunkAtLine(proc, line, line_bytes);
+                colors[chunk].push_back((offset + line) % cache_lines);
+            }
+        }
+        return colors;
+    };
+    const ChunkColors colors1 = chunk_colors(n1);
+    const ChunkColors colors2 = chunk_colors(n2);
+    std::vector<double> cost(modulus, 0.0);
+    const bool iterate_first = colors1.size() <= colors2.size();
+    const ChunkColors &mine = iterate_first ? colors1 : colors2;
+    const ChunkColors &theirs = iterate_first ? colors2 : colors1;
+    for (const auto &[chunk, my_colors] : mine) {
+        for (const auto &[other, weight] :
+             ctx.trg_place->sortedNeighbors(chunk)) {
+            auto it = theirs.find(other);
+            if (it == theirs.end())
+                continue;
+            for (const std::uint32_t a : my_colors) {
+                for (const std::uint32_t b : it->second) {
+                    const std::uint32_t in_n1 = iterate_first ? a : b;
+                    const std::uint32_t in_n2 = iterate_first ? b : a;
+                    const std::uint32_t i =
+                        (in_n1 % modulus + modulus - in_n2 % modulus) %
+                        modulus;
+                    cost[i] += weight;
+                }
+            }
+        }
+    }
+    return cost;
+}
+
+/** One geometry of the alignmentCost differential test. */
+struct AlignGeometry
+{
+    const char *name;
+    CacheConfig cache;
+    std::uint32_t chunk_bytes;
+    std::uint32_t max_proc_bytes;
+};
+
+TEST(GbscAlignmentCost, MatchesTheMapOracleBitForBit)
+{
+    static const AlignGeometry kGeometries[] = {
+        {"paper direct-mapped", CacheConfig{8 * 1024, 32, 1}, 256, 6000},
+        {"paper 2-way", CacheConfig{8 * 1024, 32, 2}, 256, 6000},
+        // 48-byte chunks straddle 32-byte lines.
+        {"unaligned chunks", CacheConfig{1024, 32, 2}, 48, 1500},
+        // Chunks smaller than a line: some hold no line's first byte.
+        {"sub-line chunks", CacheConfig{1024, 32, 4}, 16, 600},
+        // A 1 KB chunk in a 512 B cache: its colours wrap.
+        {"chunks wider than the cache", CacheConfig{512, 32, 1}, 1024,
+         3000},
+    };
+    Rng rng(4242);
+    for (const AlignGeometry &geometry : kGeometries) {
+        SCOPED_TRACE(geometry.name);
+        std::vector<std::uint32_t> sizes;
+        for (int i = 0; i < 24; ++i) {
+            sizes.push_back(1 + static_cast<std::uint32_t>(
+                                    rng.nextBelow(geometry.max_proc_bytes)));
+        }
+        GbscFixture fx(sizes, geometry.cache, geometry.chunk_bytes);
+        const auto chunk_count =
+            static_cast<std::uint32_t>(fx.chunks->chunkCount());
+        for (int e = 0; e < 400; ++e) {
+            const auto u = static_cast<BlockId>(rng.nextBelow(chunk_count));
+            const auto v = static_cast<BlockId>(rng.nextBelow(chunk_count));
+            if (u != v)
+                fx.trg_place.addWeight(u, v, 1.0 + rng.nextBelow(50));
+        }
+        Rng noise(99);
+        const WeightedGraph perturbed =
+            perturb(fx.trg_place, kPaperPerturbScale, noise);
+        const WeightedGraph *graphs[] = {&fx.trg_place, &perturbed};
+        const std::uint32_t lines = geometry.cache.lineCount();
+        const std::uint32_t moduli[] = {lines,
+                                        geometry.cache.setCount()};
+
+        for (int trial = 0; trial < 40; ++trial) {
+            // Two disjoint random nodes at random offsets; every tenth
+            // trial leaves one of them empty.
+            std::vector<ProcId> procs(sizes.size());
+            for (std::size_t i = 0; i < procs.size(); ++i)
+                procs[i] = static_cast<ProcId>(i);
+            std::shuffle(procs.begin(), procs.end(), rng);
+            const std::size_t take1 = trial % 10 == 0 ? 0 :
+                                      1 + rng.nextBelow(8);
+            const std::size_t take2 = trial % 10 == 5 ? 0 :
+                                      1 + rng.nextBelow(8);
+            GbscNode n1;
+            GbscNode n2;
+            for (std::size_t i = 0; i < take1; ++i) {
+                n1.procs.emplace_back(
+                    procs[i], static_cast<std::uint32_t>(
+                                  rng.nextBelow(lines)));
+            }
+            for (std::size_t i = take1; i < take1 + take2; ++i) {
+                n2.procs.emplace_back(
+                    procs[i], static_cast<std::uint32_t>(
+                                  rng.nextBelow(lines)));
+            }
+            for (const WeightedGraph *graph : graphs) {
+                fx.ctx.trg_place = graph;
+                for (const std::uint32_t modulus : moduli) {
+                    const std::vector<double> want =
+                        mapAlignmentCost(fx.ctx, n1, n2, modulus);
+                    const std::vector<double> got =
+                        Gbsc::alignmentCost(fx.ctx, n1, n2, modulus);
+                    ASSERT_EQ(got.size(), want.size());
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                          got.size() * sizeof(double)),
+                              0)
+                        << "trial " << trial << ", modulus " << modulus
+                        << (graph == &perturbed ? ", perturbed" : "");
+                }
+            }
+            fx.ctx.trg_place = &fx.trg_place;
+        }
+    }
+}
+
+TEST(GbscAlignmentCost, RejectsAModulusThatDoesNotDivideTheLines)
+{
+    GbscFixture fx({64, 64});
+    GbscNode n1;
+    n1.procs.emplace_back(0, 0u);
+    GbscNode n2;
+    n2.procs.emplace_back(1, 0u);
+    try {
+        Gbsc::alignmentCost(fx.ctx, n1, n2, 255);
+        FAIL() << "a modulus of 255 against 256 lines was accepted";
+    } catch (const TopoError &e) {
+        EXPECT_EQ(e.exitCode(), 1);
+        EXPECT_NE(std::string(e.what()).find("must divide"),
+                  std::string::npos);
+    }
+}
+
 /** Property: GBSC layouts are always valid across random TRGs. */
 class GbscPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -298,6 +468,101 @@ TEST_P(GbscPropertyTest, RandomTrgsYieldValidLayouts)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GbscPropertyTest,
                          ::testing::Values(21u, 22u, 23u, 24u, 25u, 26u));
+
+/**
+ * FNV-1a over every @p stage record of a decision log: the procedure
+ * pair, the chosen offset, and the bits of the chosen and runner-up
+ * costs. The number of such records goes to @p records.
+ */
+std::uint64_t
+alignDigest(const DecisionLog &log, const std::string &stage,
+            std::uint64_t *records)
+{
+    std::uint64_t h = kFnvBasis;
+    *records = 0;
+    for (const DecisionRecord &rec : log.records()) {
+        if (rec.stage != stage)
+            continue;
+        ++*records;
+        fnvMix(h, rec.a, 4);
+        fnvMix(h, rec.b, 4);
+        fnvMix(h, rec.chosen, 8);
+        fnvMix(h, std::bit_cast<std::uint64_t>(rec.chosen_cost), 8);
+        fnvMix(h, rec.alternative_count, 4);
+        for (std::uint32_t k = 0; k < rec.alternative_count; ++k) {
+            fnvMix(h, rec.alternatives[k].choice, 8);
+            fnvMix(h, std::bit_cast<std::uint64_t>(
+                          rec.alternatives[k].cost),
+                   8);
+        }
+    }
+    return h;
+}
+
+TEST(GbscGolden, AlignDecisionsAndSetAssocLayoutAtScale005)
+{
+    // Recorded before alignmentCost moved from per-merge chunk maps to
+    // flat chunk spans. Each row holds the align-record count, the
+    // align-record digest, the layout hash and the test-trace misses.
+    // "gbsc-perturbed" places on perturbed TRGs, whose weights are not
+    // integers, so it pins the order of the cost additions too.
+    static const WordGolden<4> kGolden[] = {
+        {"gbsc",
+         {0x000000000000002eULL, 0xe3b8d77c5807e163ULL,
+          0x8a27023417b01d15ULL, 0x000000000001d2f8ULL}},
+        {"gbsc-perturbed",
+         {0x000000000000002eULL, 0xd63858e1c30d1629ULL,
+          0x1b21feaf691253afULL, 0x000000000001d2aaULL}},
+        {"gbsc-sa",
+         {0x000000000000002eULL, 0x64934f31ab1a2d8bULL,
+          0xaf4958c9fec90f13ULL, 0x000000000001fa63ULL}},
+    };
+    const ProfileBundle direct(paperBenchmark("gcc", 0.05), EvalOptions{});
+    EvalOptions two_way;
+    two_way.cache = CacheConfig::paperTwoWay();
+    two_way.build_pairs = true;
+    const ProfileBundle assoc(paperBenchmark("gcc", 0.05), two_way);
+
+    Rng rng_sel(71);
+    Rng rng_plc(72);
+    const WeightedGraph sel_p =
+        perturb(direct.trgSelect(), kPaperPerturbScale, rng_sel);
+    const WeightedGraph plc_p =
+        perturb(direct.trgPlace(), kPaperPerturbScale, rng_plc);
+
+    const Gbsc gbsc;
+    const GbscSetAssoc gbsc_sa;
+    struct Case
+    {
+        const PlacementAlgorithm &algorithm;
+        const ProfileBundle &bundle;
+        PlacementContext ctx;
+        const char *stage;
+    };
+    const Case cases[] = {
+        {gbsc, direct, direct.makeContext(), "gbsc.align"},
+        {gbsc, direct, direct.makeContext(nullptr, &sel_p, &plc_p),
+         "gbsc.align"},
+        {gbsc_sa, assoc, assoc.makeContext(), "gbsc_sa.align"},
+    };
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        SCOPED_TRACE(kGolden[i].name);
+        const Case &c = cases[i];
+        DecisionLog log;
+        PlacementContext ctx = c.ctx;
+        ctx.decisions = &log;
+        const Layout layout = c.algorithm.place(ctx);
+        std::uint64_t got[4];
+        got[1] = alignDigest(log, c.stage, &got[0]);
+        got[2] = layoutHash(layout);
+        got[3] = simulateLayout(c.bundle.program(), layout,
+                                c.bundle.testStream(),
+                                c.bundle.options().cache)
+                     .misses;
+        EXPECT_GT(got[0], 0u);
+        expectGolden(kGolden[i], got);
+    }
+}
 
 } // namespace
 } // namespace topo

@@ -50,7 +50,8 @@ std::string
 readFileBytes(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
-    require(is.good(), "topo_corrupt: cannot open '" + path + "'");
+    if (!is.good())
+        fail("topo_corrupt: cannot open '" + path + "'");
     std::ostringstream ss;
     ss << is.rdbuf();
     return ss.str();
@@ -60,10 +61,12 @@ void
 writeFileBytes(const std::string &path, const std::string &bytes)
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    require(os.good(), "topo_corrupt: cannot open '" + path + "'");
+    if (!os.good())
+        fail("topo_corrupt: cannot open '" + path + "'");
     os.write(bytes.data(),
              static_cast<std::streamsize>(bytes.size()));
-    require(os.good(), "topo_corrupt: write to '" + path + "' failed");
+    if (!os.good())
+        fail("topo_corrupt: write to '" + path + "' failed");
 }
 
 void
@@ -125,9 +128,8 @@ runStore(const Options &opts)
                     best_gen = gen;
                 }
             }
-            require(!best.empty(),
-                    "topo_corrupt: no snapshot files in '" + dir +
-                        "'");
+            if (best.empty())
+                fail("topo_corrupt: no snapshot files in '" + dir + "'");
             path = best;
         } else {
             path = dir + "/snapshot-" +
@@ -163,10 +165,10 @@ runStore(const Options &opts)
     const auto drop =
         static_cast<std::size_t>(opts.getInt("drop-record", 0));
     const JournalScan scan = scanJournal(bytes, journal);
-    require(drop < scan.extents.size(),
-            "topo_corrupt: --drop-record index out of range (journal "
-            "has " + std::to_string(scan.extents.size()) +
-            " valid records)");
+    if (drop >= scan.extents.size())
+        fail("topo_corrupt: --drop-record index out of range (journal "
+             "has " +
+             std::to_string(scan.extents.size()) + " valid records)");
     bytes.erase(scan.extents[drop].begin,
                 scan.extents[drop].end - scan.extents[drop].begin);
     writeFileBytes(journal, bytes);
@@ -239,9 +241,10 @@ run(const Options &opts)
             opts.getInt("drop-chunk", 0));
         const std::vector<ChunkExtent> chunks =
             scanBinaryTraceChunks(bytes);
-        require(drop < chunks.size(),
-                "topo_corrupt: --drop-chunk index out of range (file "
-                "has " + std::to_string(chunks.size()) + " chunks)");
+        if (drop >= chunks.size())
+            fail("topo_corrupt: --drop-chunk index out of range (file "
+                 "has " +
+                 std::to_string(chunks.size()) + " chunks)");
         bytes.erase(chunks[drop].begin,
                     chunks[drop].end - chunks[drop].begin);
         std::cerr << "dropped chunk " << drop << " ("

@@ -73,12 +73,12 @@ run(const Options &opts)
     layout.validate(program, eval.cache.line_bytes);
     if (!decisions_out.empty()) {
         std::ofstream os(decisions_out);
-        require(os.good(), "topo_place: cannot open '" + decisions_out +
-                               "'");
+        if (!os.good())
+            fail("topo_place: cannot open '" + decisions_out + "'");
         decisions.toJson(program).write(os);
         os << "\n";
-        require(os.good(), "topo_place: write failed for '" +
-                               decisions_out + "'");
+        if (!os.good())
+            fail("topo_place: write failed for '" + decisions_out + "'");
         decisions.publishMetrics(program);
         std::cerr << "wrote " << decisions.kept() << " decision records"
                   << (decisions.dropped()
@@ -100,8 +100,8 @@ run(const Options &opts)
     const std::string out_script = opts.getString("out-script", "");
     if (!out_script.empty()) {
         std::ofstream os(out_script);
-        require(os.good(), "topo_place: cannot open '" + out_script +
-                               "'");
+        if (!os.good())
+            fail("topo_place: cannot open '" + out_script + "'");
         writeLinkerScript(os, program, layout, eval.cache.line_bytes);
         std::cerr << "wrote linker script to " << out_script << "\n";
     }

@@ -112,8 +112,8 @@ writeJsonIfRequested(const Options &opts, const JsonValue &doc)
     if (path.empty())
         return;
     std::ofstream out(path);
-    require(out.good(),
-            "topo_profile: cannot open '" + path + "' for writing");
+    if (!out.good())
+        fail("topo_profile: cannot open '" + path + "' for writing");
     doc.write(out);
     out << "\n";
 }

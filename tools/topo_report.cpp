@@ -120,9 +120,8 @@ struct ReportWriter
             std::cout << markdown.str();
         } else {
             std::ofstream os(out_path);
-            require(os.good(),
-                    "topo_report: cannot open --out file '" + out_path +
-                        "'");
+            if (!os.good())
+                fail("topo_report: cannot open --out file '" + out_path + "'");
             os << markdown.str();
             logInfo("report", "markdown written",
                     {{"file", out_path}});
@@ -132,9 +131,9 @@ struct ReportWriter
             root.set("topo_report_suite", JsonValue::number(1));
             root.set("reports", std::move(json_reports));
             std::ofstream os(json_path);
-            require(os.good(),
-                    "topo_report: cannot open --json-out file '" +
-                        json_path + "'");
+            if (!os.good())
+                fail("topo_report: cannot open --json-out file '" + json_path +
+                         "'");
             os << root.toString() << '\n';
             logInfo("report", "json written", {{"file", json_path}});
         }
@@ -353,8 +352,8 @@ runDiffReport(const Options &opts)
         std::cout << markdown;
     } else {
         std::ofstream os(out_path);
-        require(os.good(), "topo_report: cannot open --out file '" +
-                               out_path + "'");
+        if (!os.good())
+            fail("topo_report: cannot open --out file '" + out_path + "'");
         os << markdown;
         logInfo("report", "diff markdown written",
                 {{"file", out_path}});
@@ -362,9 +361,9 @@ runDiffReport(const Options &opts)
     const std::string json_path = opts.getString("json-out", "");
     if (!json_path.empty()) {
         std::ofstream os(json_path);
-        require(os.good(),
-                "topo_report: cannot open --json-out file '" +
-                    json_path + "'");
+        if (!os.good())
+            fail("topo_report: cannot open --json-out file '" + json_path +
+                     "'");
         os << diffToJson(diff, program).toString() << '\n';
         logInfo("report", "diff json written", {{"file", json_path}});
     }

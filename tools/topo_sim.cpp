@@ -444,8 +444,8 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
     }
     root.set("runs", std::move(list));
     std::ofstream os(path);
-    require(os.good(),
-            "topo_sim: cannot open --bench-out file '" + path + "'");
+    if (!os.good())
+        fail("topo_sim: cannot open --bench-out file '" + path + "'");
     os << root.toString() << '\n';
     logInfo("bench", "bench record written",
             {{"file", path}, {"runs", runs.size()}});
@@ -641,11 +641,11 @@ runBenchmark(const Options &opts)
                               std::to_string(run.sample_abs_error);
             }
         }
-        require(violations.empty(),
-                "topo_sim: sampling miss-rate error exceeds "
-                "--sample-max-error=" +
-                    std::to_string(eval.sampling.max_error) + ":" +
-                    violations);
+        if (!violations.empty())
+            fail("topo_sim: sampling miss-rate error exceeds "
+                 "--sample-max-error=" +
+                     std::to_string(eval.sampling.max_error) + ":" +
+                     violations);
     }
     return 0;
 }
@@ -775,12 +775,12 @@ run(const Options &opts)
         if (!bench_out.empty())
             writeBenchJson(bench_out, trace_path, 1.0, eval.cache,
                            {record});
-        require(sampling.max_error == 0.0 || !record.has_exact ||
-                    record.sample_abs_error <= sampling.max_error,
-                "topo_sim: sampling miss-rate error " +
-                    std::to_string(record.sample_abs_error) +
-                    " exceeds --sample-max-error=" +
-                    std::to_string(sampling.max_error));
+        if (!(sampling.max_error == 0.0 || !record.has_exact ||
+              record.sample_abs_error <= sampling.max_error))
+            fail("topo_sim: sampling miss-rate error " +
+                     std::to_string(record.sample_abs_error) +
+                     " exceeds --sample-max-error=" +
+                     std::to_string(sampling.max_error));
         return 0;
     }
 
