@@ -41,9 +41,10 @@ done
     echo "FAIL: metrics.json fails schema validation"; exit 1; }
 
 echo "== debug-log gate =="
-# --log-level=debug switches the replay to its controlled variant (the
-# one with the progress heartbeat); observed replays (--taxonomy) stay
-# observed. Neither may change a byte of stdout.
+# Neither --log-level=debug nor --trace-out may change a byte of
+# stdout, on a plain (batched) replay or on an observed (--taxonomy)
+# one. Both run the same replay variant as the plain run: no logging
+# or tracing flag selects the per-fetch replay.
 for extra in "" "--taxonomy"; do
     # shellcheck disable=SC2086
     "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
@@ -53,6 +54,13 @@ for extra in "" "--taxonomy"; do
         $extra --log-level=debug > "$WORK/log_debug.txt" 2> /dev/null
     cmp -s "$WORK/log_default.txt" "$WORK/log_debug.txt" || {
         echo "FAIL: --log-level=debug changes stdout (${extra:-plain})"
+        exit 1; }
+    # shellcheck disable=SC2086
+    "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
+        $extra --trace-out="$WORK/log_trace.json" \
+        > "$WORK/log_traced.txt" 2> /dev/null
+    cmp -s "$WORK/log_default.txt" "$WORK/log_traced.txt" || {
+        echo "FAIL: --trace-out changes stdout (${extra:-plain})"
         exit 1; }
 done
 

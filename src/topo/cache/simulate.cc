@@ -26,19 +26,15 @@ namespace
  */
 thread_local util::Arena t_replay_arena;
 
-/** Emit a progress heartbeat every this many line fetches. */
-constexpr std::uint64_t kHeartbeatMask = (1ULL << 23) - 1; // ~8.4M
-
 /** The compiled variants of the replay loop. */
 enum class ReplayMode
 {
-    /** No hooks: the run-batched fast path when unattributed. */
-    kPlain,
-    /** Checkpoint/resume/stop, throw_io fault probes and, at
-     *  --log-level=debug, the progress heartbeat. */
-    kControlled,
-    /** Attribution/taxonomy/timeline sinks fed per fetch. */
-    kObserved,
+    /** No hooks and no attribution: the run-batched fast path. */
+    kBatched,
+    /** One cache probe per fetch, for per-procedure attribution,
+     *  checkpoint/resume/stop, throw_io fault probes and the
+     *  attribution/taxonomy/timeline sinks. */
+    kPerFetch,
 };
 
 /** Probe the throw_io fault stream every this many line fetches. */
@@ -46,11 +42,9 @@ constexpr std::uint64_t kFaultMask = (1ULL << 12) - 1; // 4096
 
 /**
  * Shared replay loop; Cache is DirectMappedCache or a PolicyCache
- * instantiation, all exposing bool access(uint64). The plain,
- * controlled (checkpoint/resume/fault/heartbeat) and observed
- * (attribution/taxonomy/timeline) variants are compiled separately,
- * so the default path pays nothing for progress reporting, resilience
- * hooks or observation sinks.
+ * instantiation, all exposing bool access(uint64). The batched and
+ * per-fetch variants are compiled separately, so the default path pays
+ * nothing for resilience hooks or observation sinks.
  */
 template <typename Cache, ReplayMode kMode>
 SimResult
@@ -87,11 +81,29 @@ replay(const Program &program, const Layout &layout,
     }
 
     SimResult result;
-    if (attribute)
-        result.misses_by_proc.assign(program.procCount(), 0);
-
-    std::uint64_t start = 0;
-    if constexpr (kMode == ReplayMode::kControlled) {
+    const std::uint64_t total = stream.size();
+    if constexpr (kMode == ReplayMode::kBatched) {
+        // Plain unattributed replay — the configuration every
+        // placement-evaluation call hits — goes through the cache's
+        // run-batched access loop (branchless on the direct-mapped
+        // model), probing each run's consecutive line addresses from a
+        // single table lookup and skipping cache-resident repeats
+        // outright. Batched replays never resume, so the batch always
+        // covers the entire stream.
+        const std::uint32_t *const table = addr_of.data();
+        const FetchRun *const runs = stream.runs().data();
+        result.misses = cache.accessRunBatch(
+            stream.runs().size(), [table, runs](std::size_t r) {
+                return std::tuple<std::uint64_t, std::uint32_t,
+                                  std::uint32_t>(
+                    table[runs[r].first_line], runs[r].line_count,
+                    runs[r].repeats);
+            });
+        result.accesses = total;
+    } else {
+        if (attribute)
+            result.misses_by_proc.assign(program.procCount(), 0);
+        std::uint64_t start = 0;
         if (control != nullptr && control->resume != nullptr) {
             const SimCheckpoint &ckpt = *control->resume;
             require(ckpt.fingerprint == fingerprint,
@@ -112,100 +124,69 @@ replay(const Program &program, const Layout &layout,
             logInfo("simulate", "resumed from checkpoint",
                     {{"cursor", start}, {"misses", result.misses}});
         }
-    }
 
-    std::uint64_t cursor = start;
-    const std::uint64_t total = stream.size();
-    auto write_ckpt = [&](std::uint64_t at) {
-        SimCheckpoint ckpt;
-        ckpt.fingerprint = fingerprint;
-        ckpt.cursor = at;
-        ckpt.misses = result.misses;
-        ckpt.cache_words = cache.stateWords();
-        ckpt.misses_by_proc = result.misses_by_proc;
-        saveCheckpoint(control->checkpoint_path, ckpt);
-        MetricsRegistry::current()
-            .counter("sim.checkpoints_written")
-            .add();
-    };
-    (void)write_ckpt; // only invoked in the controlled instantiation
-    (void)observers;  // only read in the observed instantiation
-    if constexpr (kMode == ReplayMode::kPlain) {
-        // Plain unattributed replay — the configuration every
-        // placement-evaluation call hits — goes through the cache's
-        // run-batched access loop (branchless on the direct-mapped
-        // model), probing each run's consecutive line addresses from a
-        // single table lookup and skipping cache-resident repeats
-        // outright. Uncontrolled replays never resume, so the batch
-        // always covers the entire stream.
-        if (!attribute) {
-            require(cursor == 0,
-                    "replay: batched fast path cannot resume");
-            const std::uint32_t *const table = addr_of.data();
-            const FetchRun *const runs = stream.runs().data();
-            result.misses += cache.accessRunBatch(
-                stream.runs().size(), [table, runs](std::size_t r) {
-                    return std::tuple<std::uint64_t, std::uint32_t,
-                                      std::uint32_t>(
-                        table[runs[r].first_line], runs[r].line_count,
-                        runs[r].repeats);
-                });
-            cursor = total;
-        }
-    }
-    // Per-fetch replay walks the runs: each run's procedure and placed
-    // base line are loaded once, and its j-th line is base + j.
-    std::uint32_t run_first = 0;
-    std::uint64_t run_addr = 0;
-    ProcId proc = 0;
-    auto on_run = [&](const FetchRun &run) {
-        run_first = run.first_line;
-        run_addr = addr_of[run_first];
-        proc = stream.procOfLine(run_first);
-    };
-    auto on_fetch = [&](std::uint32_t j) {
-        const std::uint64_t line_addr = run_addr + j;
-        if constexpr (kMode == ReplayMode::kObserved) {
-            std::uint32_t set = 0;
-            std::uint64_t victim = 0;
-            bool victim_valid = false;
-            const bool hit =
-                cache.accessTracked(line_addr, set, victim,
-                                    victim_valid);
-            if (observers->attribution != nullptr)
-                observers->attribution->recordAccess(proc, set);
-            if (!hit) {
-                ++result.misses;
-                if (attribute)
-                    ++result.misses_by_proc[proc];
-                if (observers->attribution != nullptr) {
-                    observers->attribution->recordMiss(
-                        proc, set, victim, victim_valid);
+        std::uint64_t cursor = start;
+        auto write_ckpt = [&](std::uint64_t at) {
+            SimCheckpoint ckpt;
+            ckpt.fingerprint = fingerprint;
+            ckpt.cursor = at;
+            ckpt.misses = result.misses;
+            ckpt.cache_words = cache.stateWords();
+            ckpt.misses_by_proc = result.misses_by_proc;
+            saveCheckpoint(control->checkpoint_path, ckpt);
+            MetricsRegistry::current()
+                .counter("sim.checkpoints_written")
+                .add();
+        };
+        // Per-fetch replay walks the runs: each run's procedure and
+        // placed base line are loaded once, and its j-th line is
+        // base + j.
+        std::uint32_t run_first = 0;
+        std::uint64_t run_addr = 0;
+        ProcId proc = 0;
+        auto on_run = [&](const FetchRun &run) {
+            run_first = run.first_line;
+            run_addr = addr_of[run_first];
+            proc = stream.procOfLine(run_first);
+        };
+        auto on_fetch = [&](std::uint32_t j) {
+            const std::uint64_t line_addr = run_addr + j;
+            if (observers == nullptr) {
+                if (!cache.access(line_addr)) {
+                    ++result.misses;
+                    if (attribute)
+                        ++result.misses_by_proc[proc];
                 }
-            }
-            if (observers->taxonomy != nullptr) {
-                // Classify before timeline->record(): record() may
-                // close the window this fetch belongs to.
-                const TaxonomyEvent event =
-                    observers->taxonomy->record(proc, run_first + j, hit);
+            } else {
+                std::uint32_t set = 0;
+                std::uint64_t victim = 0;
+                bool victim_valid = false;
+                const bool hit = cache.accessTracked(line_addr, set,
+                                                     victim, victim_valid);
+                if (observers->attribution != nullptr)
+                    observers->attribution->recordAccess(proc, set);
+                if (!hit) {
+                    ++result.misses;
+                    if (attribute)
+                        ++result.misses_by_proc[proc];
+                    if (observers->attribution != nullptr) {
+                        observers->attribution->recordMiss(
+                            proc, set, victim, victim_valid);
+                    }
+                }
+                if (observers->taxonomy != nullptr) {
+                    // Classify before timeline->record(): record() may
+                    // close the window this fetch belongs to.
+                    const TaxonomyEvent event =
+                        observers->taxonomy->record(proc, run_first + j,
+                                                    hit);
+                    if (observers->timeline != nullptr)
+                        observers->timeline->noteTaxonomy(event);
+                }
                 if (observers->timeline != nullptr)
-                    observers->timeline->noteTaxonomy(event);
+                    observers->timeline->record(proc, !hit);
             }
-            if (observers->timeline != nullptr)
-                observers->timeline->record(proc, !hit);
-        } else if (!cache.access(line_addr)) {
-            ++result.misses;
-            if (attribute)
-                ++result.misses_by_proc[proc];
-        }
-        ++cursor;
-        if constexpr (kMode == ReplayMode::kControlled) {
-            if ((cursor & kHeartbeatMask) == 0) {
-                logDebug("simulate", "progress",
-                         {{"done", cursor},
-                          {"total", total},
-                          {"misses", result.misses}});
-            }
+            ++cursor;
             if ((cursor & kFaultMask) == 0)
                 faultMaybeThrowIo("simulate");
             if (control != nullptr) {
@@ -221,18 +202,14 @@ replay(const Program &program, const Layout &layout,
                     return false;
                 }
             }
-        }
-        return true;
-    };
-    if (cursor < total)
-        stream.forEachFetch(cursor, on_run, on_fetch);
-    if constexpr (kMode == ReplayMode::kControlled) {
-        if (!result.completed && control != nullptr &&
-            !control->checkpoint_path.empty()) {
+            return true;
+        };
+        if (cursor < total)
+            stream.forEachFetch(cursor, on_run, on_fetch);
+        if (!result.completed && !control->checkpoint_path.empty())
             write_ckpt(cursor);
-        }
+        result.accesses = cursor;
     }
-    result.accesses = cursor;
     // Caches start empty and lines never invalidate, so each miss
     // either filled an empty frame or displaced a valid line.
     result.evictions = result.misses - cache.validLineCount();
@@ -246,22 +223,17 @@ replayDispatch(const Program &program, const Layout &layout,
                const SimControl *control, std::uint64_t fingerprint,
                const SimObservers *observers)
 {
-    // Observers never combine with checkpoint/resume (enforced by
-    // simulateLayout), so an observed replay needs no controlled hooks.
-    if (observers != nullptr && observers->any()) {
-        return replay<Cache, ReplayMode::kObserved>(
-            program, layout, stream, cache, attribute, nullptr,
-            fingerprint, observers);
-    }
-    // Debug logging selects the controlled variant for its heartbeat.
-    if (control != nullptr || faultArmed(FaultKind::kThrowIo) ||
-        logEnabled(LogLevel::kDebug)) {
-        return replay<Cache, ReplayMode::kControlled>(
+    // Only a per-fetch hook leaves the batched path; logging and
+    // tracing never do.
+    const bool observed = observers != nullptr && observers->any();
+    if (attribute || control != nullptr || observed ||
+        faultArmed(FaultKind::kThrowIo)) {
+        return replay<Cache, ReplayMode::kPerFetch>(
             program, layout, stream, cache, attribute, control,
-            fingerprint, nullptr);
+            fingerprint, observed ? observers : nullptr);
     }
-    return replay<Cache, ReplayMode::kPlain>(
-        program, layout, stream, cache, attribute, nullptr, fingerprint,
+    return replay<Cache, ReplayMode::kBatched>(
+        program, layout, stream, cache, false, nullptr, fingerprint,
         nullptr);
 }
 

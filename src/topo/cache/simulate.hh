@@ -59,14 +59,14 @@ struct SimResult
 
 /**
  * Optional observation sinks fed by the replay loop. The loop is
- * compiled in three variants per cache model: plain, controlled
- * (checkpoint/resume, fault probes, and the --log-level=debug progress
- * heartbeat) and observed. Attaching any sink selects the observed
- * one, so the default (unobserved) path is byte-identical with or
- * without this feature compiled in; observed replays log only the
- * final "replay finished" line, no heartbeat. Observers do not compose
- * with checkpoint/resume: their state is not checkpointed, so a
- * resumed run would attribute only the tail.
+ * compiled in two variants per cache model: batched (runs fed to the
+ * cache whole) and per-fetch. Only a per-fetch hook selects the
+ * per-fetch variant: a SimControl, an armed throw_io fault, per-
+ * procedure attribution, or an attached sink. Logging and tracing never
+ * do, so the default (unobserved) path is the same at every log level
+ * and with or without a Chrome trace. Observers do not compose with
+ * checkpoint/resume: their state is not checkpointed, so a resumed run
+ * would attribute only the tail.
  */
 struct SimObservers
 {

@@ -69,8 +69,8 @@ ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
 {
     // Expanded after the profile is built, so the TRG build's scratch
     // is freed before the stream is allocated (lower peak memory). A
-    // sampled bundle replays the whole test trace only for
-    // exactTestResult, so it expands the stream then.
+    // sampled bundle replays the whole test trace only for an exact
+    // reference, so it expands the stream when one is asked for.
     if (sampled()) {
         test_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
             program_, test_trace_, options_.cache.line_bytes,
@@ -102,7 +102,7 @@ double
 ProfileBundle::testMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: testMissRate on a sampled "
-                        "bundle; use sampledTestResult");
+                        "bundle; use estimateLayout over testPlan()");
     return layoutMissRate(program_, layout, testStream(), options_.cache);
 }
 
@@ -110,7 +110,7 @@ double
 ProfileBundle::trainMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: trainMissRate on a sampled "
-                        "bundle; use sampledTestResult");
+                        "bundle; use estimateLayout over testPlan()");
     return layoutMissRate(program_, layout, trainStream(), options_.cache);
 }
 
@@ -120,20 +120,6 @@ ProfileBundle::testPlan() const
     require(sampled() && test_plan_,
             "ProfileBundle: testPlan on an exact bundle");
     return *test_plan_;
-}
-
-SampledSimResult
-ProfileBundle::sampledTestResult(const Layout &layout, bool attribute) const
-{
-    return estimateLayout(program_, layout, test_trace_, testPlan(),
-                          options_.cache, attribute);
-}
-
-SimResult
-ProfileBundle::exactTestResult(const Layout &layout, bool attribute) const
-{
-    return simulateLayout(program_, layout, testStream(), options_.cache,
-                          attribute);
 }
 
 std::vector<AlgorithmResult>

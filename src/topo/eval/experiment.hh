@@ -50,8 +50,8 @@ struct EvalOptions
      * Representative-interval sampling (DESIGN.md §15). When active,
      * profiles and miss rates are weighted estimates over sampled
      * trace segments, the full test stream is expanded only for an
-     * exact reference (exactTestResult), and testMissRate/
-     * trainMissRate are replaced by sampledTestResult.
+     * exact reference (testStream()), and testMissRate/trainMissRate
+     * are replaced by estimateLayout over testPlan().
      */
     SamplingOptions sampling{};
 };
@@ -151,21 +151,6 @@ class ProfileBundle
 
     /** The testing trace's sample plan (sampled bundles only). */
     const SamplePlan &testPlan() const;
-
-    /**
-     * Weighted miss estimate of a layout on the testing trace
-     * (sampled bundles only; the sampled analogue of testMissRate).
-     */
-    SampledSimResult sampledTestResult(const Layout &layout,
-                                       bool attribute = false) const;
-
-    /**
-     * Exact replay of a layout on the testing trace — the
-     * --sample-verify reference path of a sampled bundle (exact
-     * bundles use testMissRate).
-     */
-    SimResult exactTestResult(const Layout &layout,
-                              bool attribute = false) const;
 
   private:
     /** A fetch stream expanded on first use. */

@@ -10,9 +10,10 @@
  *   --log-level=LEVEL   trace|debug|info|warn|error|off (default info)
  *   --log-file=FILE     additionally append log lines to FILE
  *   --metrics-out=FILE  write the metrics registry as JSON on exit
- *   --trace-out=FILE    collect Chrome trace events (phase spans,
- *                       simulation timelines) and write them on exit;
- *                       load the file in Perfetto or chrome://tracing
+ *   --trace-out=FILE    collect Chrome trace events (phase spans, and
+ *                       the timelines a tool's --timeline-window
+ *                       records) and write them on exit; load the
+ *                       file in Perfetto or chrome://tracing
  */
 
 #ifndef TOPO_OBS_OBS_HH

@@ -107,6 +107,58 @@ grep -q '"gbsc.merge_steps"' "$WORK/place_metrics.json" || {
 grep -q "merge pass" "$WORK/place2.log" || {
     echo "FAIL: --log-level=debug shows no per-pass lines"; exit 1; }
 
+# --- One simulation path -------------------------------------------
+
+# A file run is a grid of one cell: a GBSC layout placed from a written
+# train trace and replayed on the written test trace prints exactly the
+# numbers of the in-process --benchmark cell.
+"$TOOLS_DIR/topo_trace_gen" --benchmark=m88ksim --input=train \
+    --trace-scale=0.05 --out-program="$WORK/c.prog" \
+    --out-trace="$WORK/c_train.trace" 2> /dev/null
+"$TOOLS_DIR/topo_trace_gen" --benchmark=m88ksim --input=test \
+    --trace-scale=0.05 --out-trace="$WORK/c_test.trace" 2> /dev/null
+"$TOOLS_DIR/topo_place" --program="$WORK/c.prog" \
+    --trace="$WORK/c_train.trace" --algorithm=gbsc \
+    --out-layout="$WORK/c.layout" 2> /dev/null
+"$TOOLS_DIR/topo_sim" --program="$WORK/c.prog" \
+    --trace="$WORK/c_test.trace" --layout="$WORK/c.layout" \
+    > "$WORK/cell_file.txt" 2> /dev/null
+"$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.05 \
+    --algorithms=gbsc > "$WORK/cell_bench.txt" 2> /dev/null
+for run in cell_file cell_bench; do
+    grep -E '^(accesses|misses|miss rate):' "$WORK/$run.txt" \
+        > "$WORK/$run.nums" || true
+done
+[ "$(wc -l < "$WORK/cell_file.nums")" = "3" ] &&
+    cmp -s "$WORK/cell_file.nums" "$WORK/cell_bench.nums" || {
+    echo "FAIL: file and --benchmark runs of one layout disagree"
+    cat "$WORK/cell_file.nums" "$WORK/cell_bench.nums"; exit 1; }
+
+# --pages and --attribute report in --benchmark cells too.
+"$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
+    --pages --attribute > "$WORK/cell_tables.txt" 2> /dev/null
+grep -q "pages touched:" "$WORK/cell_tables.txt" || {
+    echo "FAIL: --benchmark --pages printed no page stats"; exit 1; }
+grep -q "Top miss contributors" "$WORK/cell_tables.txt" || {
+    echo "FAIL: --benchmark --attribute printed no miss table"; exit 1; }
+
+# --trace-out records phase spans; only --timeline-window adds the
+# per-fetch counter tracks.
+"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" --trace="$WORK/m.trace" \
+    --trace-out="$WORK/spans.json" > /dev/null 2>&1
+grep -q '"simulate"' "$WORK/spans.json" || {
+    echo "FAIL: --trace-out wrote no simulate span"; exit 1; }
+if grep -q '"miss_rate"' "$WORK/spans.json"; then
+    echo "FAIL: --trace-out without --timeline-window wrote counters"
+    exit 1
+fi
+"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" --trace="$WORK/m.trace" \
+    --trace-out="$WORK/counters.json" --timeline-window=1024 \
+    > /dev/null 2>&1
+grep -q '"simulate"' "$WORK/counters.json" &&
+    grep -q '"miss_rate"' "$WORK/counters.json" || {
+    echo "FAIL: --timeline-window trace lacks spans or counters"; exit 1; }
+
 # --- Parallel execution --------------------------------------------
 
 # --jobs validation: zero, negative, and non-numeric values are user

@@ -16,10 +16,15 @@
  * (wall time, blocks/sec, peak RSS, miss rate) as a BENCH_*.json
  * document for scripts/bench.sh.
  *
+ * Both modes simulate through one cell: a --program/--trace run is a
+ * grid of one cell, so every reporting flag (--attribute, --pages,
+ * --attribution, --taxonomy, sampling, checkpoints) works in both.
+ *
  * Observability: --attribution attaches the per-procedure /
  * per-set attribution sink and prints the top conflicting procedure
  * pairs; --timeline-window=N samples windowed miss rates, exported as
- * Chrome trace counters when --trace-out is given.
+ * Chrome trace counters when --trace-out is given. --trace-out alone
+ * records phase spans only and never slows the replay.
  *
  * Resilience knobs: --recover salvages the valid prefix of a damaged
  * trace instead of exiting with code 2; --checkpoint/--checkpoint-every
@@ -33,6 +38,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "topo/exec/exec.hh"
@@ -64,7 +70,7 @@ namespace
 
 using namespace topo;
 
-/** Checkpoint/resume directives shared by both run paths. */
+/** Checkpoint/resume directives shared by every cell. */
 struct ControlState
 {
     SimCheckpoint resume_ckpt;
@@ -194,9 +200,10 @@ struct Observation
 
 /**
  * Build the requested sinks: --attribution arms the attribution sink;
- * --taxonomy arms the 3C classifier / reuse-distance profiler; a
- * timeline is recorded when --timeline-window is given or a Chrome
- * trace is being captured (--trace-out).
+ * --taxonomy arms the 3C classifier / reuse-distance profiler;
+ * --timeline-window arms the timeline. --trace-out alone arms nothing:
+ * per-fetch data costs a per-fetch replay, so only its own flag asks
+ * for it.
  */
 Observation
 observationFrom(const Options &opts, const Program &program,
@@ -214,10 +221,8 @@ observationFrom(const Options &opts, const Program &program,
             program, stream.programLineCount(), cache);
         obs.observers.taxonomy = obs.taxonomy.get();
     }
-    std::uint64_t window = static_cast<std::uint64_t>(
+    const std::uint64_t window = static_cast<std::uint64_t>(
         opts.getInt("timeline-window", 0));
-    if (window == 0 && ChromeTraceLog::global().enabled())
-        window = std::max<std::uint64_t>(1, stream.size() / 64);
     if (window != 0) {
         obs.timeline = std::make_unique<TimelineRecorder>(
             window, program.procCount());
@@ -227,23 +232,7 @@ observationFrom(const Options &opts, const Program &program,
     return obs;
 }
 
-/** Timed simulation; returns wall milliseconds via @p wall_ms. */
-SimResult
-timedSimulate(const Program &program, const Layout &layout,
-              const FetchStream &stream, const CacheConfig &cache,
-              bool attribute, const SimControl *control,
-              const SimObservers *observers, double &wall_ms)
-{
-    const auto start = std::chrono::steady_clock::now();
-    const SimResult result = simulateLayout(
-        program, layout, stream, cache, attribute, control, observers);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    return result;
-}
-
-/** Post-run reporting shared by both paths. */
+/** Print the reports of the attached sinks; export timeline counters. */
 void
 reportObservation(std::ostream &os, const Program &program,
                   const Observation &obs, std::uint64_t misses,
@@ -312,7 +301,7 @@ recordSampling(RunRecord &record, const SamplePlan &plan,
     record.miss_rate = est.estMissRate();
 }
 
-/** Print the sampled-estimate block shared by both run paths. */
+/** Print a sampled run's estimate and plan. */
 void
 printSampledResult(std::ostream &os, const SamplePlan &plan,
                    const SampledSimResult &est)
@@ -451,13 +440,168 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
             {{"file", path}, {"runs", runs.size()}});
 }
 
-/** Everything one (benchmark, algorithm) cell produces. */
+/** Print the procedures that miss most (--attribute). */
+void
+printMissContributors(std::ostream &os, const Program &program,
+                      const SimResult &result)
+{
+    std::vector<std::pair<std::uint64_t, ProcId>> by_misses;
+    for (ProcId i = 0; i < program.procCount(); ++i)
+        by_misses.emplace_back(result.misses_by_proc[i], i);
+    std::sort(by_misses.rbegin(), by_misses.rend());
+    TextTable table({"procedure", "misses", "share"});
+    for (std::size_t i = 0; i < by_misses.size() && i < 15; ++i) {
+        if (by_misses[i].first == 0)
+            break;
+        table.addRow({program.proc(by_misses[i].second).name,
+                      std::to_string(by_misses[i].first),
+                      fmtPercent(static_cast<double>(by_misses[i].first) /
+                                 static_cast<double>(result.misses))});
+    }
+    os << '\n';
+    table.render(os, "Top miss contributors");
+}
+
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/**
+ * Simulate @p layout on the test trace and render the cell's report
+ * into @p out: the one code path behind a --program/--trace run and
+ * every --benchmark grid cell. With a sample plan the cell estimates
+ * from the plan's segments and replays @p stream exactly only as the
+ * --sample-verify reference (callers pass a stream only then). Without
+ * one it replays @p stream with the requested sinks, checkpoint
+ * control, --attribute and --pages. Returns @p record with the results
+ * filled in.
+ */
+RunRecord
+simulateCell(const Options &opts, const CacheConfig &cache,
+             const ControlState &ctl, const Program &program,
+             const Layout &layout, const Trace &test,
+             const SamplePlan *plan, const FetchStream *stream,
+             RunRecord record, std::ostream &out)
+{
+    std::optional<SampledSimResult> est;
+    if (plan != nullptr) {
+        const auto start = std::chrono::steady_clock::now();
+        est = estimateLayout(program, layout, test, *plan, cache, false);
+        record.wall_ms = msSince(start);
+    }
+    const bool attribute = opts.getBool("attribute", false);
+    Observation obs;
+    SimResult result;
+    if (stream != nullptr) {
+        obs = observationFrom(opts, program, layout, cache, *stream);
+        require(!obs.active || !ctl.active,
+                "topo_sim: --attribution/--timeline-window do not "
+                "combine with checkpoint/resume");
+        const auto start = std::chrono::steady_clock::now();
+        result = simulateLayout(program, layout, *stream, cache,
+                                attribute,
+                                ctl.active ? &ctl.control : nullptr,
+                                obs.active ? &obs.observers : nullptr);
+        if (plan == nullptr)
+            record.wall_ms = msSince(start);
+    }
+
+    if (plan != nullptr) {
+        printSampledResult(out, *plan, *est);
+        recordSampling(record, *plan, *est);
+        if (stream != nullptr) {
+            record.has_exact = true;
+            record.sample_exact_miss_rate = result.missRate();
+            record.sample_abs_error =
+                std::fabs(est->estMissRate() - result.missRate());
+            out << "exact miss rate: " << result.missRate() * 100.0
+                << "%\n";
+            out << "est error:  " << record.sample_abs_error * 100.0
+                << "% (abs miss rate)\n";
+        }
+        return record;
+    }
+    printResult(out, result, ctl.control);
+    reportObservation(out, program, obs, result.misses,
+                      record.benchmark + "/" + record.algorithm);
+    if (attribute)
+        printMissContributors(out, program, result);
+    if (opts.getBool("pages", false)) {
+        const PageStats pages = measurePageStats(program, layout, *stream);
+        out << "\npages touched: " << pages.pages_touched
+            << ", switches/kacc: " << pages.switchesPerKiloAccess()
+            << ", LRU faults (16 pages): " << pages.lru_faults << "\n";
+    }
+    record.accesses = result.accesses;
+    record.misses = result.misses;
+    record.miss_rate = result.missRate();
+    if (obs.taxonomy)
+        recordTaxonomy(record, *obs.taxonomy);
+    return record;
+}
+
+/** Everything one grid cell produces. */
 struct CellResult
 {
     RunRecord record;
     std::string output;
-    std::unique_ptr<MetricsRegistry> metrics;
+    std::unique_ptr<MetricsRegistry> metrics =
+        std::make_unique<MetricsRegistry>();
 };
+
+/** A --program/--trace[/--layout] run: a grid of one cell. */
+std::vector<CellResult>
+fileCells(const Options &opts, const EvalOptions &eval,
+          const ControlState &ctl)
+{
+    std::vector<CellResult> cells(1);
+    CellResult &cell = cells.front();
+    MetricsScope scope(*cell.metrics);
+    const std::string program_path = opts.getString("program", "");
+    const std::string trace_path = opts.getString("trace", "");
+    require(!program_path.empty() && !trace_path.empty(),
+            "topo_sim: --program and --trace are required");
+    const Program program = loadProgram(program_path);
+    TraceReadOptions ropts;
+    ropts.recover = opts.getBool("recover", false);
+    Trace trace = loadAnyTrace(trace_path, ropts);
+    trace.validate(program);
+
+    const std::string layout_path = opts.getString("layout", "");
+    const Layout layout =
+        layout_path.empty()
+            ? Layout::defaultOrder(program, eval.cache.line_bytes)
+            : loadLayout(layout_path, program);
+    layout.validate(program, eval.cache.line_bytes);
+
+    std::optional<SamplePlan> plan;
+    if (eval.sampling.active()) {
+        plan.emplace(buildSamplePlan(program, trace,
+                                     eval.cache.line_bytes, eval.sampling));
+    }
+    std::optional<FetchStream> stream;
+    if (!plan || eval.sampling.verify)
+        stream.emplace(program, trace, eval.cache.line_bytes);
+
+    std::ostringstream out;
+    out << "cache:      " << eval.cache.describe() << "\n";
+    out << "layout:     "
+        << (layout_path.empty() ? "default (source order)" : layout_path)
+        << "\n";
+    RunRecord record;
+    record.benchmark = trace_path;
+    record.algorithm = layout_path.empty() ? "default" : layout_path;
+    cell.record = simulateCell(opts, eval.cache, ctl, program, layout,
+                               trace, plan ? &*plan : nullptr,
+                               stream ? &*stream : nullptr,
+                               std::move(record), out);
+    cell.output = out.str();
+    return cells;
+}
 
 /**
  * Full pipeline on synthetic paper benchmarks: synthesise traces,
@@ -470,20 +614,10 @@ struct CellResult
  * and the bench record are byte-identical for every --jobs value
  * (DESIGN.md §9).
  */
-int
-runBenchmark(const Options &opts)
+std::vector<CellResult>
+benchmarkCells(const Options &opts, const EvalOptions &eval,
+               const ControlState &ctl, double scale)
 {
-    const std::string bench_names = opts.getString("benchmark", "");
-    const double scale = traceScaleFrom(opts);
-    EvalOptions eval = evalOptionsFrom(opts);
-    eval.sampling = samplingFrom(opts);
-    setProvenance("cache", eval.cache.describe());
-    if (eval.cache.policy != ReplacementPolicy::kLru) {
-        setProvenance("policy",
-                      replacementPolicyName(eval.cache.policy));
-    }
-    setProvenance("trace_scale", std::to_string(scale));
-
     std::vector<std::string> algorithms;
     if (opts.has("algorithms"))
         algorithms = split(opts.getString("algorithms", ""), ',');
@@ -493,7 +627,7 @@ runBenchmark(const Options &opts)
     for (const std::string &name : algorithms)
         placementEntry(name); // validate early
 
-    ControlState ctl = controlFrom(opts);
+    const std::string bench_names = opts.getString("benchmark", "");
     const std::vector<std::string> benches =
         bench_names == "*" ? paperBenchmarkNames()
                            : split(bench_names, ',');
@@ -501,10 +635,6 @@ runBenchmark(const Options &opts)
     require(!ctl.active || single,
             "topo_sim: checkpoint/resume needs a single benchmark and "
             "algorithm");
-    if (eval.sampling.active()) {
-        requireExactOnly(opts, ctl.active);
-        setProvenance("sampling", "simpoint");
-    }
 
     // Phase 1: profile every benchmark (synthesis + TRG/WCG builds —
     // the expensive part; the WCG build additionally shards
@@ -530,16 +660,13 @@ runBenchmark(const Options &opts)
 
     // Phase 2: the simulation grid, one task per cell, row-major so
     // the joined order matches the serial loop nest.
-    const bool attribute = opts.getBool("attribute", false);
-    std::vector<CellResult> cells = parallelMap(
+    return parallelMap(
         benches.size() * algorithms.size(), [&](std::size_t i) {
             const std::size_t b = i / algorithms.size();
             const std::size_t a = i % algorithms.size();
             const ProfileBundle &bundle = *profiles[b].bundle;
-            const std::string &algo_name = algorithms[a];
 
             CellResult cell;
-            cell.metrics = std::make_unique<MetricsRegistry>();
             MetricsScope scope(*cell.metrics);
             std::ostringstream out;
             if (a == 0) {
@@ -548,106 +675,26 @@ runBenchmark(const Options &opts)
             }
             const PlacementContext ctx = bundle.makeContext();
             const PlacementAlgorithm &algo =
-                placementEntry(algo_name).algorithm;
+                placementEntry(algorithms[a]).algorithm;
             const Layout layout = algo.place(ctx);
             layout.validate(bundle.program(), eval.cache.line_bytes);
 
-            if (bundle.sampled()) {
-                const auto start = std::chrono::steady_clock::now();
-                const SampledSimResult est =
-                    bundle.sampledTestResult(layout);
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                out << "algorithm:  " << algo.name() << "\n";
-                printSampledResult(out, bundle.testPlan(), est);
-                cell.record.benchmark = bundle.name();
-                cell.record.algorithm = algo_name;
-                cell.record.wall_ms = wall_ms;
-                recordSampling(cell.record, bundle.testPlan(), est);
-                if (eval.sampling.verify) {
-                    const SimResult exact =
-                        bundle.exactTestResult(layout);
-                    cell.record.has_exact = true;
-                    cell.record.sample_exact_miss_rate =
-                        exact.missRate();
-                    cell.record.sample_abs_error =
-                        std::fabs(est.estMissRate() - exact.missRate());
-                    out << "exact miss rate: "
-                        << exact.missRate() * 100.0 << "%\n";
-                    out << "est error:  "
-                        << cell.record.sample_abs_error * 100.0
-                        << "% (abs miss rate)\n";
-                }
-                out << "\n";
-                cell.output = out.str();
-                return cell;
-            }
-
-            Observation obs = observationFrom(
-                opts, bundle.program(), layout, eval.cache,
-                bundle.testStream());
-            require(!obs.active || !ctl.active,
-                    "topo_sim: --attribution/--timeline-window do not "
-                    "combine with checkpoint/resume");
-            double wall_ms = 0.0;
-            const SimResult result = timedSimulate(
-                bundle.program(), layout, bundle.testStream(),
-                eval.cache, attribute,
-                ctl.active ? &ctl.control : nullptr,
-                obs.active ? &obs.observers : nullptr, wall_ms);
-
             out << "algorithm:  " << algo.name() << "\n";
-            printResult(out, result, ctl.control);
-            reportObservation(out, bundle.program(), obs,
-                              result.misses,
-                              bundle.name() + "/" + algo_name);
+            RunRecord record;
+            record.benchmark = bundle.name();
+            record.algorithm = algorithms[a];
+            const bool exact_replay =
+                !bundle.sampled() || eval.sampling.verify;
+            cell.record = simulateCell(
+                opts, eval.cache, ctl, bundle.program(), layout,
+                bundle.testTrace(),
+                bundle.sampled() ? &bundle.testPlan() : nullptr,
+                exact_replay ? &bundle.testStream() : nullptr,
+                std::move(record), out);
             out << "\n";
-            cell.record.benchmark = bundle.name();
-            cell.record.algorithm = algo_name;
-            cell.record.accesses = result.accesses;
-            cell.record.misses = result.misses;
-            cell.record.miss_rate = result.missRate();
-            cell.record.wall_ms = wall_ms;
-            if (obs.taxonomy)
-                recordTaxonomy(cell.record, *obs.taxonomy);
             cell.output = out.str();
             return cell;
         });
-
-    std::vector<RunRecord> runs;
-    runs.reserve(cells.size());
-    for (const CellResult &cell : cells) {
-        std::cout << cell.output;
-        MetricsRegistry::current().mergeFrom(*cell.metrics);
-        runs.push_back(cell.record);
-    }
-    const std::string bench_out = opts.getString("bench-out", "");
-    if (!bench_out.empty())
-        writeBenchJson(bench_out, bench_names, scale, eval.cache, runs);
-
-    // The measured error bound: with --sample-verify and
-    // --sample-max-error, any cell whose estimate strays beyond the
-    // bound fails the run (after the bench record is written, so the
-    // offending numbers are on disk for inspection).
-    if (eval.sampling.max_error > 0.0) {
-        std::string violations;
-        for (const RunRecord &run : runs) {
-            if (run.has_exact &&
-                run.sample_abs_error > eval.sampling.max_error) {
-                violations += " " + run.benchmark + "/" +
-                              run.algorithm + "=" +
-                              std::to_string(run.sample_abs_error);
-            }
-        }
-        if (!violations.empty())
-            fail("topo_sim: sampling miss-rate error exceeds "
-                 "--sample-max-error=" +
-                     std::to_string(eval.sampling.max_error) + ":" +
-                     violations);
-    }
-    return 0;
 }
 
 /**
@@ -707,147 +754,59 @@ run(const Options &opts)
 {
     if (opts.getBool("probe-policy", false))
         return runProbePolicy(opts);
-    if (!opts.getString("benchmark", "").empty())
-        return runBenchmark(opts);
-    const std::string program_path = opts.getString("program", "");
-    const std::string trace_path = opts.getString("trace", "");
-    require(!program_path.empty() && !trace_path.empty(),
-            "topo_sim: --program and --trace are required");
-    const Program program = loadProgram(program_path);
-    TraceReadOptions ropts;
-    ropts.recover = opts.getBool("recover", false);
-    Trace trace = loadAnyTrace(trace_path, ropts);
-    trace.validate(program);
-    const EvalOptions eval = evalOptionsFrom(opts);
+    const bool grid = !opts.getString("benchmark", "").empty();
+    EvalOptions eval = evalOptionsFrom(opts);
+    eval.sampling = samplingFrom(opts);
     setProvenance("cache", eval.cache.describe());
     if (eval.cache.policy != ReplacementPolicy::kLru) {
         setProvenance("policy",
                       replacementPolicyName(eval.cache.policy));
     }
-
-    const std::string layout_path = opts.getString("layout", "");
-    const Layout layout =
-        layout_path.empty()
-            ? Layout::defaultOrder(program, eval.cache.line_bytes)
-            : loadLayout(layout_path, program);
-    layout.validate(program, eval.cache.line_bytes);
-
-    const SamplingOptions sampling = samplingFrom(opts);
-    if (sampling.active()) {
-        requireExactOnly(opts, controlFrom(opts).active);
+    const double scale = grid ? traceScaleFrom(opts) : 1.0;
+    if (grid)
+        setProvenance("trace_scale", std::to_string(scale));
+    const ControlState ctl = controlFrom(opts);
+    if (eval.sampling.active()) {
+        requireExactOnly(opts, ctl.active);
         setProvenance("sampling", "simpoint");
-        const SamplePlan plan = buildSamplePlan(
-            program, trace, eval.cache.line_bytes, sampling);
-        const auto start = std::chrono::steady_clock::now();
-        const SampledSimResult est = estimateLayout(
-            program, layout, trace, plan, eval.cache, false);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        std::cout << "cache:      " << eval.cache.describe() << "\n";
-        std::cout << "layout:     "
-                  << (layout_path.empty() ? "default (source order)"
-                                          : layout_path)
-                  << "\n";
-        printSampledResult(std::cout, plan, est);
-        RunRecord record;
-        record.benchmark = trace_path;
-        record.algorithm = layout_path.empty() ? "default" : layout_path;
-        record.wall_ms = wall_ms;
-        recordSampling(record, plan, est);
-        if (sampling.verify) {
-            const FetchStream stream(program, trace,
-                                     eval.cache.line_bytes);
-            const SimResult exact =
-                simulateLayout(program, layout, stream, eval.cache);
-            record.has_exact = true;
-            record.sample_exact_miss_rate = exact.missRate();
-            record.sample_abs_error =
-                std::fabs(est.estMissRate() - exact.missRate());
-            std::cout << "exact miss rate: "
-                      << exact.missRate() * 100.0 << "%\n";
-            std::cout << "est error:  "
-                      << record.sample_abs_error * 100.0
-                      << "% (abs miss rate)\n";
-        }
-        const std::string bench_out = opts.getString("bench-out", "");
-        if (!bench_out.empty())
-            writeBenchJson(bench_out, trace_path, 1.0, eval.cache,
-                           {record});
-        if (!(sampling.max_error == 0.0 || !record.has_exact ||
-              record.sample_abs_error <= sampling.max_error))
-            fail("topo_sim: sampling miss-rate error " +
-                     std::to_string(record.sample_abs_error) +
-                     " exceeds --sample-max-error=" +
-                     std::to_string(sampling.max_error));
-        return 0;
     }
 
-    const FetchStream stream(program, trace, eval.cache.line_bytes);
-    const bool attribute = opts.getBool("attribute", false);
-    ControlState ctl = controlFrom(opts);
-    Observation obs = observationFrom(opts, program, layout, eval.cache,
-                                      stream);
-    require(!obs.active || !ctl.active,
-            "topo_sim: --attribution/--timeline-window do not combine "
-            "with checkpoint/resume");
-    double wall_ms = 0.0;
-    const SimResult result = timedSimulate(
-        program, layout, stream, eval.cache, attribute,
-        ctl.active ? &ctl.control : nullptr,
-        obs.active ? &obs.observers : nullptr, wall_ms);
-
-    std::cout << "cache:      " << eval.cache.describe() << "\n";
-    std::cout << "layout:     "
-              << (layout_path.empty() ? "default (source order)"
-                                      : layout_path)
-              << "\n";
-    printResult(std::cout, result, ctl.control);
-    reportObservation(std::cout, program, obs, result.misses, "sim");
-
+    const std::vector<CellResult> cells =
+        grid ? benchmarkCells(opts, eval, ctl, scale)
+             : fileCells(opts, eval, ctl);
+    std::vector<RunRecord> runs;
+    runs.reserve(cells.size());
+    for (const CellResult &cell : cells) {
+        std::cout << cell.output;
+        MetricsRegistry::current().mergeFrom(*cell.metrics);
+        runs.push_back(cell.record);
+    }
     const std::string bench_out = opts.getString("bench-out", "");
     if (!bench_out.empty()) {
-        RunRecord record;
-        record.benchmark = trace_path;
-        record.algorithm =
-            layout_path.empty() ? "default" : layout_path;
-        record.accesses = result.accesses;
-        record.misses = result.misses;
-        record.miss_rate = result.missRate();
-        record.wall_ms = wall_ms;
-        if (obs.taxonomy)
-            recordTaxonomy(record, *obs.taxonomy);
-        writeBenchJson(bench_out, trace_path, 1.0, eval.cache,
-                       {record});
+        writeBenchJson(bench_out,
+                       opts.getString(grid ? "benchmark" : "trace", ""),
+                       scale, eval.cache, runs);
     }
 
-    if (attribute) {
-        std::vector<std::pair<std::uint64_t, ProcId>> by_misses;
-        for (ProcId i = 0; i < program.procCount(); ++i)
-            by_misses.emplace_back(result.misses_by_proc[i], i);
-        std::sort(by_misses.rbegin(), by_misses.rend());
-        TextTable table({"procedure", "misses", "share"});
-        for (std::size_t i = 0; i < by_misses.size() && i < 15; ++i) {
-            if (by_misses[i].first == 0)
-                break;
-            table.addRow(
-                {program.proc(by_misses[i].second).name,
-                 std::to_string(by_misses[i].first),
-                 fmtPercent(static_cast<double>(by_misses[i].first) /
-                            static_cast<double>(result.misses))});
+    // The measured error bound: with --sample-verify and
+    // --sample-max-error, any cell whose estimate strays beyond the
+    // bound fails the run (after the bench record is written, so the
+    // offending numbers are on disk for inspection).
+    if (eval.sampling.max_error > 0.0) {
+        std::string violations;
+        for (const RunRecord &run : runs) {
+            if (run.has_exact &&
+                run.sample_abs_error > eval.sampling.max_error) {
+                violations += " " + run.benchmark + "/" +
+                              run.algorithm + "=" +
+                              std::to_string(run.sample_abs_error);
+            }
         }
-        std::cout << '\n';
-        table.render(std::cout, "Top miss contributors");
-    }
-    if (opts.getBool("pages", false)) {
-        const PageStats pages =
-            measurePageStats(program, layout, stream);
-        std::cout << "\npages touched: " << pages.pages_touched
-                  << ", switches/kacc: "
-                  << pages.switchesPerKiloAccess()
-                  << ", LRU faults (16 pages): " << pages.lru_faults
-                  << "\n";
+        if (!violations.empty())
+            fail("topo_sim: sampling miss-rate error exceeds "
+                 "--sample-max-error=" +
+                     std::to_string(eval.sampling.max_error) + ":" +
+                     violations);
     }
     return 0;
 }
@@ -871,10 +830,12 @@ main(int argc, char **argv)
         "  --policy=lru|plru|srrip|fifo|random (set-associative\n"
         "      replacement policy; --policy-seed=N seeds 'random')\n"
         "  --probe-policy (black-box policy identification self-check)\n"
-        "  --attribute (per-procedure misses) --pages\n"
+        "  --attribute (per-procedure misses) --pages (page stats);\n"
+        "      both print per cell in --benchmark runs too\n"
         "  --attribution (conflict-pair attribution sink)\n"
         "  --taxonomy (3C miss classes + reuse-distance profile)\n"
-        "  --timeline-window=N (windowed miss-rate samples)\n"
+        "  --timeline-window=N (windowed miss-rate samples; the\n"
+        "      only source of --trace-out counter tracks)\n"
         "  --sample=simpoint (representative-interval sampling:\n"
         "      cluster trace windows, replay one weighted\n"
         "      representative per cluster)\n"
