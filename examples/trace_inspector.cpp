@@ -41,7 +41,7 @@ main(int argc, char **argv)
     std::cout << "Training input '" << bench.train.name << "': "
               << fmtCount(stats.total_runs) << " runs, "
               << fmtCount(stats.total_bytes) << " bytes fetched, "
-              << stats.procs_touched << " procedures touched.\n";
+              << stats.procsTouched() << " procedures touched.\n";
     std::cout << "Popular set: " << profile.popular.count
               << " procedures, " << fmtBytes(profile.popular.bytes)
               << " (" << fmtPercent(profile.popular.covered)

@@ -8,7 +8,7 @@
  * parallelMap guarantees the result vector is ordered by task index
  * (never by completion order); callers are responsible for keeping
  * task bodies independent and for merging side effects (metrics,
- * profile shards) in fixed task order after the join.
+ * sampled profile segments) in fixed task order after the join.
  *
  * Until initExec runs, execJobs() is 1 and everything is serial —
  * library users and unit tests stay single-threaded unless they opt

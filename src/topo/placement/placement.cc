@@ -5,27 +5,9 @@
 
 #include "topo/placement/decision_log.hh"
 #include "topo/util/error.hh"
-#include "topo/util/rng.hh"
 
 namespace topo
 {
-
-namespace
-{
-
-/** Trivial per-procedure kPlace records for a finished layout. */
-void
-recordWholeLayout(const PlacementContext &ctx, const Layout &layout,
-                  const char *stage, const char *tie_break)
-{
-    if (!ctx.decisions)
-        return;
-    for (ProcId p : layout.orderByAddress())
-        ctx.decisions->recordPlace(stage, p, layout.address(p),
-                                   ctx.heatOf(p), tie_break);
-}
-
-} // namespace
 
 void
 PlacementContext::requireBasics(std::string_view who) const
@@ -45,21 +27,11 @@ DefaultPlacement::place(const PlacementContext &ctx) const
     ctx.requireBasics("DefaultPlacement");
     Layout layout = Layout::defaultOrder(*ctx.program,
                                          ctx.cache.line_bytes);
-    recordWholeLayout(ctx, layout, "default.emit", "source-order");
-    return layout;
-}
-
-Layout
-RandomPlacement::place(const PlacementContext &ctx) const
-{
-    ctx.requireBasics("RandomPlacement");
-    std::vector<ProcId> order(ctx.program->procCount());
-    std::iota(order.begin(), order.end(), 0);
-    Rng rng(seed_);
-    rng.shuffle(order);
-    Layout layout = Layout::fromOrder(*ctx.program, order,
-                                      ctx.cache.line_bytes);
-    recordWholeLayout(ctx, layout, "random.emit", "seeded-shuffle");
+    if (ctx.decisions) {
+        for (ProcId p : layout.orderByAddress())
+            ctx.decisions->recordPlace("default.emit", p, layout.address(p),
+                                       ctx.heatOf(p), "source-order");
+    }
     return layout;
 }
 

@@ -99,21 +99,6 @@ class DefaultPlacement : public PlacementAlgorithm
 };
 
 /**
- * Uniform-random procedure order; a control baseline for experiments
- * (not part of the paper's comparison, useful for sanity checks).
- */
-class RandomPlacement : public PlacementAlgorithm
-{
-  public:
-    explicit RandomPlacement(std::uint64_t seed) : seed_(seed) {}
-    std::string name() const override { return "random"; }
-    Layout place(const PlacementContext &ctx) const override;
-
-  private:
-    std::uint64_t seed_;
-};
-
-/**
  * Order procedure ids by descending heat (then ascending id). Shared
  * by several algorithms for placing leftover procedures.
  */

@@ -16,9 +16,8 @@ ChunkMap::ChunkMap(const Program &program, std::uint32_t chunk_bytes)
         const auto id = static_cast<ProcId>(i);
         const std::uint32_t size = program.proc(id).size_bytes;
         const std::uint32_t count = (size + chunk_bytes - 1) / chunk_bytes;
-        first_chunk_.push_back(static_cast<ChunkId>(chunk_proc_.size()));
+        first_chunk_.push_back(static_cast<ChunkId>(chunk_size_.size()));
         for (std::uint32_t c = 0; c < count; ++c) {
-            chunk_proc_.push_back(id);
             const std::uint32_t begin = c * chunk_bytes;
             chunk_size_.push_back(std::min(chunk_bytes, size - begin));
         }
@@ -32,7 +31,7 @@ ChunkMap::chunksOf(ProcId proc) const
     const ChunkId first = first_chunk_[proc];
     const ChunkId next = (proc + 1 < first_chunk_.size())
                              ? first_chunk_[proc + 1]
-                             : static_cast<ChunkId>(chunk_proc_.size());
+                             : static_cast<ChunkId>(chunk_size_.size());
     return next - first;
 }
 
@@ -41,13 +40,6 @@ ChunkMap::chunkId(ProcId proc, std::uint32_t index) const
 {
     require(index < chunksOf(proc), "ChunkMap::chunkId: index out of range");
     return first_chunk_[proc] + index;
-}
-
-ProcId
-ChunkMap::procOf(ChunkId chunk) const
-{
-    require(chunk < chunk_proc_.size(), "ChunkMap::procOf: invalid chunk");
-    return chunk_proc_[chunk];
 }
 
 std::uint32_t

@@ -5,8 +5,9 @@
  * TRG_place records temporal relationships at a granularity finer than
  * whole procedures so that procedures larger than the cache can still
  * be aligned profitably. A ChunkMap slices every procedure into fixed
- * size chunks (the paper found 256 bytes to work well) and provides the
- * bidirectional id mapping used by the TRG builder and merge_nodes.
+ * size chunks (the paper found 256 bytes to work well) and maps a
+ * (procedure, offset) to the global chunk id the TRG builder and
+ * merge_nodes use.
  */
 
 #ifndef TOPO_PROFILE_CHUNK_MAP_HH
@@ -44,16 +45,13 @@ class ChunkMap
     std::uint32_t chunkBytes() const { return chunk_bytes_; }
 
     /** Total number of chunks across all procedures. */
-    std::size_t chunkCount() const { return chunk_proc_.size(); }
+    std::size_t chunkCount() const { return chunk_size_.size(); }
 
     /** Number of chunks of one procedure: ceil(size / chunk_bytes). */
     std::uint32_t chunksOf(ProcId proc) const;
 
     /** Global id of chunk @p index of procedure @p proc. */
     ChunkId chunkId(ProcId proc, std::uint32_t index) const;
-
-    /** Procedure owning a chunk. */
-    ProcId procOf(ChunkId chunk) const;
 
     /**
      * Byte size of a chunk: chunk_bytes except possibly for the last
@@ -77,7 +75,6 @@ class ChunkMap
   private:
     std::uint32_t chunk_bytes_;
     std::vector<ChunkId> first_chunk_;     // per procedure
-    std::vector<ProcId> chunk_proc_;       // per chunk
     std::vector<std::uint32_t> chunk_size_; // per chunk, bytes
 };
 

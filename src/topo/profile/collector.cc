@@ -1,5 +1,6 @@
 #include "topo/profile/collector.hh"
 
+#include "topo/profile/wcg_builder.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -8,7 +9,6 @@ namespace topo
 ProfileCollector::ProfileCollector(const Program &program,
                                    const CollectorOptions &options)
     : program_(program),
-      options_(options),
       chunks_(std::make_unique<ChunkMap>(program, options.chunk_bytes))
 {
     TrgBuildOptions trg_options;
@@ -27,10 +27,8 @@ void
 ProfileCollector::resetSession()
 {
     session_ = TraceProfile{};
-    session_.stats.run_count.assign(program_.procCount(), 0);
-    session_.stats.bytes_fetched.assign(program_.procCount(), 0);
-    session_.wcg =
-        WeightedGraph(options_.build_wcg ? program_.procCount() : 0);
+    session_.stats = TraceStats(program_.procCount());
+    session_.wcg = WeightedGraph(program_.procCount());
     last_proc_ = kInvalidProc;
 }
 
@@ -38,31 +36,11 @@ void
 ProfileCollector::onRun(ProcId proc, std::uint32_t offset,
                         std::uint32_t length)
 {
-    require(proc < program_.procCount(),
-            "ProfileCollector: invalid procedure id");
-    require(length > 0, "ProfileCollector: zero-length run");
-    require(static_cast<std::uint64_t>(offset) + length <=
-                program_.proc(proc).size_bytes,
-            "ProfileCollector: run exceeds procedure bounds");
-
-    // Statistics (always full-program).
-    TraceStats &stats = session_.stats;
-    if (stats.run_count[proc] == 0)
-        ++stats.procs_touched;
-    ++stats.run_count[proc];
-    stats.bytes_fetched[proc] += length;
-    ++stats.total_runs;
-    stats.total_bytes += length;
-
-    // WCG: one transition per change of procedure.
-    if (options_.build_wcg && last_proc_ != kInvalidProc &&
-        last_proc_ != proc) {
-        session_.wcg.addWeight(last_proc_, proc, 1.0);
-    }
-    last_proc_ = proc;
-
-    // TRGs (respecting the popularity filter internally).
+    // The accumulator checks the run before anything counts it, so a
+    // rejected run leaves the whole session unchanged.
     trgs_->onRun(proc, offset, length);
+    session_.stats.addRun(proc, length);
+    countTransition(last_proc_, proc, session_.wcg);
 }
 
 void

@@ -33,8 +33,6 @@ struct CollectorOptions
     bool build_select = true;
     /** Build the chunk-granularity TRG_place. */
     bool build_place = true;
-    /** Build the call-transition WCG. */
-    bool build_wcg = true;
     /**
      * Optional popularity mask applied to the TRGs (the WCG and the
      * statistics always see every procedure, as the popular set is
@@ -60,7 +58,11 @@ class ProfileCollector
     ProfileCollector(const ProfileCollector &) = delete;
     ProfileCollector &operator=(const ProfileCollector &) = delete;
 
-    /** Record one execution run (the instrumentation callback). */
+    /**
+     * Record one execution run (the instrumentation callback): the
+     * TRG walk, then the shared statistics and WCG transition steps.
+     * A run the TRG walk rejects throws and changes nothing.
+     */
     void onRun(ProcId proc, std::uint32_t offset, std::uint32_t length);
 
     /** Record a whole-procedure execution. */
@@ -83,11 +85,11 @@ class ProfileCollector
 
   private:
     const Program &program_;
-    CollectorOptions options_;
     std::unique_ptr<ChunkMap> chunks_;
     std::unique_ptr<TrgAccumulator> trgs_;
     /** The session's statistics and WCG; the TRGs live in trgs_. */
     TraceProfile session_;
+    /** Procedure of the last run, the WCG transition rule's state. */
     ProcId last_proc_ = kInvalidProc;
 
     void resetSession();

@@ -1,7 +1,5 @@
 #include "topo/profile/trace_profile.hh"
 
-#include "topo/util/error.hh"
-
 namespace topo
 {
 
@@ -20,17 +18,7 @@ TraceProfile::setTrgs(TrgBuildResult trgs)
 void
 TraceProfile::merge(const TraceProfile &other)
 {
-    require(stats.run_count.size() == other.stats.run_count.size(),
-            "TraceProfile::merge: the profiles disagree on the "
-            "procedure count");
-    for (std::size_t i = 0; i < other.stats.run_count.size(); ++i) {
-        if (stats.run_count[i] == 0 && other.stats.run_count[i] > 0)
-            ++stats.procs_touched;
-        stats.run_count[i] += other.stats.run_count[i];
-        stats.bytes_fetched[i] += other.stats.bytes_fetched[i];
-    }
-    stats.total_runs += other.stats.total_runs;
-    stats.total_bytes += other.stats.total_bytes;
+    stats.merge(other.stats);
     wcg.addGraph(other.wcg);
     trg_select.addGraph(other.trg_select);
     trg_place.addGraph(other.trg_place);

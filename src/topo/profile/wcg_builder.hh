@@ -8,12 +8,14 @@
  * runs of different procedures counts one transition. This is exactly
  * twice a classic WCG's call count, which does not change the
  * placement produced by PH.
+ *
+ * countTransition() is the one definition of that rule: buildWcg, the
+ * sampled profile's segments and ProfileCollector all apply it one
+ * run at a time.
  */
 
 #ifndef TOPO_PROFILE_WCG_BUILDER_HH
 #define TOPO_PROFILE_WCG_BUILDER_HH
-
-#include <vector>
 
 #include "topo/profile/weighted_graph.hh"
 #include "topo/trace/trace.hh"
@@ -22,23 +24,22 @@ namespace topo
 {
 
 /**
- * Add one to edge {last, proc} of @p wcg for every transition between
- * consecutive events [begin, end) of @p events, the first transition
- * from @p last (the procedure before @p begin, kInvalidProc for none).
+ * The WCG transition rule for one run of @p proc: add one to edge
+ * {last, proc} of @p wcg when @p last, the procedure of the run
+ * before (kInvalidProc for none), differs from @p proc. @p last
+ * becomes @p proc.
  */
-void countTransitions(const std::vector<TraceEvent> &events,
-                      std::size_t begin, std::size_t end, ProcId last,
-                      WeightedGraph &wcg);
+inline void
+countTransition(ProcId &last, ProcId proc, WeightedGraph &wcg)
+{
+    if (last != kInvalidProc && proc != last)
+        wcg.addWeight(last, proc, 1.0);
+    last = proc;
+}
 
 /**
- * Build the undirected transition-count graph from a trace.
- *
- * With execJobs() > 1 and a large enough trace the build shards: each
- * shard counts transitions over its event range seeded with the
- * procedure of the event preceding the range, and the per-shard graphs
- * are summed in shard order (WeightedGraph::addGraph — the merge law;
- * weights are integer counts, so the sum is exact and bit-identical
- * to the serial walk).
+ * Build the undirected transition-count graph from a trace: one
+ * serial walk at every execJobs() value.
  *
  * @param program Procedure inventory (node count).
  * @param trace   The profiling trace.

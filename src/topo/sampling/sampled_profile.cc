@@ -47,23 +47,20 @@ buildSampledProfile(const Program &program, const ChunkMap &chunks,
             profile.scale = seg.scale;
 
             // Warm the segment's accumulator up to the measured range,
-            // then count that range only.
+            // then count that range only. WCG transitions start from
+            // the procedure of the event before the range.
             TrgAccumulator accumulator(program, chunks, options);
             for (std::size_t i = seg.warm_begin; i < seg.begin; ++i)
                 accumulator.warm(events[i]);
-            for (std::size_t i = seg.begin; i < seg.end; ++i)
+            profile.wcg = WeightedGraph(program.procCount());
+            ProcId last =
+                seg.begin > 0 ? events[seg.begin - 1].proc : kInvalidProc;
+            for (std::size_t i = seg.begin; i < seg.end; ++i) {
                 accumulator.onRun(events[i].proc, events[i].offset,
                                   events[i].length);
+                countTransition(last, events[i].proc, profile.wcg);
+            }
             profile.trgs = accumulator.take();
-
-            // WCG transitions over the measured range, seeded with the
-            // procedure of the preceding event (the sharded exact
-            // builder's rule).
-            profile.wcg = WeightedGraph(program.procCount());
-            countTransitions(events, seg.begin, seg.end,
-                             seg.begin > 0 ? events[seg.begin - 1].proc
-                                           : kInvalidProc,
-                             profile.wcg);
             return profile;
         });
 

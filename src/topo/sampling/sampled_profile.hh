@@ -10,8 +10,8 @@
  * (TrgAccumulator::warm: queue state only, nothing counted), then
  * feeds it the measured range, and the per-segment graphs merge with
  * the segment's cluster weight (WeightedGraph::addGraph). The WCG
- * transitions (countTransitions) start from the procedure of the event
- * just before the measured range, matching the sharded exact builder.
+ * transitions (countTransition) start from the procedure of the event
+ * just before the measured range.
  *
  * Segments run concurrently; all folds are serial in segment order, so
  * the result is bit-identical for any --jobs value. The degenerate

@@ -4,25 +4,11 @@
 
 #include "topo/exec/exec.hh"
 #include "topo/obs/epoch_counter.hh"
+#include "topo/trace/fetch_stream.hh"
 #include "topo/util/error.hh"
 
 namespace topo
 {
-
-namespace
-{
-
-/** Line fetches of one run at line size @p line_bytes (FetchStream's
- *  expansion rule: lines floor(off/L) .. floor((off+len-1)/L)). */
-inline std::uint64_t
-runLines(const TraceEvent &ev, std::uint32_t line_bytes)
-{
-    const std::uint32_t first = ev.offset / line_bytes;
-    const std::uint32_t last = (ev.offset + ev.length - 1) / line_bytes;
-    return static_cast<std::uint64_t>(last - first) + 1;
-}
-
-} // namespace
 
 std::uint64_t
 TraceWindows::totalBlocks() const
@@ -62,7 +48,7 @@ sliceTraceWindows(const Program &program, const Trace &trace,
         std::uint64_t blocks = 0;
         for (std::size_t i = windows.event_begin[w];
              i < windows.event_begin[w + 1]; ++i)
-            blocks += runLines(events[i], line_bytes);
+            blocks += eventLines(events[i], line_bytes).line_count;
         windows.blocks[w] = blocks;
     });
     return windows;
@@ -82,7 +68,7 @@ extractWindowFeatures(const Program &program, const Trace &trace,
     // into one bucket so the dimensionality stays fixed.
     std::vector<std::uint64_t> global_lines(proc_count, 0);
     for (const TraceEvent &ev : events)
-        global_lines[ev.proc] += runLines(ev, line_bytes);
+        global_lines[ev.proc] += eventLines(ev, line_bytes).line_count;
     std::vector<ProcId> hot(proc_count);
     for (std::size_t p = 0; p < proc_count; ++p)
         hot[p] = static_cast<ProcId>(p);
@@ -112,7 +98,8 @@ extractWindowFeatures(const Program &program, const Trace &trace,
         std::uint64_t repeats = 0;
         for (std::size_t i = begin; i < end; ++i) {
             const TraceEvent &ev = events[i];
-            mix[feature_slot[ev.proc]] += runLines(ev, line_bytes);
+            mix[feature_slot[ev.proc]] +=
+                eventLines(ev, line_bytes).line_count;
             distinct.touch(ev.proc);
             if (i > begin && ev.proc == events[i - 1].proc)
                 ++repeats;

@@ -101,10 +101,7 @@ getU64Vec(Reader &in)
     return values;
 }
 
-/**
- * The TraceProfile body shared by kShard records and snapshots. The
- * statistics' procs_touched is derived, so it is recounted on read.
- */
+/** The TraceProfile body shared by kShard records and snapshots. */
 void
 putProfileBody(std::string &out, const TraceProfile &profile)
 {
@@ -129,8 +126,6 @@ getProfileBody(Reader &in, TraceProfile &profile)
     profile.stats.bytes_fetched = getU64Vec(in);
     profile.stats.total_runs = in.u64();
     profile.stats.total_bytes = in.u64();
-    for (std::uint64_t runs : profile.stats.run_count)
-        profile.stats.procs_touched += runs > 0 ? 1 : 0;
     profile.wcg = getGraph(in);
     profile.trg_select = getGraph(in);
     profile.trg_place = getGraph(in);

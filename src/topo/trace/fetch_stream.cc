@@ -35,10 +35,9 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
 
     // An event's lines, as one repeat of a run of program line ids.
     auto run_of = [&](const TraceEvent &ev) {
-        const std::uint32_t first = ev.offset / line_bytes;
-        const auto last = static_cast<std::uint32_t>(
-            (std::uint64_t{ev.offset} + ev.length - 1) / line_bytes);
-        return FetchRun{line_base_[ev.proc] + first, last - first + 1, 1};
+        FetchRun run = eventLines(ev, line_bytes);
+        run.first_line += line_base_[ev.proc];
+        return run;
     };
 
     // Pass 1 checks every event and counts the runs, so pass 2 fills

@@ -57,6 +57,27 @@ struct FetchRun
 };
 
 /**
+ * The lines one trace event fetches at line size @p line_bytes, as one
+ * repeat of a run: bytes [off, off+len) are lines floor(off/L) ..
+ * floor((off+len-1)/L) of the event's procedure, so first_line here is
+ * a line within the procedure. This is the one expansion rule:
+ * FetchStream and the sampler's window block counts both use it.
+ */
+inline FetchRun
+eventLines(const TraceEvent &ev, std::uint32_t line_bytes)
+{
+    const std::uint32_t first = ev.offset / line_bytes;
+    const std::uint64_t end = std::uint64_t{ev.offset} + ev.length - 1;
+    // Divide in 32 bits whenever the end fits: 64-bit division is the
+    // slower instruction on x86-64, and the sampler's window features
+    // pay it once per event.
+    const auto last = static_cast<std::uint32_t>(
+        end >> 32 ? end / line_bytes
+                  : static_cast<std::uint32_t>(end) / line_bytes);
+    return FetchRun{first, last - first + 1, 1};
+}
+
+/**
  * Immutable line-granularity reference stream for one trace.
  */
 class FetchStream

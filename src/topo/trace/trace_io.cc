@@ -119,13 +119,4 @@ saveTrace(const std::string &path, const Trace &trace)
         fail("saveTrace: write failed for '" + path + "'");
 }
 
-Trace
-loadTrace(const std::string &path, const TraceReadOptions &ropts)
-{
-    std::ifstream is(path);
-    if (!is.good())
-        fail("loadTrace: cannot open '" + path + "'");
-    return readTrace(is, ropts);
-}
-
 } // namespace topo

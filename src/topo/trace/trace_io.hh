@@ -69,10 +69,6 @@ Trace readTrace(std::istream &is, const TraceReadOptions &ropts = {});
 /** Write a trace to a file path. */
 void saveTrace(const std::string &path, const Trace &trace);
 
-/** Read a trace from a file path. */
-Trace loadTrace(const std::string &path,
-                const TraceReadOptions &ropts = {});
-
 } // namespace topo
 
 #endif // TOPO_TRACE_TRACE_IO_HH

@@ -7,9 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "topo/placement/popularity.hh"
 #include "topo/profile/collector.hh"
 #include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
+#include "topo/sampling/sampled_profile.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/synthetic_program.hh"
 #include "topo/workload/trace_synthesizer.hh"
@@ -106,36 +107,86 @@ TEST(TrgAccumulator, RejectsBadRuns)
     EXPECT_THROW(acc.onRun(0, size - 1, 2), TopoError);
 }
 
+void
+expectSameProfile(const TraceProfile &a, const TraceProfile &b)
+{
+    EXPECT_EQ(a.stats.run_count, b.stats.run_count);
+    EXPECT_EQ(a.stats.bytes_fetched, b.stats.bytes_fetched);
+    EXPECT_EQ(a.stats.total_runs, b.stats.total_runs);
+    EXPECT_EQ(a.stats.total_bytes, b.stats.total_bytes);
+    EXPECT_EQ(a.stats.procsTouched(), b.stats.procsTouched());
+    expectSameGraph(a.wcg, b.wcg);
+    expectSameGraph(a.trg_select, b.trg_select);
+    expectSameGraph(a.trg_place, b.trg_place);
+    EXPECT_EQ(a.queue_procs_sum, b.queue_procs_sum);
+    EXPECT_EQ(a.proc_steps, b.proc_steps);
+    EXPECT_EQ(a.proc_evictions, b.proc_evictions);
+    EXPECT_EQ(a.chunk_evictions, b.chunk_evictions);
+}
+
 TEST(ProfileCollector, MatchesBatchPipeline)
 {
     const Scenario s;
+    const Program &program = s.model.program;
+    const TraceStats stats = computeTraceStats(program, s.trace);
+    PopularityOptions popularity;
+    popularity.coverage = 0.9;
+    const PopularSet popular = selectPopular(program, stats, popularity);
+    // The mask must drop some touched procedure to mean anything.
+    ASSERT_LT(popular.count, stats.procsTouched());
+
+    const ChunkMap chunks(program, 256);
+    const std::vector<bool> *masks[] = {nullptr, &popular.mask};
+    for (const std::vector<bool> *mask : masks) {
+        CollectorOptions opts;
+        opts.byte_budget = 4096;
+        opts.chunk_bytes = 256;
+        opts.popular = mask;
+        ProfileCollector collector(program, opts);
+        collector.onTrace(s.trace);
+        EXPECT_EQ(collector.runCount(), s.trace.size());
+        const TraceProfile streamed = collector.take();
+
+        TrgBuildOptions trg_opts;
+        trg_opts.byte_budget = 4096;
+        trg_opts.popular = mask;
+        const TraceProfile batch =
+            buildTraceProfile(program, chunks, s.trace, stats, trg_opts,
+                              nullptr, SamplingOptions{}, 64);
+        expectSameProfile(streamed, batch);
+        EXPECT_GT(streamed.proc_evictions, 0u);
+        EXPECT_GT(streamed.chunk_evictions, 0u);
+    }
+}
+
+TEST(ProfileCollector, RejectedRunChangesNothing)
+{
+    const Scenario s;
+    const Program &program = s.model.program;
     CollectorOptions opts;
-    opts.byte_budget = 16 * 1024;
-    opts.chunk_bytes = 256;
-    ProfileCollector collector(s.model.program, opts);
-    collector.onTrace(s.trace);
-    EXPECT_EQ(collector.runCount(), s.trace.size());
-    const TraceProfile profile = collector.take();
+    opts.byte_budget = 8192;
+    ProfileCollector clean(program, opts);
+    clean.onTrace(s.trace);
+    ProfileCollector rejecting(program, opts);
 
-    const WeightedGraph wcg = buildWcg(s.model.program, s.trace);
-    expectSameGraph(profile.wcg, wcg);
+    const std::vector<TraceEvent> &events = s.trace.events();
+    const std::size_t half = events.size() / 2;
+    for (std::size_t i = 0; i < half; ++i)
+        rejecting.onRun(events[i].proc, events[i].offset, events[i].length);
+    // Each bad run names a procedure other than the last one, so a
+    // late check would count a WCG transition.
+    const ProcId other = events[half - 1].proc == 0 ? 1 : 0;
+    const std::uint32_t size = program.proc(other).size_bytes;
+    EXPECT_THROW(rejecting.onRun(9999, 0, 8), TopoError);
+    EXPECT_THROW(rejecting.onRun(other, 0, 0), TopoError);
+    EXPECT_THROW(rejecting.onRun(other, size - 1, 2), TopoError);
+    EXPECT_THROW(rejecting.onProcedure(9999), TopoError);
+    EXPECT_EQ(rejecting.runCount(), half);
+    for (std::size_t i = half; i < events.size(); ++i)
+        rejecting.onRun(events[i].proc, events[i].offset, events[i].length);
 
-    const ChunkMap chunks(s.model.program, 256);
-    TrgBuildOptions trg_opts;
-    trg_opts.byte_budget = 16 * 1024;
-    const TrgBuildResult batch =
-        buildTrgs(s.model.program, chunks, s.trace, trg_opts);
-    expectSameGraph(profile.trg_select, batch.select);
-    expectSameGraph(profile.trg_place, batch.place);
-    EXPECT_DOUBLE_EQ(profile.avgQueueProcs(), batch.avg_queue_procs);
-
-    const TraceStats stats = computeTraceStats(s.model.program, s.trace);
-    EXPECT_EQ(profile.stats.total_runs, stats.total_runs);
-    EXPECT_EQ(profile.stats.total_bytes, stats.total_bytes);
-    EXPECT_EQ(profile.stats.procs_touched, stats.procs_touched);
-    for (std::size_t i = 0; i < stats.bytes_fetched.size(); ++i)
-        EXPECT_EQ(profile.stats.bytes_fetched[i],
-                  stats.bytes_fetched[i]);
+    EXPECT_EQ(rejecting.runCount(), clean.runCount());
+    expectSameProfile(rejecting.take(), clean.take());
 }
 
 TEST(ProfileCollector, OnProcedureIsWholeRun)
@@ -156,12 +207,10 @@ TEST(ProfileCollector, GraphSelectionFlags)
     const Scenario s;
     CollectorOptions opts;
     opts.byte_budget = 8192;
-    opts.build_wcg = false;
     opts.build_place = false;
     ProfileCollector collector(s.model.program, opts);
     collector.onTrace(s.trace);
     const TraceProfile profile = collector.take();
-    EXPECT_EQ(profile.wcg.nodeCount(), 0u);
     EXPECT_EQ(profile.trg_place.nodeCount(), 0u);
     EXPECT_GT(profile.trg_select.edgeCount(), 0u);
 }

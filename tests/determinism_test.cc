@@ -201,15 +201,13 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
 TEST(Determinism, PooledProfileBuildsMatchSerial)
 {
     // End-to-end: the real buildTrgs/buildWcg/buildPairDatabase entry
-    // points with the pool engaged vs fully serial. The TRG and pair
-    // walks are serial at any jobs count; buildWcg shards on the pool.
+    // points with the pool engaged vs fully serial. All three walks
+    // are serial at any jobs count.
     const BenchmarkCase bench = paperBenchmark("gcc", 0.03);
     const Program &program = bench.model.program;
     const Trace trace = synthesizeTrace(bench.model, bench.train);
     const ChunkMap chunks(program);
     const TrgBuildOptions trg_options;
-    // Large enough that buildWcg actually takes the pooled path.
-    ASSERT_GE(trace.size(), 2u * 8192u);
 
     setExecJobs(1);
     const TrgBuildResult serial_trg =

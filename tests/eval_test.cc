@@ -83,7 +83,7 @@ TEST_F(EvalFixture, MergedProfilesAddTheirCountsAndWeights)
                       test.stats.bytes_fetched[i]);
         touched += merged.stats.run_count[i] > 0 ? 1 : 0;
     }
-    EXPECT_EQ(merged.stats.procs_touched, touched);
+    EXPECT_EQ(merged.stats.procsTouched(), touched);
     EXPECT_EQ(merged.stats.total_runs,
               train.stats.total_runs + test.stats.total_runs);
     // TRG weights are integer counts, so the sums are exact.

@@ -42,7 +42,7 @@ TEST(TraceStatsEdge, EmptyTrace)
     const TraceStats stats = computeTraceStats(p, t);
     EXPECT_EQ(stats.total_runs, 0u);
     EXPECT_EQ(stats.total_bytes, 0u);
-    EXPECT_EQ(stats.procs_touched, 0u);
+    EXPECT_EQ(stats.procsTouched(), 0u);
 }
 
 /** Conflict metric is invariant under a global rotation of offsets. */

@@ -149,25 +149,6 @@ TEST(DefaultPlacement, MatchesLayoutDefaultOrder)
     EXPECT_EQ(algo.name(), "default");
 }
 
-TEST(RandomPlacement, ValidAndSeedDeterministic)
-{
-    const Program p = heatProgram();
-    const CacheConfig cache = CacheConfig::paperDefault();
-    const RandomPlacement a(7), b(7), c(8);
-    const Layout la = a.place(contextFor(p, cache));
-    const Layout lb = b.place(contextFor(p, cache));
-    const Layout lc = c.place(contextFor(p, cache));
-    la.validate(p, cache.line_bytes);
-    lc.validate(p, cache.line_bytes);
-    bool same_as_a = true, same_as_c = true;
-    for (ProcId i = 0; i < p.procCount(); ++i) {
-        same_as_a &= la.address(i) == lb.address(i);
-        same_as_c &= la.address(i) == lc.address(i);
-    }
-    EXPECT_TRUE(same_as_a);
-    EXPECT_FALSE(same_as_c);
-}
-
 TEST(PlacementContext, HelpersAndChecks)
 {
     const Program p = heatProgram();

@@ -80,6 +80,16 @@ TEST(FetchStream, SingleByteRun)
     EXPECT_EQ(stream.runs(), (std::vector<FetchRun>{{3, 1, 1}}));
 }
 
+TEST(FetchStream, EventLinesSpanFirstToLastByte)
+{
+    // Bytes [10, 110) at 32-byte lines are lines 0..3 of the procedure.
+    EXPECT_EQ(eventLines(TraceEvent{0, 10, 100}, 32), (FetchRun{0, 4, 1}));
+    EXPECT_EQ(eventLines(TraceEvent{0, 64, 1}, 32), (FetchRun{2, 1, 1}));
+    // The last byte lies past 2^32: the end is exact in 64 bits.
+    EXPECT_EQ(eventLines(TraceEvent{0, 0xFFFFFFF0u, 0x20u}, 64),
+              (FetchRun{0x3FFFFFFu, 2, 1}));
+}
+
 TEST(FetchStream, WalkSeeksToAnyFetch)
 {
     const Program p = makeProgram();
@@ -189,7 +199,36 @@ TEST(TraceStats, CountsAndTotals)
     EXPECT_EQ(stats.total_bytes, 214u);
     EXPECT_EQ(stats.run_count[0], 2u);
     EXPECT_EQ(stats.bytes_fetched[0], 150u);
-    EXPECT_EQ(stats.procs_touched, 2u);
+    EXPECT_EQ(stats.procsTouched(), 2u);
+}
+
+TEST(TraceStats, MergeEqualsStatsOfConcatenation)
+{
+    const Program p = makeProgram();
+    Trace a(p.procCount());
+    a.append(0, 0, 100);
+    a.append(0, 10, 20);
+    Trace b(p.procCount());
+    b.append(1, 0, 64);
+    b.append(0, 0, 50);
+    Trace ab(p.procCount());
+    for (const Trace *t : {&a, &b}) {
+        for (const TraceEvent &ev : t->events())
+            ab.append(ev.proc, ev.offset, ev.length);
+    }
+
+    TraceStats merged = computeTraceStats(p, a);
+    EXPECT_EQ(merged.procsTouched(), 1u);
+    merged.merge(computeTraceStats(p, b));
+    const TraceStats whole = computeTraceStats(p, ab);
+    EXPECT_EQ(merged.run_count, whole.run_count);
+    EXPECT_EQ(merged.bytes_fetched, whole.bytes_fetched);
+    EXPECT_EQ(merged.total_runs, whole.total_runs);
+    EXPECT_EQ(merged.total_bytes, whole.total_bytes);
+    EXPECT_EQ(merged.procsTouched(), whole.procsTouched());
+    EXPECT_EQ(merged.procsTouched(), 2u);
+
+    EXPECT_THROW(merged.merge(TraceStats(3)), TopoError);
 }
 
 TEST(TraceStats, MismatchRejected)

@@ -637,8 +637,7 @@ benchmarkCells(const Options &opts, const EvalOptions &eval,
             "algorithm");
 
     // Phase 1: profile every benchmark (synthesis + TRG/WCG builds —
-    // the expensive part; the WCG build additionally shards
-    // internally, while a full TRG walk is one serial pass).
+    // the expensive part; each build is one serial pass).
     struct BenchProfile
     {
         std::unique_ptr<ProfileBundle> bundle;
@@ -824,8 +823,8 @@ main(int argc, char **argv)
         "      [--algorithms=default,ph,hkc,gbsc] (full in-process\n"
         "      pipeline on paper-suite benchmarks instead; '*' runs\n"
         "      the whole Table 1 suite)\n"
-        "  --jobs=N (parallel lanes for the grid, the WCG build and\n"
-        "      sampling; results are bit-identical for every N)\n"
+        "  --jobs=N (parallel lanes for the grid and sampling;\n"
+        "      results are bit-identical for every N)\n"
         "  --cache-kb=N --line-bytes=N --assoc=N\n"
         "  --policy=lru|plru|srrip|fifo|random (set-associative\n"
         "      replacement policy; --policy-seed=N seeds 'random')\n"
