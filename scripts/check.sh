@@ -249,6 +249,29 @@ done | sort -g | head -n 1)
     echo "FAIL: gcc placement.gbsc best of 3 is ${best:-?} ms, want < 40"
     exit 1; }
 
+echo "== observed-replay time gate =="
+# The --taxonomy replay probes the cache once per fetch and takes its
+# stack distance from a Fenwick tree of access times (DESIGN.md §11):
+# on m88ksim at scale 1 it must cost under 125 ns per fetch
+# (phase.simulate.ms over cache.accesses), best of 3 runs. On a shared
+# 4-vCPU VM it took about 63 ns in this build, and over 250 ns with the
+# order-statistic tree it replaced.
+best=$(for run in 1 2 3; do
+    "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=1.0 \
+        --algorithms=gbsc --taxonomy --jobs=1 \
+        --metrics-out="$WORK/observed_time_$run.json" > /dev/null 2>&1
+    ms=$(sed -n '/"phase.simulate.ms"/,/}/s/^ *"sum": *\([0-9.e+-]*\).*/\1/p' \
+        "$WORK/observed_time_$run.json")
+    fetches=$(sed -n 's/^ *"cache.accesses": *\([0-9]*\).*/\1/p' \
+        "$WORK/observed_time_$run.json")
+    awk -v ms="$ms" -v n="$fetches" \
+        'BEGIN { if (n > 0) printf "%.1f\n", ms * 1e6 / n }'
+done | sort -g | head -n 1)
+[ -n "$best" ] && awk -v ns="$best" 'BEGIN { exit !(ns < 125) }' || {
+    echo "FAIL: m88ksim observed replay best of 3 is ${best:-?} ns" \
+        "per fetch, want < 125"
+    exit 1; }
+
 echo "== sampling gate =="
 # Representative-interval sampling (DESIGN.md §15): across the full
 # suite x {ph,gbsc}, the sampled estimate must stay within 2% absolute
@@ -320,8 +343,9 @@ export UBSAN_OPTIONS="exitcode=99:halt_on_error=1"
 ctest --test-dir "$SAN" --output-on-failure -j
 
 echo "== taxonomy smoke (sanitized) =="
-# The Olken tree and shadow-model bookkeeping must be clean under
-# ASan+UBSan on a real benchmark stream, not just the unit fixtures.
+# The Fenwick-tree stack distances (compaction included) and the
+# shadow-model bookkeeping must be clean under ASan+UBSan on a real
+# benchmark stream, not just the unit fixtures.
 "$SAN/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
     --taxonomy > /dev/null
 

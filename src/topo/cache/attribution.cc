@@ -64,11 +64,11 @@ AttributionSink::procAtLine(std::uint64_t line_addr) const
 
 void
 AttributionSink::recordMiss(ProcId proc, std::uint32_t set,
-                            std::uint64_t victim_line, bool victim_valid)
+                            std::uint64_t victim_line)
 {
     ++misses_by_proc_[proc];
     ++misses_by_set_[set];
-    if (!victim_valid)
+    if (victim_line == kInvalidLineAddr)
         return; // cold fill: no procedure was displaced
     ++evictions_;
     const ProcId victim = procAtLine(victim_line);

@@ -79,12 +79,13 @@ class AttributionSink
     }
 
     /**
-     * Record a miss: @p proc fetched into @p set; when @p victim_valid,
-     * the displaced line address @p victim_line is attributed to its
-     * owning procedure in the conflict matrix.
+     * Record a miss: @p proc fetched into @p set; unless the fill took
+     * an empty way (@p victim_line == kInvalidLineAddr), the displaced
+     * line is attributed to its owning procedure in the conflict
+     * matrix.
      */
     void recordMiss(ProcId proc, std::uint32_t set,
-                    std::uint64_t victim_line, bool victim_valid);
+                    std::uint64_t victim_line);
 
     /** Line fetches issued by each procedure. */
     const std::vector<std::uint64_t> &fetchesByProc() const

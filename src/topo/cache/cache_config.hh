@@ -30,6 +30,18 @@ inline constexpr std::uint64_t kInvalidLineAddr = ~std::uint64_t{0};
 [[noreturn]] void failInvalidLineAddr(const char *model);
 
 /**
+ * What one access did, reported by a cache model's access() when the
+ * caller passes one: the set the line mapped to and, on a miss, the
+ * line the fill displaced (kInvalidLineAddr when it took an empty
+ * way). A hit leaves the victim untouched.
+ */
+struct AccessEffect
+{
+    std::uint32_t set = 0;
+    std::uint64_t victim = kInvalidLineAddr;
+};
+
+/**
  * Geometry of an instruction cache.
  *
  * Line counts are not required to be powers of two (the paper's

@@ -30,44 +30,22 @@ class DirectMappedCache
      * Access a global line address.
      *
      * @param line_addr Byte address divided by the line size.
+     * @param effect    Optional out: the frame index and, on a miss,
+     *                  the displaced line.
      * @return True on hit, false on miss (line is then filled).
      */
     bool
-    access(std::uint64_t line_addr)
+    access(std::uint64_t line_addr, AccessEffect *effect = nullptr)
     {
         if (line_addr == kInvalidFrame)
             failInvalidLineAddr("DirectMappedCache");
         const std::uint32_t index = mapIndex(line_addr);
+        if (effect != nullptr)
+            effect->set = index;
         if (frames_[index] == line_addr)
             return true;
-        frames_[index] = line_addr;
-        return false;
-    }
-
-    /**
-     * Access with eviction reporting, for the attribution replay path.
-     * Identical cache behaviour to access(); additionally reports the
-     * set (frame) index the line mapped to and, on a miss that
-     * displaced a valid line, that line's address.
-     *
-     * @param line_addr    Byte address divided by the line size.
-     * @param set          Out: frame index of the access.
-     * @param victim       Out: displaced line address (miss only).
-     * @param victim_valid Out: true when @p victim held a valid line.
-     * @return True on hit, false on miss.
-     */
-    bool
-    accessTracked(std::uint64_t line_addr, std::uint32_t &set,
-                  std::uint64_t &victim, bool &victim_valid)
-    {
-        if (line_addr == kInvalidFrame)
-            failInvalidLineAddr("DirectMappedCache");
-        const std::uint32_t index = mapIndex(line_addr);
-        set = index;
-        if (frames_[index] == line_addr)
-            return true;
-        victim = frames_[index];
-        victim_valid = victim != kInvalidFrame;
+        if (effect != nullptr)
+            effect->victim = frames_[index];
         frames_[index] = line_addr;
         return false;
     }

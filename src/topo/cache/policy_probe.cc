@@ -1,6 +1,8 @@
 #include "topo/cache/policy_probe.hh"
 
-#include "topo/cache/direct_mapped_cache.hh"
+#include <type_traits>
+#include <utility>
+
 #include "topo/cache/set_associative_cache.hh"
 #include "topo/util/error.hh"
 
@@ -15,7 +17,7 @@ template <typename Cache>
 class CacheTarget final : public PolicyProbeTarget
 {
   public:
-    explicit CacheTarget(const CacheConfig &config) : cache_(config) {}
+    explicit CacheTarget(Cache cache) : cache_(std::move(cache)) {}
 
     bool access(std::uint64_t line_addr) override
     {
@@ -141,28 +143,12 @@ ProbeSignature::describe() const
 std::unique_ptr<PolicyProbeTarget>
 makeCacheTarget(const CacheConfig &config)
 {
-    if (config.associativity == 1) {
-        return std::make_unique<CacheTarget<DirectMappedCache>>(
-            config);
-    }
-    switch (config.policy) {
-      case ReplacementPolicy::kLru:
-        return std::make_unique<
-            CacheTarget<PolicyCache<TrueLruPolicy>>>(config);
-      case ReplacementPolicy::kPlru:
-        return std::make_unique<
-            CacheTarget<PolicyCache<TreePlruPolicy>>>(config);
-      case ReplacementPolicy::kSrrip:
-        return std::make_unique<CacheTarget<PolicyCache<SrripPolicy>>>(
-            config);
-      case ReplacementPolicy::kFifo:
-        return std::make_unique<CacheTarget<PolicyCache<FifoPolicy>>>(
-            config);
-      case ReplacementPolicy::kRandom:
-        return std::make_unique<
-            CacheTarget<PolicyCache<RandomPolicy>>>(config);
-    }
-    failInternal("makeCacheTarget: unknown policy enumerator");
+    std::unique_ptr<PolicyProbeTarget> target;
+    withCacheModel(config, [&target](auto &cache) {
+        using Cache = std::remove_reference_t<decltype(cache)>;
+        target = std::make_unique<CacheTarget<Cache>>(std::move(cache));
+    });
+    return target;
 }
 
 ProbeSignature

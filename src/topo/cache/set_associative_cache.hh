@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "topo/cache/cache_config.hh"
+#include "topo/cache/direct_mapped_cache.hh"
 #include "topo/cache/replacement_policy.hh"
 #include "topo/util/error.hh"
 
@@ -45,47 +46,20 @@ class PolicyCache
      * Access a global line address.
      *
      * @param line_addr Byte address divided by the line size.
+     * @param effect    Optional out: the set index and, on a miss, the
+     *                  displaced line.
      * @return True on hit, false on miss (line then filled; the
      *         lowest invalid way if one exists, else the policy's
      *         victim).
      */
     bool
-    access(std::uint64_t line_addr)
+    access(std::uint64_t line_addr, AccessEffect *effect = nullptr)
     {
         if (line_addr == kInvalidTag)
             failInvalidLineAddr("SetAssociativeCache");
         const std::uint32_t set = mapSet(line_addr);
-        std::uint64_t *base =
-            &tags_[static_cast<std::size_t>(set) * ways_];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (base[w] == line_addr) {
-                policy_.onHit(set, w);
-                return true;
-            }
-        }
-        base[fillWay(set, base)] = line_addr;
-        return false;
-    }
-
-    /**
-     * Access with eviction reporting, for the attribution replay path.
-     * Identical cache behaviour to access(); additionally reports the
-     * set index and, on a miss that displaced a valid line, that
-     * line's address.
-     *
-     * @param line_addr    Byte address divided by the line size.
-     * @param set          Out: set index of the access.
-     * @param victim       Out: displaced line address (miss only).
-     * @param victim_valid Out: true when a valid line was displaced.
-     * @return True on hit, false on miss.
-     */
-    bool
-    accessTracked(std::uint64_t line_addr, std::uint32_t &set,
-                  std::uint64_t &victim, bool &victim_valid)
-    {
-        if (line_addr == kInvalidTag)
-            failInvalidLineAddr("SetAssociativeCache");
-        set = mapSet(line_addr);
+        if (effect != nullptr)
+            effect->set = set;
         std::uint64_t *base =
             &tags_[static_cast<std::size_t>(set) * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w) {
@@ -95,8 +69,8 @@ class PolicyCache
             }
         }
         const std::uint32_t way = fillWay(set, base);
-        victim = base[way];
-        victim_valid = victim != kInvalidTag;
+        if (effect != nullptr)
+            effect->victim = base[way];
         base[way] = line_addr;
         return false;
     }
@@ -267,6 +241,52 @@ extern template class PolicyCache<TreePlruPolicy>;
 extern template class PolicyCache<SrripPolicy>;
 extern template class PolicyCache<FifoPolicy>;
 extern template class PolicyCache<RandomPolicy>;
+
+/**
+ * Build the cache model @p config names and call @p fn with it (an
+ * lvalue). One way leaves no replacement choice, so every policy
+ * degenerates to DirectMappedCache (verified by test) and its
+ * branchless replay serves them all; otherwise the PolicyCache of
+ * config.policy.
+ */
+template <typename Fn>
+void
+withCacheModel(const CacheConfig &config, Fn &&fn)
+{
+    if (config.associativity == 1) {
+        DirectMappedCache cache(config);
+        fn(cache);
+        return;
+    }
+    switch (config.policy) {
+      case ReplacementPolicy::kLru: {
+        PolicyCache<TrueLruPolicy> cache(config);
+        fn(cache);
+        return;
+      }
+      case ReplacementPolicy::kPlru: {
+        PolicyCache<TreePlruPolicy> cache(config);
+        fn(cache);
+        return;
+      }
+      case ReplacementPolicy::kSrrip: {
+        PolicyCache<SrripPolicy> cache(config);
+        fn(cache);
+        return;
+      }
+      case ReplacementPolicy::kFifo: {
+        PolicyCache<FifoPolicy> cache(config);
+        fn(cache);
+        return;
+      }
+      case ReplacementPolicy::kRandom: {
+        PolicyCache<RandomPolicy> cache(config);
+        fn(cache);
+        return;
+      }
+    }
+    failInternal("withCacheModel: unknown policy enumerator");
+}
 
 } // namespace topo
 

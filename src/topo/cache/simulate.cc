@@ -1,7 +1,8 @@
 #include "topo/cache/simulate.hh"
 
+#include <vector>
+
 #include "topo/cache/attribution.hh"
-#include "topo/cache/direct_mapped_cache.hh"
 #include "topo/cache/set_associative_cache.hh"
 #include "topo/cache/taxonomy.hh"
 #include "topo/obs/log.hh"
@@ -9,7 +10,6 @@
 #include "topo/obs/phase_timer.hh"
 #include "topo/obs/timeline.hh"
 #include "topo/resilience/fault.hh"
-#include "topo/util/arena.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -19,12 +19,11 @@ namespace
 {
 
 /**
- * Per-thread scratch for the replay's line-address table. reset() +
- * re-alloc per replay reuses the grown buffer, so after the first
- * (largest) replay on a thread the steady-state loop performs no heap
- * allocation (asserted by attribution_test's allocation hooks).
+ * Per-thread line-address table of the replay. It only grows, so after
+ * the first (largest) replay on a thread the steady-state loop performs
+ * no heap allocation (asserted by attribution_test's allocation hooks).
  */
-thread_local util::Arena t_replay_arena;
+thread_local std::vector<std::uint32_t> t_addr_of;
 
 /** The compiled variants of the replay loop. */
 enum class ReplayMode
@@ -41,8 +40,8 @@ enum class ReplayMode
 constexpr std::uint64_t kFaultMask = (1ULL << 12) - 1; // 4096
 
 /**
- * Shared replay loop; Cache is DirectMappedCache or a PolicyCache
- * instantiation, all exposing bool access(uint64). The batched and
+ * Shared replay loop; Cache is any model withCacheModel() builds, all
+ * exposing accessRunBatch() and access(). The batched and
  * per-fetch variants are compiled separately, so the default path pays
  * nothing for resilience hooks or observation sinks.
  */
@@ -62,9 +61,9 @@ replay(const Program &program, const Layout &layout,
     // paper-suite scale it overflows L1); a 2^32-line layout span
     // would be a 256 GiB text segment, so the check never fires in
     // practice.
-    t_replay_arena.reset();
-    std::span<std::uint32_t> addr_of =
-        t_replay_arena.alloc<std::uint32_t>(stream.programLineCount());
+    if (t_addr_of.size() < stream.programLineCount())
+        t_addr_of.resize(stream.programLineCount());
+    std::uint32_t *const addr_of = t_addr_of.data();
     for (std::size_t i = 0; i < program.procCount(); ++i) {
         const ProcId proc = static_cast<ProcId>(i);
         const std::uint64_t base =
@@ -90,13 +89,12 @@ replay(const Program &program, const Layout &layout,
         // single table lookup and skipping cache-resident repeats
         // outright. Batched replays never resume, so the batch always
         // covers the entire stream.
-        const std::uint32_t *const table = addr_of.data();
         const FetchRun *const runs = stream.runs().data();
         result.misses = cache.accessRunBatch(
-            stream.runs().size(), [table, runs](std::size_t r) {
+            stream.runs().size(), [addr_of, runs](std::size_t r) {
                 return std::tuple<std::uint64_t, std::uint32_t,
                                   std::uint32_t>(
-                    table[runs[r].first_line], runs[r].line_count,
+                    addr_of[runs[r].first_line], runs[r].line_count,
                     runs[r].repeats);
             });
         result.accesses = total;
@@ -150,28 +148,20 @@ replay(const Program &program, const Layout &layout,
             proc = stream.procOfLine(run_first);
         };
         auto on_fetch = [&](std::uint32_t j) {
-            const std::uint64_t line_addr = run_addr + j;
-            if (observers == nullptr) {
-                if (!cache.access(line_addr)) {
-                    ++result.misses;
-                    if (attribute)
-                        ++result.misses_by_proc[proc];
-                }
-            } else {
-                std::uint32_t set = 0;
-                std::uint64_t victim = 0;
-                bool victim_valid = false;
-                const bool hit = cache.accessTracked(line_addr, set,
-                                                     victim, victim_valid);
-                if (observers->attribution != nullptr)
-                    observers->attribution->recordAccess(proc, set);
-                if (!hit) {
-                    ++result.misses;
-                    if (attribute)
-                        ++result.misses_by_proc[proc];
-                    if (observers->attribution != nullptr) {
+            AccessEffect effect;
+            const bool hit = cache.access(run_addr + j, &effect);
+            if (!hit) {
+                ++result.misses;
+                if (attribute)
+                    ++result.misses_by_proc[proc];
+            }
+            if (observers != nullptr) {
+                if (observers->attribution != nullptr) {
+                    observers->attribution->recordAccess(proc,
+                                                         effect.set);
+                    if (!hit) {
                         observers->attribution->recordMiss(
-                            proc, set, victim, victim_valid);
+                            proc, effect.set, effect.victim);
                     }
                 }
                 if (observers->taxonomy != nullptr) {
@@ -276,46 +266,11 @@ simulateLayout(const Program &program, const Layout &layout,
         simFingerprint(program, layout, stream, config, attribute);
     PhaseTimer timer("simulate");
     SimResult result;
-    auto run = [&](auto &cache) {
+    withCacheModel(config, [&](auto &cache) {
         result = replayDispatch(program, layout, stream, cache,
                                 attribute, control, fingerprint,
                                 observers);
-    };
-    if (config.associativity == 1) {
-        // One way leaves no replacement choice: every policy
-        // degenerates to the direct-mapped model (verified by test),
-        // so the branchless fast path serves them all.
-        DirectMappedCache cache(config);
-        run(cache);
-    } else {
-        switch (config.policy) {
-          case ReplacementPolicy::kLru: {
-            PolicyCache<TrueLruPolicy> cache(config);
-            run(cache);
-            break;
-          }
-          case ReplacementPolicy::kPlru: {
-            PolicyCache<TreePlruPolicy> cache(config);
-            run(cache);
-            break;
-          }
-          case ReplacementPolicy::kSrrip: {
-            PolicyCache<SrripPolicy> cache(config);
-            run(cache);
-            break;
-          }
-          case ReplacementPolicy::kFifo: {
-            PolicyCache<FifoPolicy> cache(config);
-            run(cache);
-            break;
-          }
-          case ReplacementPolicy::kRandom: {
-            PolicyCache<RandomPolicy> cache(config);
-            run(cache);
-            break;
-          }
-        }
-    }
+    });
     if (observed && observers->timeline != nullptr)
         observers->timeline->finish();
     timer.stop();

@@ -7,163 +7,6 @@
 namespace topo
 {
 
-// --- OrderStatTree -------------------------------------------------
-
-std::uint32_t
-OrderStatTree::allocNode(std::uint64_t key)
-{
-    std::uint32_t n;
-    if (free_head_ != kNil) {
-        n = free_head_;
-        free_head_ = nodes_[n].left;
-    } else {
-        n = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.emplace_back();
-    }
-    nodes_[n] = Node{key, kNil, kNil, 1, 1};
-    return n;
-}
-
-void
-OrderStatTree::freeNode(std::uint32_t n)
-{
-    nodes_[n].left = free_head_;
-    free_head_ = n;
-}
-
-void
-OrderStatTree::pull(std::uint32_t n)
-{
-    Node &node = nodes_[n];
-    node.size = 1 + sizeOf(node.left) + sizeOf(node.right);
-    node.height = static_cast<std::int8_t>(
-        1 + std::max(heightOf(node.left), heightOf(node.right)));
-}
-
-std::uint32_t
-OrderStatTree::rotateLeft(std::uint32_t n)
-{
-    const std::uint32_t r = nodes_[n].right;
-    nodes_[n].right = nodes_[r].left;
-    nodes_[r].left = n;
-    pull(n);
-    pull(r);
-    return r;
-}
-
-std::uint32_t
-OrderStatTree::rotateRight(std::uint32_t n)
-{
-    const std::uint32_t l = nodes_[n].left;
-    nodes_[n].left = nodes_[l].right;
-    nodes_[l].right = n;
-    pull(n);
-    pull(l);
-    return l;
-}
-
-std::uint32_t
-OrderStatTree::rebalance(std::uint32_t n)
-{
-    pull(n);
-    const int balance = heightOf(nodes_[n].left) -
-                        heightOf(nodes_[n].right);
-    if (balance > 1) {
-        const std::uint32_t l = nodes_[n].left;
-        if (heightOf(nodes_[l].left) < heightOf(nodes_[l].right))
-            nodes_[n].left = rotateLeft(l);
-        return rotateRight(n);
-    }
-    if (balance < -1) {
-        const std::uint32_t r = nodes_[n].right;
-        if (heightOf(nodes_[r].right) < heightOf(nodes_[r].left))
-            nodes_[n].right = rotateRight(r);
-        return rotateLeft(n);
-    }
-    return n;
-}
-
-std::uint32_t
-OrderStatTree::insertRec(std::uint32_t n, std::uint32_t fresh)
-{
-    if (n == kNil)
-        return fresh;
-    if (nodes_[fresh].key < nodes_[n].key)
-        nodes_[n].left = insertRec(nodes_[n].left, fresh);
-    else
-        nodes_[n].right = insertRec(nodes_[n].right, fresh);
-    return rebalance(n);
-}
-
-void
-OrderStatTree::insert(std::uint64_t key)
-{
-    // Allocate before descending: insertRec holds node indices across
-    // recursive calls, so the vector must not grow mid-descent.
-    const std::uint32_t fresh = allocNode(key);
-    root_ = insertRec(root_, fresh);
-}
-
-std::uint32_t
-OrderStatTree::detachMin(std::uint32_t n, std::uint32_t &min_out)
-{
-    if (nodes_[n].left == kNil) {
-        min_out = n;
-        return nodes_[n].right;
-    }
-    nodes_[n].left = detachMin(nodes_[n].left, min_out);
-    return rebalance(n);
-}
-
-std::uint32_t
-OrderStatTree::eraseRec(std::uint32_t n, std::uint64_t key)
-{
-    require(n != kNil, "OrderStatTree: erase of absent key");
-    if (key < nodes_[n].key) {
-        nodes_[n].left = eraseRec(nodes_[n].left, key);
-    } else if (key > nodes_[n].key) {
-        nodes_[n].right = eraseRec(nodes_[n].right, key);
-    } else {
-        const std::uint32_t left = nodes_[n].left;
-        const std::uint32_t right = nodes_[n].right;
-        freeNode(n);
-        if (right == kNil)
-            return left;
-        std::uint32_t successor = kNil;
-        const std::uint32_t rest = detachMin(right, successor);
-        nodes_[successor].left = left;
-        nodes_[successor].right = rest;
-        return rebalance(successor);
-    }
-    return rebalance(n);
-}
-
-void
-OrderStatTree::erase(std::uint64_t key)
-{
-    root_ = eraseRec(root_, key);
-}
-
-std::uint64_t
-OrderStatTree::countGreater(std::uint64_t key) const
-{
-    std::uint64_t count = 0;
-    std::uint32_t n = root_;
-    while (n != kNil) {
-        const Node &node = nodes_[n];
-        if (key < node.key) {
-            count += 1 + sizeOf(node.right);
-            n = node.left;
-        } else if (key > node.key) {
-            n = node.right;
-        } else {
-            count += sizeOf(node.right);
-            return count;
-        }
-    }
-    fail("OrderStatTree: countGreater of absent key");
-}
-
 std::string
 reuseBucketMetricName(std::size_t bucket)
 {
@@ -197,14 +40,45 @@ reuseBucketLabel(std::size_t bucket)
 TaxonomySink::TaxonomySink(const Program &program,
                            std::uint32_t program_line_count,
                            const CacheConfig &config)
-    : program_(&program), shadow_lines_(config.lineCount())
+    : program_(&program), shadow_lines_(config.lineCount()),
+      time_limit_(2 * program_line_count)
 {
+    require(program_line_count < (1u << 30),
+            "TaxonomySink: 2^30 or more program lines overflow the "
+            "32-bit access times");
     require(shadow_lines_ > 0,
             "TaxonomySink: cache must hold at least one line");
-    last_ts_.assign(program_line_count, 0);
+    last_time_.assign(program_line_count, 0);
+    line_at_.assign(time_limit_ + 1, 0);
+    fenwick_.assign(time_limit_ + 1, 0);
     compulsory_by_proc_.assign(program.procCount(), 0);
     capacity_by_proc_.assign(program.procCount(), 0);
     conflict_by_proc_.assign(program.procCount(), 0);
+}
+
+void
+TaxonomySink::compactTimes()
+{
+    // A time is live when its line was last accessed then. Renumbering
+    // in time order keeps every distance: only the order of live times
+    // matters. New times never exceed old ones, so line_at_ is
+    // rewritten in place.
+    std::uint32_t next = 0;
+    for (std::uint32_t t = 1; t <= time_limit_; ++t) {
+        const std::uint32_t line = line_at_[t];
+        if (last_time_[line] != t)
+            continue;
+        ++next;
+        last_time_[line] = next;
+        line_at_[next] = line;
+    }
+    now_ = next;
+    // Times 1..live are set. Fenwick node t sums (t - lowbit(t), t].
+    for (std::uint32_t t = 1; t <= time_limit_; ++t) {
+        const std::uint32_t low = t - (t & (0u - t));
+        const std::uint32_t high = std::min(t, live_);
+        fenwick_[t] = high > low ? high - low : 0;
+    }
 }
 
 std::vector<ProcTaxonomy>

@@ -19,18 +19,19 @@
  * The shadow is driven by Mattson stack distances: an FA-LRU cache of
  * C lines hits exactly when the reuse distance (distinct lines touched
  * since the previous reference) is < C. Distances come from Olken's
- * algorithm — an order-statistic tree over last-access timestamps,
- * O(log n) per access — and double as a log2-bucketed reuse-distance
- * histogram, the per-window form of which is the interval signature
- * ROADMAP item 3 consumes.
+ * algorithm — count the lines whose last access is later than this
+ * line's — over a Fenwick tree of live access times, O(log n) per
+ * access, and double as a log2-bucketed reuse-distance histogram, the
+ * per-window form of which is the interval signature ROADMAP item 3
+ * consumes.
  *
  * Distances are computed over *program* line ids rather than placed
  * addresses: layouts are validated non-overlapping, so the id->address
  * map is a bijection and the distance sequence is identical — which is
  * also why the histogram and the compulsory count are layout-invariant
  * while the conflict/capacity split moves with the layout. All state
- * is sized at construction (O(program lines) + tree nodes, one per
- * distinct line); the steady-state record() path is allocation-free.
+ * is sized at construction (O(program lines)); record() never
+ * allocates.
  */
 
 #ifndef TOPO_CACHE_TAXONOMY_HH
@@ -49,67 +50,6 @@
 
 namespace topo
 {
-
-/**
- * Size-augmented AVL tree of distinct uint64 keys (order-statistic
- * tree). Nodes live in one contiguous vector with a free list, so a
- * steady-state erase/insert cycle never allocates. Supports exactly
- * what Olken's algorithm needs: insert a fresh (monotonically larger)
- * key, erase a known-present key, and count keys greater than a
- * known-present key — that count *is* the reuse distance.
- */
-class OrderStatTree
-{
-  public:
-    /** Insert @p key (must not be present). */
-    void insert(std::uint64_t key);
-
-    /** Erase @p key (must be present). */
-    void erase(std::uint64_t key);
-
-    /** Number of keys strictly greater than @p key (must be present). */
-    std::uint64_t countGreater(std::uint64_t key) const;
-
-    /** Number of keys in the tree. */
-    std::uint64_t size() const
-    {
-        return root_ == kNil ? 0 : nodes_[root_].size;
-    }
-
-  private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Node
-    {
-        std::uint64_t key;
-        std::uint32_t left;
-        std::uint32_t right;
-        std::uint32_t size;
-        std::int8_t height;
-    };
-
-    std::uint32_t allocNode(std::uint64_t key);
-    void freeNode(std::uint32_t n);
-    std::int8_t heightOf(std::uint32_t n) const
-    {
-        return n == kNil ? std::int8_t{0} : nodes_[n].height;
-    }
-    std::uint32_t sizeOf(std::uint32_t n) const
-    {
-        return n == kNil ? 0u : nodes_[n].size;
-    }
-    void pull(std::uint32_t n);
-    std::uint32_t rotateLeft(std::uint32_t n);
-    std::uint32_t rotateRight(std::uint32_t n);
-    std::uint32_t rebalance(std::uint32_t n);
-    std::uint32_t insertRec(std::uint32_t n, std::uint32_t fresh);
-    std::uint32_t eraseRec(std::uint32_t n, std::uint64_t key);
-    std::uint32_t detachMin(std::uint32_t n, std::uint32_t &min_out);
-
-    std::vector<Node> nodes_;
-    std::uint32_t root_ = kNil;
-    std::uint32_t free_head_ = kNil;
-};
 
 /**
  * Stable MetricsRegistry counter name for reuse-distance bucket @p b:
@@ -140,7 +80,10 @@ class TaxonomySink
     /**
      * @param program            Procedure inventory (per-proc tallies).
      * @param program_line_count Dense program line id space of the
-     *                           fetch stream being replayed.
+     *                           fetch stream being replayed; below
+     *                           2^30, so that access times (up to
+     *                           twice the line count) and their
+     *                           Fenwick-tree walks fit 32 bits.
      * @param config             Real cache geometry; the FA shadow is
      *                           sized to config.lineCount().
      */
@@ -156,9 +99,14 @@ class TaxonomySink
     TaxonomyEvent
     record(ProcId proc, std::uint32_t line_id, bool hit)
     {
+        // Compact before reading the line's time: compaction renumbers
+        // it, and must see it still live.
+        if (now_ == time_limit_)
+            compactTimes();
         TaxonomyEvent event;
-        const std::uint64_t prev = last_ts_[line_id];
+        const std::uint32_t prev = last_time_[line_id];
         if (prev == 0) {
+            ++live_;
             event.reuse_bucket =
                 static_cast<std::uint8_t>(kReuseColdBucket);
             if (!hit) {
@@ -167,9 +115,10 @@ class TaxonomySink
                 ++compulsory_by_proc_[proc];
             }
         } else {
-            const std::uint64_t distance = tree_.countGreater(prev);
+            // Lines last touched after prev: the live times above it.
+            const std::uint64_t distance = live_ - liveUpTo(prev);
             event.reuse_bucket = bucketOf(distance);
-            tree_.erase(prev);
+            addLive(prev, ~std::uint32_t{0});
             if (!hit) {
                 if (distance < shadow_lines_) {
                     event.miss_class = MissClass::kConflict;
@@ -183,8 +132,9 @@ class TaxonomySink
             }
         }
         ++now_;
-        tree_.insert(now_);
-        last_ts_[line_id] = now_;
+        addLive(now_, 1);
+        last_time_[line_id] = now_;
+        line_at_[now_] = line_id;
         ++reuse_hist_[event.reuse_bucket];
         return event;
     }
@@ -244,12 +194,41 @@ class TaxonomySink
     JsonValue toJson(std::size_t top_k = 16) const;
 
   private:
+    /** Live times in [1, t]: a Fenwick-tree prefix sum. */
+    std::uint32_t
+    liveUpTo(std::uint32_t t) const
+    {
+        std::uint32_t count = 0;
+        for (; t != 0; t &= t - 1)
+            count += fenwick_[t];
+        return count;
+    }
+
+    /** Add @p delta (modulo 2^32, so ~0 subtracts one) at time @p t. */
+    void
+    addLive(std::uint32_t t, std::uint32_t delta)
+    {
+        for (; t <= time_limit_; t += t & (0u - t))
+            fenwick_[t] += delta;
+    }
+
+    /** Renumber the live times 1..live in order; rebuild the tree. */
+    void compactTimes();
+
     const Program *program_;
     std::uint64_t shadow_lines_;
-    /** Last access timestamp per program line; 0 = never touched. */
-    std::vector<std::uint64_t> last_ts_;
-    OrderStatTree tree_;
-    std::uint64_t now_ = 0;
+    /** Largest access time; compaction runs when now_ reaches it. */
+    std::uint32_t time_limit_;
+    /** Last access time per program line; 0 = never touched. */
+    std::vector<std::uint32_t> last_time_;
+    /** Line accessed at each time, 1-based; meaningful at live times. */
+    std::vector<std::uint32_t> line_at_;
+    /** Fenwick tree over times 1..time_limit_: 1 at each live time. */
+    std::vector<std::uint32_t> fenwick_;
+    /** Last time handed out. */
+    std::uint32_t now_ = 0;
+    /** Distinct lines touched so far (= live times). */
+    std::uint32_t live_ = 0;
     std::uint64_t compulsory_ = 0;
     std::uint64_t capacity_ = 0;
     std::uint64_t conflict_ = 0;

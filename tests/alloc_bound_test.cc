@@ -83,7 +83,7 @@ TEST(AllocBound, PerEventPathsAllocateTheSameAtScaleSAndFourS)
     const FetchStream small_stream(program, small_trace, cache.line_bytes);
     const FetchStream big_stream(program, big_trace, cache.line_bytes);
     const Layout layout = Layout::defaultOrder(program, cache.line_bytes);
-    simulateLayout(program, layout, big_stream, cache); // warm the arena
+    simulateLayout(program, layout, big_stream, cache); // grow the table
     const std::uint64_t sim_small = allocsOf(
         [&] { simulateLayout(program, layout, small_stream, cache); });
     const std::uint64_t sim_big = allocsOf(

@@ -218,8 +218,8 @@ TEST(AttributionTest, SteadyStateBatchedReplayIsAllocationFree)
 {
     // The plain (unobserved, uncontrolled) replay takes the batched
     // fast path whose only scratch, the per-layout line-address table,
-    // lives in a thread-local arena. Once a first replay has grown the
-    // arena and the cache/metrics steady state exists, replaying a
+    // lives in a thread-local grow-only vector. Once a first replay has
+    // grown it and the cache/metrics steady state exists, replaying a
     // stream 40x longer must allocate exactly as much as replaying the
     // short one — the replay loop itself performs zero allocations per
     // access.
@@ -236,7 +236,7 @@ TEST(AttributionTest, SteadyStateBatchedReplayIsAllocationFree)
         return g_allocs.load(std::memory_order_relaxed) - before;
     };
 
-    count_allocs(big_stream); // warm arena, cache words, metrics
+    count_allocs(big_stream); // grow the table, cache words, metrics
     const std::uint64_t small_allocs = count_allocs(small_stream);
     const std::uint64_t big_allocs = count_allocs(big_stream);
     EXPECT_EQ(big_allocs, small_allocs);

@@ -512,8 +512,8 @@ TEST(PolicyBatch, BatchedEqualsExpandedForEveryPolicyAndModel)
 
 /**
  * Eviction accounting: with invalid-first fills, every policy obeys
- * "misses - validLineCount() == evictions", and accessTracked's
- * victim_valid reports exactly those evictions.
+ * "misses - validLineCount() == evictions", and the victims access()
+ * reports through its AccessEffect are exactly those evictions.
  */
 template <typename Cache>
 void
@@ -526,16 +526,16 @@ expectEvictionAccounting(const CacheConfig &config,
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     for (int i = 0; i < 4000; ++i) {
-        std::uint32_t set = 0;
-        std::uint64_t victim = 0;
-        bool victim_valid = false;
+        AccessEffect effect;
         const std::uint64_t addr = rng.nextBelow(8 * config.lineCount());
-        if (!cache.accessTracked(addr, set, victim, victim_valid)) {
+        if (!cache.access(addr, &effect)) {
             ++misses;
-            evictions += static_cast<std::uint64_t>(victim_valid);
+            evictions += static_cast<std::uint64_t>(effect.victim !=
+                                                    kInvalidLineAddr);
         } else {
-            ASSERT_FALSE(victim_valid);
+            ASSERT_EQ(effect.victim, kInvalidLineAddr);
         }
+        ASSERT_LT(effect.set, config.setCount());
     }
     EXPECT_EQ(misses - cache.validLineCount(), evictions);
     EXPECT_LE(cache.validLineCount(), config.lineCount());
@@ -595,18 +595,12 @@ TEST(Sentinel, CachesRejectReservedLineAddress)
 {
     DirectMappedCache dm(CacheConfig{128, 32, 1});
     EXPECT_THROW(dm.access(kInvalidLineAddr), TopoError);
-    std::uint32_t set = 0;
-    std::uint64_t victim = 0;
-    bool victim_valid = false;
-    EXPECT_THROW(
-        dm.accessTracked(kInvalidLineAddr, set, victim, victim_valid),
-        TopoError);
+    AccessEffect effect;
+    EXPECT_THROW(dm.access(kInvalidLineAddr, &effect), TopoError);
 
     SetAssociativeCache sa(CacheConfig{128, 32, 4});
     EXPECT_THROW(sa.access(kInvalidLineAddr), TopoError);
-    EXPECT_THROW(
-        sa.accessTracked(kInvalidLineAddr, set, victim, victim_valid),
-        TopoError);
+    EXPECT_THROW(sa.access(kInvalidLineAddr, &effect), TopoError);
     // The guard must not perturb normal accounting.
     EXPECT_FALSE(sa.access(3));
     EXPECT_TRUE(sa.access(3));

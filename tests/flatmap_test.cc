@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the flat hot-path containers: util::FlatMap (open
- * addressing, filter-rebuild pruning) checked against std::map as the
- * reference implementation, and util::Arena (bump-allocator reuse).
+ * Tests for util::FlatMap (open addressing, filter-rebuild pruning),
+ * checked against std::map as the reference implementation.
  */
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/util/arena.hh"
 #include "topo/util/flat_map.hh"
 
 namespace topo
@@ -21,7 +19,6 @@ namespace topo
 namespace
 {
 
-using util::Arena;
 using util::FlatMap;
 using util::mixKey;
 
@@ -220,43 +217,6 @@ TEST(FlatMap, MixKeyAvalanches)
     for (const auto &[slot, count] : low_bits)
         worst = std::max(worst, count);
     EXPECT_LE(worst, 16);
-}
-
-TEST(Arena, ReusesBufferAcrossResets)
-{
-    Arena arena;
-    auto first = arena.alloc<std::uint32_t>(1000);
-    EXPECT_EQ(first.size(), 1000u);
-    const std::size_t cap = arena.capacityBytes();
-    EXPECT_GE(cap, 1000 * sizeof(std::uint32_t));
-
-    // Same-size cycle after reset: no growth, same storage reused.
-    arena.reset();
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    auto second = arena.alloc<std::uint32_t>(1000);
-    EXPECT_EQ(second.data(), first.data());
-    EXPECT_EQ(arena.capacityBytes(), cap);
-
-    // Smaller cycle still reuses without shrinking.
-    arena.reset();
-    auto third = arena.alloc<std::uint32_t>(10);
-    EXPECT_EQ(reinterpret_cast<void *>(third.data()),
-              reinterpret_cast<void *>(second.data()));
-    EXPECT_EQ(arena.capacityBytes(), cap);
-}
-
-TEST(Arena, AlignsEachAllocation)
-{
-    Arena arena;
-    auto bytes = arena.alloc<std::uint8_t>(3);
-    auto words = arena.alloc<std::uint64_t>(4);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.data()) %
-                  alignof(std::uint64_t),
-              0u);
-    EXPECT_EQ(bytes.size(), 3u);
-    EXPECT_EQ(words.size(), 4u);
-    // Padding counts toward usage: 3 bytes rounded up to 8, plus 32.
-    EXPECT_EQ(arena.usedBytes(), 8u + 4 * sizeof(std::uint64_t));
 }
 
 } // namespace
