@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -364,6 +366,140 @@ TEST(SamplePlan, TinyTraceFallsBackToExact)
     EXPECT_EQ(plan.segments[0].begin, 0u);
     EXPECT_EQ(plan.segments[0].end, tp.trace.size());
     EXPECT_EQ(plan.segments[0].scale, 1.0);
+}
+
+/** FNV-1a over a plan's cluster count, selection and segments. */
+std::uint64_t
+planHash(const SamplePlan &plan)
+{
+    std::uint64_t h = kFnvBasis;
+    fnvMix(h, plan.cluster_count, 8);
+    for (const std::size_t w : plan.selected)
+        fnvMix(h, w, 8);
+    for (const SampleSegment &seg : plan.segments) {
+        fnvMix(h, seg.warm_begin, 8);
+        fnvMix(h, seg.begin, 8);
+        fnvMix(h, seg.end, 8);
+        fnvMix(h, std::bit_cast<std::uint64_t>(seg.scale), 8);
+    }
+    return h;
+}
+
+/** FNV-1a over a clustering's assignment, centroid and inertia bits
+ *  and iteration count. */
+std::uint64_t
+clusteringHash(const KMeansResult &result)
+{
+    std::uint64_t h = kFnvBasis;
+    fnvMix(h, result.k, 8);
+    for (const std::uint32_t c : result.assignment)
+        fnvMix(h, c, 4);
+    for (const double v : result.centroids)
+        fnvMix(h, std::bit_cast<std::uint64_t>(v), 8);
+    fnvMix(h, std::bit_cast<std::uint64_t>(result.inertia), 8);
+    fnvMix(h, result.iterations, 8);
+    return h;
+}
+
+TEST(SamplePlanGolden, SuitePlansAndClusterings)
+{
+    // Recorded before the Lloyd assignment step learned to skip
+    // distances with triangle-inequality bounds. Each row holds the
+    // plan hash of one benchmark input at one scale, and the hash of
+    // kmeansAuto(features, 16) on the plan's own windows and seed.
+    static const WordGolden<2> kGolden[] = {
+        {"gcc train 0.05",
+         {0x2bb2a126e9283ae7ULL, 0x454b298cdd5da691ULL}},
+        {"gcc test 0.05",
+         {0x893c0ab5cf3b4f83ULL, 0xca3b5944e3e2c79bULL}},
+        {"gcc train 0.25",
+         {0xebec8704e72a014eULL, 0x76031e0c5f2bdb4cULL}},
+        {"gcc test 0.25",
+         {0x4fcdd73acfb95ce9ULL, 0xdae097aafe2ca8f9ULL}},
+        {"go train 0.05",
+         {0x6ae6d5ed439c3054ULL, 0x120f112fbebf5327ULL}},
+        {"go test 0.05",
+         {0x80c88b057d0553c5ULL, 0x12fab1ba82b85409ULL}},
+        {"go train 0.25",
+         {0x95ad493d91c13c04ULL, 0x0349b36fa6dc8d81ULL}},
+        {"go test 0.25",
+         {0x8dfb53cd76318ab6ULL, 0x4c2ffd2ecbe18036ULL}},
+        {"ghostscript train 0.05",
+         {0xaa38d241b3ba2af5ULL, 0x3d3a9a1e686d4ef3ULL}},
+        {"ghostscript test 0.05",
+         {0xee71a544873693d7ULL, 0xa5b1812f4fd61623ULL}},
+        {"ghostscript train 0.25",
+         {0xdf7391c9529a40aaULL, 0xd1c93d9285657b58ULL}},
+        {"ghostscript test 0.25",
+         {0x1d40ac365a713a64ULL, 0x25a3fd876bb1f4e9ULL}},
+        {"m88ksim train 0.05",
+         {0x5c9f9e90545b1872ULL, 0x5eae8c8dba82edcbULL}},
+        {"m88ksim test 0.05",
+         {0x25a42a68d78a7fbeULL, 0x2d3efb530f269f18ULL}},
+        {"m88ksim train 0.25",
+         {0xbb3d7660c9aa1ecfULL, 0x9633eec9267312bdULL}},
+        {"m88ksim test 0.25",
+         {0x3929924dc43ffed6ULL, 0x1c9be16cded371faULL}},
+        {"perl train 0.05",
+         {0x7c4fc8f45e4b51b6ULL, 0xbb903d00e74535d3ULL}},
+        {"perl test 0.05",
+         {0x6a19c7eb8578dfaeULL, 0xb31517c07f14c522ULL}},
+        {"perl train 0.25",
+         {0xa0a389879f4ba02dULL, 0xfae29722abc0c716ULL}},
+        {"perl test 0.25",
+         {0x069b01a322939a93ULL, 0xe060d9c992f743daULL}},
+        {"vortex train 0.05",
+         {0xd47c64ac0863967dULL, 0x9d771248c8e822cdULL}},
+        {"vortex test 0.05",
+         {0xd1d43f5bf1dedfebULL, 0xd26dccdb8c8f4f8aULL}},
+        {"vortex train 0.25",
+         {0xd0d3b8702b79586fULL, 0x3de56ce9122e0df7ULL}},
+        {"vortex test 0.25",
+         {0xaffba9f485aae3e1ULL, 0x0fc02d31a8dfe6adULL}},
+    };
+    const CacheConfig cache;
+    const SamplingOptions defaults;
+    KMeansOptions kopts;
+    kopts.seed = defaults.seed;
+    std::string measured;
+    std::size_t row = 0;
+    for (const std::string &name : paperBenchmarkNames()) {
+        for (const double scale : {0.05, 0.25}) {
+            const BenchmarkCase bench = paperBenchmark(name, scale);
+            const Program &program = bench.model.program;
+            for (const bool train : {true, false}) {
+                const Trace trace = synthesizeTrace(
+                    bench.model, train ? bench.train : bench.test);
+                SamplingOptions opts;
+                opts.mode = SampleMode::kSimpoint;
+                const SamplePlan plan = buildSamplePlan(
+                    program, trace, cache.line_bytes, opts);
+                const TraceWindows windows = sliceTraceWindows(
+                    program, trace, plan.window_runs, cache.line_bytes);
+                const WindowFeatureMatrix features = extractWindowFeatures(
+                    program, trace, windows, cache.line_bytes);
+                const std::uint64_t got[2] = {
+                    planHash(plan),
+                    clusteringHash(kmeansAuto(features, 16, kopts))};
+                const std::string label =
+                    name + (train ? " train " : " test ") +
+                    (scale == 0.05 ? "0.05" : "0.25");
+                char cell[96];
+                std::snprintf(cell, sizeof cell,
+                              "{\"%s\", {0x%016llxULL, 0x%016llxULL}},\n",
+                              label.c_str(),
+                              static_cast<unsigned long long>(got[0]),
+                              static_cast<unsigned long long>(got[1]));
+                measured += cell;
+                if (row < std::size(kGolden)) {
+                    EXPECT_EQ(label, kGolden[row].name);
+                    expectGolden(kGolden[row], got);
+                }
+                ++row;
+            }
+        }
+    }
+    EXPECT_EQ(row, std::size(kGolden)) << "measured rows:\n" << measured;
 }
 
 TEST(SampledProfile, GoldenAtScale005)
