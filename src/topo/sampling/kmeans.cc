@@ -1,9 +1,11 @@
 #include "topo/sampling/kmeans.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "topo/exec/exec.hh"
+#include "topo/obs/metrics.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 
@@ -22,6 +24,25 @@ sqDistance(const double *a, const double *b, std::size_t dims)
         sum += diff * diff;
     }
     return sum;
+}
+
+/**
+ * Windows per assignment task. Most centres are skipped, so a single
+ * window is too little work to claim from the pool on its own.
+ */
+constexpr std::size_t kWindowsPerTask = 64;
+
+/**
+ * Slack added to a distance bound each time it is set or moved. The
+ * features lie in [0, 1], so a computed distance is off by far less
+ * than 1e-12; the slack keeps every bound valid for the exact distance
+ * and skips a centre only when its distance exceeds the best one's by
+ * more than rounding could bridge.
+ */
+inline double
+boundSlack(double d)
+{
+    return 1e-6 + 1e-9 * d;
 }
 
 /**
@@ -88,6 +109,90 @@ seedCenters(const WindowFeatureMatrix &features, std::size_t k, Rng &rng)
     return centers;
 }
 
+/**
+ * Elkan's triangle-inequality bounds for one Lloyd run (kmeans.hh):
+ * per window, an upper bound on its distance to its assigned centre
+ * and a lower bound on its distance to every centre; per centre, how
+ * far it last moved. Every bound is widened by boundSlack when it is
+ * set and when it is moved.
+ */
+class ElkanBounds
+{
+  public:
+    ElkanBounds(std::size_t windows, std::size_t k, std::size_t dims)
+        : k_(k), dims_(dims),
+          upper_(windows, std::numeric_limits<double>::infinity()),
+          lower_(windows * k, 0.0), shift_(k, 0.0)
+    {
+    }
+
+    /**
+     * Nearest of the row-major @p centroids to window @p w's @p row,
+     * ties to the lowest index, given the window's current centre
+     * @p best. A centre whose lower bound exceeds the upper bound is
+     * farther than the current best by more than rounding could
+     * bridge, so it is skipped; every other distance is computed with
+     * sqDistance, as a full scan would. Adds the number computed to
+     * @p evaluated.
+     */
+    std::uint32_t
+    nearest(std::size_t w, const double *row, const double *centroids,
+            std::uint32_t best, std::uint64_t &evaluated)
+    {
+        double *low = &lower_[w * k_];
+        for (std::size_t c = 0; c < k_; ++c)
+            low[c] -= shift_[c];
+        double bound = upper_[w] + shift_[best];
+        double best_d2 = 0.0;
+        bool tight = false;
+        for (std::size_t c = 0; c < k_; ++c) {
+            if (c == best || low[c] > bound)
+                continue;
+            if (!tight) {
+                // Tighten the upper bound before computing any rival.
+                best_d2 = sqDistance(row, &centroids[best * dims_], dims_);
+                ++evaluated;
+                const double d = std::sqrt(best_d2);
+                bound = d + boundSlack(d);
+                low[best] = d - boundSlack(d);
+                tight = true;
+                if (low[c] > bound)
+                    continue;
+            }
+            const double d2 = sqDistance(row, &centroids[c * dims_], dims_);
+            ++evaluated;
+            const double d = std::sqrt(d2);
+            low[c] = d - boundSlack(d);
+            if (d2 < best_d2 || (d2 == best_d2 && c < best)) {
+                best = static_cast<std::uint32_t>(c);
+                best_d2 = d2;
+                bound = d + boundSlack(d);
+            }
+        }
+        upper_[w] = bound;
+        return best;
+    }
+
+    /** Record how far each centre moved from @p before to @p after;
+     *  the next nearest() call of each window applies it. */
+    void
+    moved(const std::vector<double> &before, const std::vector<double> &after)
+    {
+        for (std::size_t c = 0; c < k_; ++c) {
+            const double d = std::sqrt(
+                sqDistance(&before[c * dims_], &after[c * dims_], dims_));
+            shift_[c] = d + boundSlack(d);
+        }
+    }
+
+  private:
+    std::size_t k_;
+    std::size_t dims_;
+    std::vector<double> upper_;
+    std::vector<double> lower_;
+    std::vector<double> shift_;
+};
+
 } // namespace
 
 KMeansResult
@@ -106,24 +211,24 @@ kmeansCluster(const WindowFeatureMatrix &features, std::size_t k,
     result.centroids = seedCenters(features, k, rng);
     result.assignment.assign(n, 0);
 
+    ElkanBounds bounds(n, k, dims);
+    std::vector<double> previous;
+    std::vector<std::uint64_t> evaluated(n, 0);
     std::vector<std::uint32_t> next(n, 0);
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // Assignment: nearest centroid, strict < so ties keep the
-        // lowest center index. Independent writes — jobs-invariant.
-        parallelFor(n, [&](std::size_t w) {
-            const double *row = features.row(w);
-            std::uint32_t best = 0;
-            double best_d2 =
-                sqDistance(row, &result.centroids[0], dims);
-            for (std::size_t c = 1; c < k; ++c) {
-                const double d2 =
-                    sqDistance(row, &result.centroids[c * dims], dims);
-                if (d2 < best_d2) {
-                    best_d2 = d2;
-                    best = static_cast<std::uint32_t>(c);
-                }
-            }
-            next[w] = best;
+        // Assignment: nearest centroid, ties to the lowest centre index,
+        // skipping the centres the bounds rule out. Per-window state
+        // only — jobs-invariant.
+        const std::size_t tasks =
+            (n + kWindowsPerTask - 1) / kWindowsPerTask;
+        parallelFor(tasks, [&](std::size_t task) {
+            const std::size_t end =
+                std::min(n, (task + 1) * kWindowsPerTask);
+            for (std::size_t w = task * kWindowsPerTask; w < end; ++w)
+                next[w] = bounds.nearest(w, features.row(w),
+                                         result.centroids.data(),
+                                         result.assignment[w],
+                                         evaluated[w]);
         });
         result.iterations = iter + 1;
         const bool changed = next != result.assignment;
@@ -134,6 +239,7 @@ kmeansCluster(const WindowFeatureMatrix &features, std::size_t k,
         // Update: serial accumulation in window order pins the FP
         // summation order. Empty clusters keep their previous
         // centroid (they can be re-captured by a later assignment).
+        previous = result.centroids;
         std::vector<double> sums(k * dims, 0.0);
         std::vector<std::uint64_t> counts(k, 0);
         for (std::size_t w = 0; w < n; ++w) {
@@ -153,7 +259,14 @@ kmeansCluster(const WindowFeatureMatrix &features, std::size_t k,
         }
         if (!changed)
             break;
+        bounds.moved(previous, result.centroids);
     }
+    std::uint64_t distances = 0;
+    for (const std::uint64_t evals : evaluated)
+        distances += evals;
+    MetricsRegistry::current()
+        .counter("sampling.kmeans_distances")
+        .add(distances);
 
     result.cluster_size.assign(k, 0);
     result.inertia = 0.0;

@@ -9,12 +9,34 @@
  * §9 determinism contract):
  *
  *  - seeded k-means++ initialisation drawn from the library Rng;
- *  - the assignment step parallelises over windows (independent
- *    writes, no accumulation), ties broken towards the lowest center
- *    index by strict comparison;
+ *  - the assignment step parallelises over windows (per-window state
+ *    only, no accumulation), ties broken towards the lowest centre
+ *    index;
  *  - centroid recomputation and inertia folds run serially in window
  *    order, so FP summation order never depends on thread count;
  *  - a fixed iteration cap bounds the loop.
+ *
+ * The assignment step skips distances with Elkan's triangle-inequality
+ * bounds (Elkan, ICML 2003). Each window keeps an upper bound on its
+ * distance to its assigned centre and a lower bound on its distance to
+ * every centre. After a centroid update, each window's upper bound
+ * grows and its lower bound to centre c shrinks by how far the centre
+ * moved. A centre is scanned only when its lower bound does not exceed
+ * the window's upper bound; the upper bound is made exact (one
+ * distance) before the first rival is scanned.
+ *
+ * The result equals a full scan bit for bit. Scanned centres use the
+ * same squared-distance loop in the same dimension order, so every
+ * computed d^2 is the full scan's, and the argmin over them takes the
+ * lowest index among equal d^2. A skipped centre's d^2 exceeds the
+ * current best's, so it can be neither the minimum nor tied with it.
+ * That needs bounds on the exact distances that the rounded ones
+ * cannot cross: every bound is widened by 1e-6 + 1e-9 * d when it is
+ * set and each time it moves. Features lie in [0, 1] over a few dozen
+ * dimensions, so a computed distance is off by far less than 1e-12,
+ * and a centre is skipped only when its exact distance exceeds the
+ * current best's by more than 2e-6. Equal computed distances are never
+ * skipped.
  */
 
 #ifndef TOPO_SAMPLING_KMEANS_HH

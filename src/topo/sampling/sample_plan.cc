@@ -76,17 +76,22 @@ buildSamplePlan(const Program &program, const Trace &trace,
     const std::uint64_t window_runs =
         options.window_runs > 0 ? options.window_runs
                                 : autoWindowRuns(trace.size());
+    PhaseTimer windows_timer("windows");
     const TraceWindows windows =
         sliceTraceWindows(program, trace, window_runs, line_bytes);
+    windows_timer.stop();
     const std::size_t count = windows.count();
 
     SamplePlan plan;
     if (count <= 1) {
         plan = exactPlan(trace, windows);
     } else {
+        PhaseTimer features_timer("features");
         const WindowFeatureMatrix features =
             extractWindowFeatures(program, trace, windows, line_bytes);
+        features_timer.stop();
 
+        PhaseTimer kmeans_timer("kmeans");
         KMeansOptions kopts;
         kopts.seed = options.seed;
         KMeansResult clusters;
@@ -98,6 +103,7 @@ buildSamplePlan(const Program &program, const Trace &trace,
                 features, std::max<std::size_t>(options.max_k, 1),
                 kopts);
         }
+        kmeans_timer.stop();
 
         // Representative of each cluster: the member window closest to
         // the centroid, ties to the lowest window index (serial scan

@@ -43,14 +43,21 @@ sliceTraceWindows(const Program &program, const Trace &trace,
     }
     windows.event_begin[count] = n;
 
+    // One serial walk fills both the per-window and the per-procedure
+    // line counts: each event's lines are worked out once.
+    windows.proc_lines.assign(program.procCount(), 0);
     const std::vector<TraceEvent> &events = trace.events();
-    parallelFor(count, [&](std::size_t w) {
+    for (std::size_t w = 0; w < count; ++w) {
         std::uint64_t blocks = 0;
         for (std::size_t i = windows.event_begin[w];
-             i < windows.event_begin[w + 1]; ++i)
-            blocks += eventLines(events[i], line_bytes).line_count;
+             i < windows.event_begin[w + 1]; ++i) {
+            const std::uint32_t lines =
+                eventLines(events[i], line_bytes).line_count;
+            blocks += lines;
+            windows.proc_lines[events[i].proc] += lines;
+        }
         windows.blocks[w] = blocks;
-    });
+    }
     return windows;
 }
 
@@ -66,9 +73,9 @@ extractWindowFeatures(const Program &program, const Trace &trace,
     // Global per-procedure line counts select the feature procedures:
     // the hottest ones carry the phase signal, everything else folds
     // into one bucket so the dimensionality stays fixed.
-    std::vector<std::uint64_t> global_lines(proc_count, 0);
-    for (const TraceEvent &ev : events)
-        global_lines[ev.proc] += eventLines(ev, line_bytes).line_count;
+    const std::vector<std::uint64_t> &global_lines = windows.proc_lines;
+    require(global_lines.size() == proc_count,
+            "extractWindowFeatures: windows sliced for another program");
     std::vector<ProcId> hot(proc_count);
     for (std::size_t p = 0; p < proc_count; ++p)
         hot[p] = static_cast<ProcId>(p);

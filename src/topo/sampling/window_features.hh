@@ -47,6 +47,11 @@ struct TraceWindows
      * arithmetically without expanding the stream.
      */
     std::vector<std::uint64_t> blocks;
+    /**
+     * Cache-line fetches of each procedure over the whole trace, from
+     * the same walk; the feature step ranks procedures by it.
+     */
+    std::vector<std::uint64_t> proc_lines;
 
     std::size_t count() const { return blocks.size(); }
 
@@ -67,8 +72,9 @@ struct WindowFeatureMatrix
 
 /**
  * Slice @p trace into windows of @p window_runs runs and compute each
- * window's exact line-fetch count at @p line_bytes. O(events), no
- * stream expansion. Requires a validated trace and window_runs > 0.
+ * window's and each procedure's exact line-fetch count at
+ * @p line_bytes. One serial O(events) walk, no stream expansion.
+ * Requires a validated trace and window_runs > 0.
  */
 TraceWindows sliceTraceWindows(const Program &program, const Trace &trace,
                                std::uint64_t window_runs,
