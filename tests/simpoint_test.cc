@@ -138,57 +138,6 @@ benchmarkFeatures(const char *name, double scale, std::uint64_t window,
     return extractWindowFeatures(bench.model.program, trace, windows, 32);
 }
 
-TEST(KMeans, DeterministicAcrossJobsAndReruns)
-{
-    JobsGuard guard;
-    const WindowFeatureMatrix features =
-        benchmarkFeatures("m88ksim", 0.02, 256);
-    ASSERT_GE(features.windows, 8u);
-    KMeansOptions opts;
-    opts.seed = 7;
-
-    setExecJobs(1);
-    const KMeansResult serial = kmeansCluster(features, 4, opts);
-    const KMeansResult serial_again = kmeansCluster(features, 4, opts);
-    setExecJobs(4);
-    const KMeansResult parallel = kmeansCluster(features, 4, opts);
-
-    EXPECT_EQ(serial.assignment, serial_again.assignment);
-    EXPECT_EQ(serial.assignment, parallel.assignment);
-    EXPECT_EQ(serial.cluster_size, parallel.cluster_size);
-    // Bit-identical FP state, not just equal clusterings.
-    EXPECT_EQ(serial.centroids, parallel.centroids);
-    EXPECT_EQ(serial.inertia, parallel.inertia);
-    EXPECT_EQ(serial.iterations, parallel.iterations);
-}
-
-TEST(KMeans, AutoChoosesDeterministically)
-{
-    JobsGuard guard;
-    const WindowFeatureMatrix features =
-        benchmarkFeatures("m88ksim", 0.02, 256);
-    setExecJobs(1);
-    const KMeansResult serial = kmeansAuto(features, 8, KMeansOptions{});
-    setExecJobs(4);
-    const KMeansResult parallel = kmeansAuto(features, 8, KMeansOptions{});
-    EXPECT_GE(serial.k, 1u);
-    EXPECT_EQ(serial.k, parallel.k);
-    EXPECT_EQ(serial.assignment, parallel.assignment);
-    EXPECT_EQ(serial.inertia, parallel.inertia);
-}
-
-TEST(KMeans, ExactKEqualsWindowsGivesSingletons)
-{
-    const WindowFeatureMatrix features =
-        benchmarkFeatures("perl", 0.02, 512);
-    const KMeansResult result =
-        kmeansCluster(features, features.windows, KMeansOptions{});
-    ASSERT_EQ(result.k, features.windows);
-    // Every non-empty cluster holds at most one window and the fit is
-    // perfect when windows are distinct; inertia must be ~0 anyway.
-    EXPECT_NEAR(result.inertia, 0.0, 1e-12);
-}
-
 /**
  * The reference Lloyd loop: every window-to-centre distance on every
  * iteration, strict < so ties keep the lowest centre index. It starts
@@ -300,6 +249,58 @@ matrixOf(const std::vector<std::vector<double>> &rows)
     return m;
 }
 
+TEST(KMeans, DeterministicAcrossJobsAndReruns)
+{
+    JobsGuard guard;
+    const WindowFeatureMatrix features =
+        benchmarkFeatures("m88ksim", 0.02, 256);
+    ASSERT_GE(features.windows, 8u);
+    KMeansOptions opts;
+    opts.seed = 7;
+
+    setExecJobs(1);
+    const KMeansResult serial = kmeansCluster(features, 4, opts);
+    const KMeansResult serial_again = kmeansCluster(features, 4, opts);
+    setExecJobs(4);
+    const KMeansResult parallel = kmeansCluster(features, 4, opts);
+
+    EXPECT_EQ(serial.assignment, serial_again.assignment);
+    EXPECT_EQ(serial.assignment, parallel.assignment);
+    EXPECT_EQ(serial.cluster_size, parallel.cluster_size);
+    // Bit-identical FP state, not just equal clusterings.
+    EXPECT_EQ(serial.centroids, parallel.centroids);
+    EXPECT_EQ(serial.inertia, parallel.inertia);
+    EXPECT_EQ(serial.iterations, parallel.iterations);
+}
+
+TEST(KMeans, AutoChoosesDeterministically)
+{
+    JobsGuard guard;
+    const WindowFeatureMatrix features =
+        benchmarkFeatures("m88ksim", 0.02, 256);
+    setExecJobs(1);
+    const KMeansResult serial = kmeansAuto(features, 8, KMeansOptions{});
+    setExecJobs(4);
+    const KMeansResult parallel = kmeansAuto(features, 8, KMeansOptions{});
+    EXPECT_GE(serial.k, 1u);
+    EXPECT_EQ(serial.k, parallel.k);
+    EXPECT_EQ(serial.assignment, parallel.assignment);
+    EXPECT_EQ(serial.inertia, parallel.inertia);
+}
+
+TEST(KMeans, ExactKEqualsWindowsGivesSingletons)
+{
+    const WindowFeatureMatrix features =
+        benchmarkFeatures("perl", 0.02, 512);
+    const KMeansResult result =
+        kmeansCluster(features, features.windows, KMeansOptions{});
+    ASSERT_EQ(result.k, features.windows);
+    // Every non-empty cluster holds at most one window and the fit is
+    // perfect when windows are distinct; inertia must be ~0 anyway.
+    EXPECT_NEAR(result.inertia, 0.0, 1e-12);
+    expectMatchesFullScan(features, features.windows);
+}
+
 TEST(KMeansOracle, SuiteFeaturesAtEveryK)
 {
     for (const std::string &name : paperBenchmarkNames()) {
@@ -328,7 +329,7 @@ TEST(KMeansOracle, DuplicateRowsTie)
         expectMatchesFullScan(features, k);
 }
 
-TEST(KMeansOracle, IdenticalRowsAndKEqualsWindows)
+TEST(KMeansOracle, IdenticalRowsTieToCentreZero)
 {
     // Identical rows seed coincident centres, so every distance ties
     // and every window must go to centre 0.
@@ -340,8 +341,6 @@ TEST(KMeansOracle, IdenticalRowsAndKEqualsWindows)
             kmeansCluster(matrixOf(same), k, KMeansOptions{});
         EXPECT_EQ(result.cluster_size[0], same.size());
     }
-    const WindowFeatureMatrix suite = benchmarkFeatures("perl", 0.02, 512);
-    expectMatchesFullScan(suite, suite.windows);
 }
 
 TEST(KMeansOracle, EquidistantRowPicksTheLowerCentre)
