@@ -127,7 +127,7 @@ Gbsc::alignmentCost(const PlacementContext &ctx, const GbscNode &n1,
     for (const ChunkSpan &my : mine) {
         auto it = theirs.begin();
         for (const auto &[other, weight] :
-             trg_place.sortedNeighbors(my.chunk)) {
+             trg_place.neighbors(my.chunk)) {
             it = std::lower_bound(it, theirs.end(), other, spanBefore);
             if (it == theirs.end())
                 break;

@@ -110,7 +110,7 @@ refineLayout(const PlacementContext &ctx, const Layout &base,
                 // The CSR memoizes the sort, so re-querying the same
                 // chunk for consecutive lines is an O(1) span lookup.
                 for (const auto &[other, weight] :
-                     trg_place.sortedNeighbors(chunk)) {
+                     trg_place.neighbors(chunk)) {
                     auto it = colors.find(other);
                     if (it == colors.end())
                         continue;

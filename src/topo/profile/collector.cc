@@ -13,8 +13,6 @@ ProfileCollector::ProfileCollector(const Program &program,
 {
     TrgBuildOptions trg_options;
     trg_options.byte_budget = options.byte_budget;
-    trg_options.build_select = options.build_select;
-    trg_options.build_place = options.build_place;
     trg_options.popular = options.popular;
     trgs_ = std::make_unique<TrgAccumulator>(program, *chunks_,
                                              trg_options);

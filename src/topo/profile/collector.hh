@@ -29,10 +29,6 @@ struct CollectorOptions
     std::uint64_t byte_budget = 2 * 8 * 1024;
     /** Chunk size for TRG_place. */
     std::uint32_t chunk_bytes = 256;
-    /** Build the procedure-granularity TRG_select. */
-    bool build_select = true;
-    /** Build the chunk-granularity TRG_place. */
-    bool build_place = true;
     /**
      * Optional popularity mask applied to the TRGs (the WCG and the
      * statistics always see every procedure, as the popular set is

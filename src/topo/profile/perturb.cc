@@ -1,6 +1,5 @@
 #include "topo/profile/perturb.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "topo/util/error.hh"
@@ -13,14 +12,8 @@ perturb(const WeightedGraph &graph, double scale, Rng &rng)
 {
     require(scale >= 0.0, "perturb: negative scale");
     WeightedGraph noisy(graph.nodeCount());
-    // Sort edges so the noise assignment is independent of hash-map
-    // iteration order; experiments stay bit-reproducible everywhere.
-    std::vector<WeightedGraph::Edge> edges = graph.edges();
-    std::sort(edges.begin(), edges.end(),
-              [](const WeightedGraph::Edge &a, const WeightedGraph::Edge &b) {
-                  return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    for (const WeightedGraph::Edge &e : edges) {
+    // Noise is drawn in edges() order, which is sorted by (u, v).
+    for (const WeightedGraph::Edge &e : graph.edges()) {
         const double factor =
             (scale == 0.0) ? 1.0 : std::exp(scale * rng.nextGaussian());
         noisy.addWeight(e.u, e.v, e.weight * factor);

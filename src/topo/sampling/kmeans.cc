@@ -47,9 +47,10 @@ boundSlack(double d)
 
 /**
  * Seeded k-means++ initialisation: first center uniform, subsequent
- * centers D^2-sampled. Distance updates run in parallel (independent
- * per-window writes); the cumulative-sum draw is serial in window
- * order, so the chosen centers depend only on (features, k, seed).
+ * centers D^2-sampled, all on the calling thread: one distance per
+ * window is too little work to hand to the pool. The cumulative-sum
+ * draw runs in window order, so the chosen centers depend only on
+ * (features, k, seed).
  */
 std::vector<double>
 seedCenters(const WindowFeatureMatrix &features, std::size_t k, Rng &rng)
@@ -69,11 +70,11 @@ seedCenters(const WindowFeatureMatrix &features, std::size_t k, Rng &rng)
                               std::numeric_limits<double>::infinity());
     for (std::size_t c = 1; c < k; ++c) {
         const double *latest = &centers[(c - 1) * dims];
-        parallelFor(n, [&](std::size_t w) {
+        for (std::size_t w = 0; w < n; ++w) {
             const double d2 = sqDistance(features.row(w), latest, dims);
             if (d2 < dist2[w])
                 dist2[w] = d2;
-        });
+        }
         double total = 0.0;
         for (std::size_t w = 0; w < n; ++w)
             total += dist2[w];

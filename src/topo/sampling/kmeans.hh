@@ -8,7 +8,8 @@
  * simulated, so any nondeterminism here would violate the pipeline's
  * §9 determinism contract):
  *
- *  - seeded k-means++ initialisation drawn from the library Rng;
+ *  - seeded k-means++ initialisation drawn from the library Rng, run
+ *    serially;
  *  - the assignment step parallelises over windows (per-window state
  *    only, no accumulation), ties broken towards the lowest centre
  *    index;

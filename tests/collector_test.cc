@@ -202,19 +202,6 @@ TEST(ProfileCollector, OnProcedureIsWholeRun)
     EXPECT_EQ(profile.stats.total_runs, 1u);
 }
 
-TEST(ProfileCollector, GraphSelectionFlags)
-{
-    const Scenario s;
-    CollectorOptions opts;
-    opts.byte_budget = 8192;
-    opts.build_place = false;
-    ProfileCollector collector(s.model.program, opts);
-    collector.onTrace(s.trace);
-    const TraceProfile profile = collector.take();
-    EXPECT_EQ(profile.trg_place.nodeCount(), 0u);
-    EXPECT_GT(profile.trg_select.edgeCount(), 0u);
-}
-
 TEST(ProfileCollector, PopularFilterOnlyAffectsTrgs)
 {
     const Scenario s;

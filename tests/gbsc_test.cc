@@ -308,7 +308,7 @@ mapAlignmentCost(const PlacementContext &ctx, const GbscNode &n1,
     const ChunkColors &theirs = iterate_first ? colors2 : colors1;
     for (const auto &[chunk, my_colors] : mine) {
         for (const auto &[other, weight] :
-             ctx.trg_place->sortedNeighbors(chunk)) {
+             ctx.trg_place->neighbors(chunk)) {
             auto it = theirs.find(other);
             if (it == theirs.end())
                 continue;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "topo/profile/perturb.hh"
 #include "topo/util/error.hh"
@@ -69,6 +71,33 @@ TEST(Perturb, DeterministicForSeed)
     const WeightedGraph n2 = perturb(g, 0.1, b);
     for (const auto &e : n1.edges())
         EXPECT_DOUBLE_EQ(e.weight, n2.weight(e.u, e.v));
+}
+
+TEST(Perturb, DrawsOneGaussianPerEdgeInEdgesOrder)
+{
+    // Edges added out of (u, v) order, with distinct weights, so a
+    // draw order other than edges() lands a factor on the wrong edge.
+    WeightedGraph g(12);
+    for (BlockId u = 11; u > 0; --u) {
+        for (BlockId v = 0; v < u; v += 3)
+            g.addWeight(u, v, 1.0 + u * 7.0 + v * 0.5);
+    }
+    const double scale = 0.4;
+    Rng rng(9);
+    const WeightedGraph noisy = perturb(g, scale, rng);
+
+    Rng hand(9);
+    std::vector<double> expected;
+    for (const WeightedGraph::Edge &e : g.edges())
+        expected.push_back(e.weight *
+                           std::exp(scale * hand.nextGaussian()));
+    std::vector<double> actual;
+    for (const WeightedGraph::Edge &e : noisy.edges())
+        actual.push_back(e.weight);
+    ASSERT_EQ(actual.size(), expected.size());
+    EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                          actual.size() * sizeof(double)),
+              0);
 }
 
 TEST(Perturb, LogRatiosMatchScale)
