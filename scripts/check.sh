@@ -250,27 +250,37 @@ done | sort -g | head -n 1)
     exit 1; }
 
 echo "== observed-replay time gate =="
-# The --taxonomy replay probes the cache once per fetch and takes its
-# stack distance from a Fenwick tree of access times (DESIGN.md §11):
-# on m88ksim at scale 1 it must cost under 125 ns per fetch
-# (phase.simulate.ms over cache.accesses), best of 3 runs. On a shared
-# 4-vCPU VM it took about 63 ns in this build, and over 250 ns with the
-# order-statistic tree it replaced.
-best=$(for run in 1 2 3; do
-    "$BUILD/tools/topo_sim" --benchmark=m88ksim --trace-scale=1.0 \
-        --algorithms=gbsc --taxonomy --jobs=1 \
-        --metrics-out="$WORK/observed_time_$run.json" > /dev/null 2>&1
-    ms=$(sed -n '/"phase.simulate.ms"/,/}/s/^ *"sum": *\([0-9.e+-]*\).*/\1/p' \
-        "$WORK/observed_time_$run.json")
-    fetches=$(sed -n 's/^ *"cache.accesses": *\([0-9]*\).*/\1/p' \
-        "$WORK/observed_time_$run.json")
-    awk -v ms="$ms" -v n="$fetches" \
-        'BEGIN { if (n > 0) printf "%.1f\n", ms * 1e6 / n }'
-done | sort -g | head -n 1)
-[ -n "$best" ] && awk -v ns="$best" 'BEGIN { exit !(ns < 125) }' || {
-    echo "FAIL: m88ksim observed replay best of 3 is ${best:-?} ns" \
-        "per fetch, want < 125"
-    exit 1; }
+# The --taxonomy replay probes the cache once per fetch on each run's
+# first pass, takes stack distances from a Fenwick tree of access times,
+# and credits cache-resident repeats in closed form (DESIGN.md §11). Per
+# fetch (phase.simulate.ms over cache.accesses, best of 3 runs at scale
+# 1) it must cost under 50 ns on m88ksim, where 59% of the fetches are
+# such repeats, and under 17 ns on gcc, where 85-87% are, so a return
+# to replaying every repeat fails on gcc first. On a shared 4-vCPU VM it
+# took 25 ns and 8.3 ns in this build (34 and 10 ns on a busier day).
+# Replaying every repeat took 50 and 48 ns (71 and 72 ns busier), when
+# the bound was 125 ns on m88ksim only, and the order-statistic tree
+# before the Fenwick tree took over 250 ns.
+for gate in m88ksim:50 gcc:17; do
+    bench=${gate%:*}
+    bound=${gate#*:}
+    best=$(for run in 1 2 3; do
+        "$BUILD/tools/topo_sim" --benchmark="$bench" --trace-scale=1.0 \
+            --algorithms=gbsc --taxonomy --jobs=1 \
+            --metrics-out="$WORK/observed_time_$run.json" > /dev/null 2>&1
+        ms=$(sed -n '/"phase.simulate.ms"/,/}/s/^ *"sum": *\([0-9.e+-]*\).*/\1/p' \
+            "$WORK/observed_time_$run.json")
+        fetches=$(sed -n 's/^ *"cache.accesses": *\([0-9]*\).*/\1/p' \
+            "$WORK/observed_time_$run.json")
+        awk -v ms="$ms" -v n="$fetches" \
+            'BEGIN { if (n > 0) printf "%.1f\n", ms * 1e6 / n }'
+    done | sort -g | head -n 1)
+    [ -n "$best" ] && awk -v ns="$best" -v b="$bound" \
+        'BEGIN { exit !(ns < b) }' || {
+        echo "FAIL: $bench observed replay best of 3 is ${best:-?} ns" \
+            "per fetch, want < $bound"
+        exit 1; }
+done
 
 echo "== sample-plan time gate =="
 # The sampler's k-means skips window-to-centre distances that Elkan's

@@ -70,12 +70,17 @@ class AttributionSink
                     const CacheConfig &config, std::uint32_t line_bytes,
                     Options options = {});
 
-    /** Record one access (hit or miss) by @p proc mapping to @p set. */
+    /**
+     * Record @p count accesses (hits or misses) by @p proc mapping to
+     * @p set. The observed replay passes a run's repeat count for each
+     * fetch of its first pass when it credits the later passes in
+     * closed form: they are all hits and touch the same sets.
+     */
     void
-    recordAccess(ProcId proc, std::uint32_t set)
+    recordAccess(ProcId proc, std::uint32_t set, std::uint64_t count = 1)
     {
-        ++fetches_by_proc_[proc];
-        ++accesses_by_set_[set];
+        fetches_by_proc_[proc] += count;
+        accesses_by_set_[set] += count;
     }
 
     /**

@@ -70,7 +70,7 @@ class DirectMappedCache
      *   repeats contribute no misses and are not replayed at all —
      *   loop-heavy traces spend 75-85% of their accesses there. Runs
      *   longer than the cache self-evict as they wrap, so their
-     *   repeats are replayed in full.
+     *   repeats are replayed in full (repeatResident()).
      *
      * The frame pointer and index mask are hoisted into locals for the
      * whole batch — inside a caller's loop the per-access stores (also
@@ -97,7 +97,7 @@ class DirectMappedCache
             for (std::size_t r = 0; r < run_count; ++r) {
                 const auto [base, len, repeats] = run(r);
                 const std::uint32_t passes =
-                    len <= frame_count ? 1 : repeats;
+                    repeatResident(len) ? 1 : repeats;
                 for (std::uint32_t pass = 0; pass < passes; ++pass) {
                     for (std::uint32_t j = 0; j < len; ++j) {
                         const std::uint64_t line_addr = base + j;
@@ -114,7 +114,7 @@ class DirectMappedCache
             for (std::size_t r = 0; r < run_count; ++r) {
                 const auto [base, len, repeats] = run(r);
                 const std::uint32_t passes =
-                    len <= frame_count ? 1 : repeats;
+                    repeatResident(len) ? 1 : repeats;
                 for (std::uint32_t pass = 0; pass < passes; ++pass) {
                     for (std::uint32_t j = 0; j < len; ++j) {
                         const std::uint64_t line_addr = base + j;
@@ -130,6 +130,19 @@ class DirectMappedCache
             }
         }
         return misses;
+    }
+
+    /**
+     * True when an immediate repeat of a run of @p len consecutive
+     * line addresses is all hits and leaves the cache state as the
+     * previous pass left it: the run occupies distinct frames, so one
+     * pass makes every line of it resident. Every replay that skips
+     * repeats asks this one rule.
+     */
+    bool
+    repeatResident(std::uint64_t len) const
+    {
+        return len <= frames_.size();
     }
 
     /** Number of frames (lines the cache can hold). */

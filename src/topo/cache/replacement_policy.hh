@@ -24,9 +24,10 @@
  *   kRepeatElisionSound          whether the replay's repeat-elision
  *                                shortcut is exact under this policy
  *
- * kRepeatElisionSound gates the simulator's batched-replay shortcut
+ * kRepeatElisionSound gates the simulator's repeat shortcut
  * `passes = len <= lineCount() ? 1 : repeats` (see
- * PolicyCache::accessRunBatch). The shortcut is exact iff one pass
+ * PolicyCache::repeatResident, which the batched replay and the
+ * observed replay both ask). The shortcut is exact iff one pass
  * over a run of at most lineCount() consecutive lines (a) leaves
  * every line of the run resident, so the repeated pass is all hits,
  * and (b) the all-hit pass restores the replacement metadata to the

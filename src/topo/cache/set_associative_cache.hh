@@ -98,15 +98,11 @@ class PolicyCache
     std::uint64_t
     accessRunBatch(std::size_t run_count, RunFn &&run)
     {
-        const std::uint64_t line_count =
-            static_cast<std::uint64_t>(sets_) * ways_;
         std::uint64_t misses = 0;
         for (std::size_t r = 0; r < run_count; ++r) {
             const auto [base, len, repeats] = run(r);
             const std::uint32_t passes =
-                Policy::kRepeatElisionSound && len <= line_count
-                    ? 1
-                    : repeats;
+                repeatResident(len) ? 1 : repeats;
             for (std::uint32_t pass = 0; pass < passes; ++pass) {
                 for (std::uint32_t j = 0; j < len; ++j) {
                     misses +=
@@ -115,6 +111,20 @@ class PolicyCache
             }
         }
         return misses;
+    }
+
+    /**
+     * True when an immediate repeat of a run of @p len consecutive
+     * line addresses is all hits and leaves the cache state as the
+     * previous pass left it: the run fits the cache and the policy
+     * declares the shortcut exact (Policy::kRepeatElisionSound).
+     * Every replay that skips repeats asks this one rule.
+     */
+    bool
+    repeatResident(std::uint64_t len) const
+    {
+        return Policy::kRepeatElisionSound &&
+               len <= static_cast<std::uint64_t>(sets_) * ways_;
     }
 
     /** Invalidate all ways and reset the replacement metadata. */

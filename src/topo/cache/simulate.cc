@@ -1,5 +1,6 @@
 #include "topo/cache/simulate.hh"
 
+#include <optional>
 #include <vector>
 
 #include "topo/cache/attribution.hh"
@@ -32,7 +33,9 @@ enum class ReplayMode
     kBatched,
     /** One cache probe per fetch, for per-procedure attribution,
      *  checkpoint/resume/stop, throw_io fault probes and the
-     *  attribution/taxonomy/timeline sinks. */
+     *  attribution/taxonomy/timeline sinks; without a control or an
+     *  armed fault, cache-resident repeats are credited in closed
+     *  form instead. */
     kPerFetch,
 };
 
@@ -147,7 +150,9 @@ replay(const Program &program, const Layout &layout,
             run_addr = addr_of[run_first];
             proc = stream.procOfLine(run_first);
         };
-        auto on_fetch = [&](std::uint32_t j) {
+        // Line j of the current run through the cache and the sinks;
+        // the attribution sink counts the access @p weight times.
+        auto fetch = [&](std::uint32_t j, std::uint64_t weight) {
             AccessEffect effect;
             const bool hit = cache.access(run_addr + j, &effect);
             if (!hit) {
@@ -157,8 +162,8 @@ replay(const Program &program, const Layout &layout,
             }
             if (observers != nullptr) {
                 if (observers->attribution != nullptr) {
-                    observers->attribution->recordAccess(proc,
-                                                         effect.set);
+                    observers->attribution->recordAccess(
+                        proc, effect.set, weight);
                     if (!hit) {
                         observers->attribution->recordMiss(
                             proc, effect.set, effect.victim);
@@ -176,26 +181,63 @@ replay(const Program &program, const Layout &layout,
                 if (observers->timeline != nullptr)
                     observers->timeline->record(proc, !hit);
             }
-            ++cursor;
-            if ((cursor & kFaultMask) == 0)
-                faultMaybeThrowIo("simulate");
-            if (control != nullptr) {
-                if (control->checkpoint_every != 0 &&
-                    !control->checkpoint_path.empty() &&
-                    (cursor - start) % control->checkpoint_every == 0 &&
-                    cursor != total) {
-                    write_ckpt(cursor);
-                }
-                if (control->stop_after != 0 &&
-                    cursor >= control->stop_after) {
-                    result.completed = false;
-                    return false;
-                }
-            }
-            return true;
         };
-        if (cursor < total)
-            stream.forEachFetch(cursor, on_run, on_fetch);
+        if (control == nullptr && !faultArmed(FaultKind::kThrowIo)) {
+            // Nothing needs a per-fetch cursor, so repeats the cache
+            // model proves resident are credited in closed form: they
+            // are all hits and leave the cache state alone (the batched
+            // replay skips the same ones). The attribution sink counts
+            // each first-pass fetch once per pass, since every pass
+            // touches the same sets; the other sinks take the hits in
+            // bulk after the first pass.
+            for (const FetchRun &run : stream.runs()) {
+                on_run(run);
+                const bool elide = run.repeats > 1 &&
+                                   cache.repeatResident(run.line_count);
+                const std::uint32_t passes = elide ? 1 : run.repeats;
+                const std::uint64_t weight = elide ? run.repeats : 1;
+                for (std::uint32_t pass = 0; pass < passes; ++pass) {
+                    for (std::uint32_t j = 0; j < run.line_count; ++j)
+                        fetch(j, weight);
+                }
+                if (!elide || observers == nullptr)
+                    continue;
+                const std::uint64_t hits =
+                    std::uint64_t{run.line_count} * (run.repeats - 1);
+                std::optional<std::uint8_t> bucket;
+                if (observers->taxonomy != nullptr) {
+                    bucket = observers->taxonomy->recordRepeats(
+                        run.line_count, hits);
+                }
+                if (observers->timeline != nullptr)
+                    observers->timeline->recordHits(proc, hits, bucket);
+            }
+            cursor = total;
+        } else if (cursor < total) {
+            // Checkpoints, stops and fault probes fall at exact fetch
+            // indices, so every fetch is replayed.
+            stream.forEachFetch(cursor, on_run, [&](std::uint32_t j) {
+                fetch(j, 1);
+                ++cursor;
+                if ((cursor & kFaultMask) == 0)
+                    faultMaybeThrowIo("simulate");
+                if (control != nullptr) {
+                    if (control->checkpoint_every != 0 &&
+                        !control->checkpoint_path.empty() &&
+                        (cursor - start) % control->checkpoint_every ==
+                            0 &&
+                        cursor != total) {
+                        write_ckpt(cursor);
+                    }
+                    if (control->stop_after != 0 &&
+                        cursor >= control->stop_after) {
+                        result.completed = false;
+                        return false;
+                    }
+                }
+                return true;
+            });
+        }
         if (!result.completed && !control->checkpoint_path.empty())
             write_ckpt(cursor);
         result.accesses = cursor;

@@ -139,6 +139,24 @@ class TaxonomySink
         return event;
     }
 
+    /**
+     * Account @p fetches hits that repeat, back to back, the run of
+     * @p line_count distinct lines whose fetches record() saw last.
+     * Each such fetch has stack distance line_count - 1: since its
+     * line's previous fetch, the other lines of the run were fetched
+     * once each. A whole pass re-touches the lines in the order the
+     * last pass left them, so the order of the live times, which is
+     * all that distances depend on, is unchanged, and neither the
+     * clock nor the tree moves. Returns the fetches' reuse bucket.
+     */
+    std::uint8_t
+    recordRepeats(std::uint32_t line_count, std::uint64_t fetches)
+    {
+        const std::uint8_t bucket = bucketOf(line_count - 1);
+        reuse_hist_[bucket] += fetches;
+        return bucket;
+    }
+
     /** Log2 bucket for stack distance @p d (0 -> 0, else bit width). */
     static std::uint8_t
     bucketOf(std::uint64_t d)

@@ -6,7 +6,8 @@
  * (every N fetch blocks: miss rate and working-set size) expose the
  * phase structure that temporal-ordering placement exploits. The
  * simulator feeds a recorder one (procedure, miss?) event per line
- * fetch; the recorder buckets them into fixed windows and keeps one
+ * fetch, or one count of hits for a cache-resident repeat of a run;
+ * the recorder buckets them into fixed windows and keeps one
  * sample per window — memory is O(stream / window), independent of
  * the per-window activity.
  *
@@ -18,8 +19,10 @@
 #ifndef TOPO_OBS_TIMELINE_HH
 #define TOPO_OBS_TIMELINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,6 +133,33 @@ class TimelineRecorder
         current_.misses += miss ? 1 : 0;
         if (current_.accesses == window_blocks_)
             flushWindow();
+    }
+
+    /**
+     * Record @p count hits by @p proc, as @p count record(proc, false)
+     * calls would, each preceded by noteTaxonomy() of a hit in
+     * @p reuse_bucket when one is given. The hits are split at window
+     * edges, so every window gets the same sample.
+     */
+    void
+    recordHits(ProcId proc, std::uint64_t count,
+               std::optional<std::uint8_t> reuse_bucket)
+    {
+        while (count != 0) {
+            const std::uint64_t take =
+                std::min(count, window_blocks_ - current_.accesses);
+            if (distinct_.touch(proc))
+                ++current_.distinct_procs;
+            current_.accesses += take;
+            if (reuse_bucket) {
+                saw_taxonomy_ = true;
+                current_.reuse_hist[*reuse_bucket] +=
+                    static_cast<std::uint32_t>(take);
+            }
+            count -= take;
+            if (current_.accesses == window_blocks_)
+                flushWindow();
+        }
     }
 
     /** Close the trailing partial window (idempotent). */

@@ -15,8 +15,9 @@
  * loop-heavy traces repeat a run for most of their fetches, so on the
  * paper suite at scale 1 the runs are 8-57x smaller than per-fetch
  * ids (gcc: 1.8 MB of runs for 24M test fetches). Every reader
- * expands the runs in registers: the batched replay reads runs
- * directly, and the per-fetch readers share one walk, forEachFetch().
+ * expands the runs in registers: the batched and observed replays read
+ * runs directly, and the per-fetch readers share one walk,
+ * forEachFetch().
  */
 
 #ifndef TOPO_TRACE_FETCH_STREAM_HH
@@ -44,8 +45,13 @@ namespace topo
  * re-execute the same run back-to-back for 75-85% of all line fetches
  * (paper suite, both inputs), and a repeat of a run short enough to
  * be self-contained in the cache is provably all-hits and leaves the
- * cache state untouched, so the simulator can account for it without
- * replaying it (see DirectMappedCache::accessRunBatch).
+ * cache state untouched (the cache model's repeatResident()). The
+ * batched replay accounts for such a repeat without replaying it
+ * (see DirectMappedCache::accessRunBatch). So does the observed
+ * replay: every fetch of the repeat has stack distance
+ * line_count - 1, so the sinks take its hits in closed form. Only a
+ * replay that needs exact per-fetch cursors (checkpoints, stops,
+ * fault probes) expands it.
  */
 struct FetchRun
 {
