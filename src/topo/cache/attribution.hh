@@ -72,9 +72,9 @@ class AttributionSink
 
     /**
      * Record @p count accesses (hits or misses) by @p proc mapping to
-     * @p set. The observed replay passes a run's repeat count for each
-     * fetch of its first pass when it credits the later passes in
-     * closed form: they are all hits and touch the same sets.
+     * @p set. The observed replay passes the number of passes it
+     * credits in closed form for each line of a resident run: they
+     * are all hits, in the sets the cache model maps the lines to.
      */
     void
     recordAccess(ProcId proc, std::uint32_t set, std::uint64_t count = 1)

@@ -39,7 +39,7 @@ class DirectMappedCache
     {
         if (line_addr == kInvalidFrame)
             failInvalidLineAddr("DirectMappedCache");
-        const std::uint32_t index = mapIndex(line_addr);
+        const std::uint32_t index = mapSet(line_addr);
         if (effect != nullptr)
             effect->set = index;
         if (frames_[index] == line_addr)
@@ -145,6 +145,9 @@ class DirectMappedCache
         return len <= frames_.size();
     }
 
+    /** A repeat repeatResident() admits stores its tags back: no-op. */
+    void creditRepeats(std::uint64_t, std::uint32_t, std::uint32_t) {}
+
     /** Number of frames (lines the cache can hold). */
     std::uint64_t frameCount() const { return frames_.size(); }
 
@@ -175,9 +178,9 @@ class DirectMappedCache
     /** Cache geometry. */
     const CacheConfig &config() const { return config_; }
 
-    /** Frame index a global line address maps to. */
+    /** Frame (the set of one way) a global line address maps to. */
     std::uint32_t
-    mapIndex(std::uint64_t line_addr) const
+    mapSet(std::uint64_t line_addr) const
     {
         if (mask_ != 0)
             return static_cast<std::uint32_t>(line_addr & mask_);

@@ -22,7 +22,8 @@
  *   kName                        CLI / report spelling
  *   kKind                        the ReplacementPolicy enumerator
  *   kRepeatElisionSound          whether the replay's repeat-elision
- *                                shortcut is exact under this policy
+ *                                shortcut is exact (then onRepeats()
+ *                                stamps the passes it skips exactly)
  *
  * kRepeatElisionSound gates the simulator's repeat shortcut
  * `passes = len <= lineCount() ? 1 : repeats` (see
@@ -148,6 +149,20 @@ class TrueLruPolicy
     }
 
     void onFill(std::uint32_t set, std::uint32_t way) { onHit(set, way); }
+
+    /**
+     * @p passes more all-hit passes of the @p touches lines a run just
+     * touched in @p set: each re-stamps its newest stamps, in order.
+     */
+    void
+    onRepeats(std::uint32_t set, std::uint32_t touches, std::uint32_t passes)
+    {
+        std::uint64_t *stamps = &stamps_[std::size_t{set} * ways_];
+        const std::uint64_t shift = std::uint64_t{touches} * passes;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            stamps[w] += stamps[w] > clock_[set] - touches ? shift : 0;
+        clock_[set] += shift;
+    }
 
     void
     reset()

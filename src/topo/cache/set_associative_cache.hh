@@ -127,6 +127,23 @@ class PolicyCache
                len <= static_cast<std::uint64_t>(sets_) * ways_;
     }
 
+    /**
+     * Credit @p passes more all-hit passes of a run repeatResident()
+     * admits, right after one: true LRU's stamps move as a replay's.
+     */
+    void
+    creditRepeats(std::uint64_t base, std::uint32_t len, std::uint32_t passes)
+    {
+        if constexpr (Policy::kRepeatElisionSound) {
+            // Line j maps to set base + j: the first len % sets sets
+            // take one touch more.
+            for (std::uint32_t j = 0; j < len && j < sets_; ++j)
+                policy_.onRepeats(mapSet(base + j),
+                                  len / sets_ + (j < len % sets_ ? 1 : 0),
+                                  passes);
+        }
+    }
+
     /** Invalidate all ways and reset the replacement metadata. */
     void
     reset()

@@ -1,6 +1,8 @@
 #include "topo/cache/simulate.hh"
 
+#include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "topo/cache/attribution.hh"
@@ -32,10 +34,9 @@ enum class ReplayMode
     /** No hooks and no attribution: the run-batched fast path. */
     kBatched,
     /** One cache probe per fetch, for per-procedure attribution,
-     *  checkpoint/resume/stop, throw_io fault probes and the
-     *  attribution/taxonomy/timeline sinks; without a control or an
-     *  armed fault, cache-resident repeats are credited in closed
-     *  form instead. */
+     *  checkpoint/resume/stop, throw_io fault probes and the sinks.
+     *  Resident repeats are credited in closed form, and those events
+     *  cut the run walk at their fetch indices. */
     kPerFetch,
 };
 
@@ -126,7 +127,6 @@ replay(const Program &program, const Layout &layout,
                     {{"cursor", start}, {"misses", result.misses}});
         }
 
-        std::uint64_t cursor = start;
         auto write_ckpt = [&](std::uint64_t at) {
             SimCheckpoint ckpt;
             ckpt.fingerprint = fingerprint;
@@ -139,20 +139,12 @@ replay(const Program &program, const Layout &layout,
                 .counter("sim.checkpoints_written")
                 .add();
         };
-        // Per-fetch replay walks the runs: each run's procedure and
-        // placed base line are loaded once, and its j-th line is
-        // base + j.
+        // The current run's first line id, placed line and procedure.
         std::uint32_t run_first = 0;
         std::uint64_t run_addr = 0;
         ProcId proc = 0;
-        auto on_run = [&](const FetchRun &run) {
-            run_first = run.first_line;
-            run_addr = addr_of[run_first];
-            proc = stream.procOfLine(run_first);
-        };
-        // Line j of the current run through the cache and the sinks;
-        // the attribution sink counts the access @p weight times.
-        auto fetch = [&](std::uint32_t j, std::uint64_t weight) {
+        // Line j of the current run through the cache and the sinks.
+        auto fetch = [&](std::uint32_t j) {
             AccessEffect effect;
             const bool hit = cache.access(run_addr + j, &effect);
             if (!hit) {
@@ -162,8 +154,7 @@ replay(const Program &program, const Layout &layout,
             }
             if (observers != nullptr) {
                 if (observers->attribution != nullptr) {
-                    observers->attribution->recordAccess(
-                        proc, effect.set, weight);
+                    observers->attribution->recordAccess(proc, effect.set);
                     if (!hit) {
                         observers->attribution->recordMiss(
                             proc, effect.set, effect.victim);
@@ -182,61 +173,98 @@ replay(const Program &program, const Layout &layout,
                     observers->timeline->record(proc, !hit);
             }
         };
-        if (control == nullptr && !faultArmed(FaultKind::kThrowIo)) {
-            // Nothing needs a per-fetch cursor, so repeats the cache
-            // model proves resident are credited in closed form: they
-            // are all hits and leave the cache state alone (the batched
-            // replay skips the same ones). The attribution sink counts
-            // each first-pass fetch once per pass, since every pass
-            // touches the same sets; the other sinks take the hits in
-            // bulk after the first pass.
-            for (const FetchRun &run : stream.runs()) {
-                on_run(run);
-                const bool elide = run.repeats > 1 &&
-                                   cache.repeatResident(run.line_count);
-                const std::uint32_t passes = elide ? 1 : run.repeats;
-                const std::uint64_t weight = elide ? run.repeats : 1;
-                for (std::uint32_t pass = 0; pass < passes; ++pass) {
-                    for (std::uint32_t j = 0; j < run.line_count; ++j)
-                        fetch(j, weight);
+        // Credit @p passes all-hit passes of the current run in bulk.
+        auto credit = [&](std::uint32_t len, std::uint32_t passes) {
+            cache.creditRepeats(run_addr, len, passes);
+            if (observers == nullptr)
+                return;
+            if (observers->attribution != nullptr) {
+                for (std::uint32_t j = 0; j < len; ++j) {
+                    observers->attribution->recordAccess(
+                        proc, cache.mapSet(run_addr + j), passes);
                 }
-                if (!elide || observers == nullptr)
-                    continue;
-                const std::uint64_t hits =
-                    std::uint64_t{run.line_count} * (run.repeats - 1);
-                std::optional<std::uint8_t> bucket;
-                if (observers->taxonomy != nullptr) {
-                    bucket = observers->taxonomy->recordRepeats(
-                        run.line_count, hits);
-                }
-                if (observers->timeline != nullptr)
-                    observers->timeline->recordHits(proc, hits, bucket);
             }
-            cursor = total;
-        } else if (cursor < total) {
-            // Checkpoints, stops and fault probes fall at exact fetch
-            // indices, so every fetch is replayed.
-            stream.forEachFetch(cursor, on_run, [&](std::uint32_t j) {
-                fetch(j, 1);
-                ++cursor;
-                if ((cursor & kFaultMask) == 0)
-                    faultMaybeThrowIo("simulate");
-                if (control != nullptr) {
-                    if (control->checkpoint_every != 0 &&
-                        !control->checkpoint_path.empty() &&
-                        (cursor - start) % control->checkpoint_every ==
-                            0 &&
-                        cursor != total) {
-                        write_ckpt(cursor);
-                    }
-                    if (control->stop_after != 0 &&
-                        cursor >= control->stop_after) {
-                        result.completed = false;
-                        return false;
-                    }
+            const std::uint64_t hits = std::uint64_t{len} * passes;
+            std::optional<std::uint8_t> bucket;
+            if (observers->taxonomy != nullptr)
+                bucket = observers->taxonomy->recordRepeats(len, hits);
+            if (observers->timeline != nullptr)
+                observers->timeline->recordHits(proc, hits, bucket);
+        };
+        // The run walk replays fetches [cursor, end) and keeps its place
+        // (run r, first fetch run_start) between calls. A run's first
+        // pass, or the rest of the pass a resume or cut fell in, goes
+        // fetch by fetch; the whole passes after it are credited when
+        // the cache model proves them resident, as the batch skips them.
+        std::size_t r = 0;
+        std::uint64_t run_start = 0;
+        std::uint64_t cursor = start;
+        auto walk = [&](std::uint64_t end) {
+            while (cursor < end) {
+                const FetchRun &run = stream.runs()[r];
+                const std::uint32_t len = run.line_count;
+                const std::uint64_t run_end =
+                    run_start + std::uint64_t{len} * run.repeats;
+                if (run_end <= cursor) { // left behind, or before a resume
+                    run_start = run_end;
+                    ++r;
+                    continue;
                 }
-                return true;
-            });
+                // (pass, line) of a fetch; only cut runs pay a division.
+                auto split = [&](std::uint64_t at) {
+                    return std::pair{
+                        static_cast<std::uint32_t>((at - run_start) / len),
+                        static_cast<std::uint32_t>((at - run_start) % len)};
+                };
+                auto [pass, line] =
+                    cursor == run_start ? std::pair{0u, 0u} : split(cursor);
+                const auto [last_pass, last_line] =
+                    end < run_end ? split(end) : std::pair{run.repeats, 0u};
+                const bool elide =
+                    run.repeats > 1 && cache.repeatResident(len);
+                run_first = run.first_line;
+                run_addr = addr_of[run_first];
+                proc = stream.procOfLine(run_first);
+                for (; pass < last_pass; ++pass, line = 0) {
+                    if (elide && pass != 0 && line == 0) {
+                        credit(len, last_pass - pass);
+                        pass = last_pass;
+                        break;
+                    }
+                    for (; line < len; ++line)
+                        fetch(line);
+                }
+                for (; line < last_line; ++line)
+                    fetch(line);
+                cursor = std::min(end, run_end);
+            }
+        };
+        // Walk to the next fault probe, checkpoint or stop, or to the
+        // stream's end, and fire the events there in that order.
+        const bool probe = faultArmed(FaultKind::kThrowIo);
+        const std::uint64_t every =
+            control != nullptr && !control->checkpoint_path.empty()
+                ? control->checkpoint_every
+                : 0;
+        const std::uint64_t stop =
+            control != nullptr && control->stop_after != 0
+                ? std::max(control->stop_after, start + 1)
+                : ~std::uint64_t{0};
+        while (cursor < total && result.completed) {
+            std::uint64_t end = std::min(total, stop);
+            if (probe)
+                end = std::min(end, (cursor | kFaultMask) + 1);
+            if (every != 0) {
+                end = cursor + std::min(end - cursor,
+                                        every - (cursor - start) % every);
+            }
+            walk(end);
+            if (probe && (cursor & kFaultMask) == 0)
+                faultMaybeThrowIo("simulate");
+            if (every != 0 && (cursor - start) % every == 0 &&
+                cursor != total)
+                write_ckpt(cursor);
+            result.completed = cursor != stop;
         }
         if (!result.completed && !control->checkpoint_path.empty())
             write_ckpt(cursor);
@@ -301,8 +329,8 @@ simulateLayout(const Program &program, const Layout &layout,
             "simulateLayout: stream line size does not match cache config");
     const bool observed = observers != nullptr && observers->any();
     require(!observed || control == nullptr,
-            "simulateLayout: attribution/timeline observers do not "
-            "combine with checkpoint/resume (observer state is not "
+            "simulateLayout: taxonomy/attribution/timeline observers do "
+            "not combine with checkpoint/resume (observer state is not "
             "checkpointed)");
     const std::uint64_t fingerprint =
         simFingerprint(program, layout, stream, config, attribute);

@@ -65,10 +65,10 @@ struct SimResult
  * procedure attribution, or an attached sink. Logging and tracing never
  * do, so the default (unobserved) path is the same at every log level
  * and with or without a Chrome trace. The per-fetch variant credits
- * cache-resident repeats to the sinks in closed form, unless a
- * SimControl or an armed throw_io fault needs every fetch replayed.
- * Observers do not compose with checkpoint/resume: their state is not
- * checkpointed, so a resumed run would attribute only the tail.
+ * cache-resident repeats in closed form; a SimControl or throw_io
+ * fault probe only cuts runs at its fetch indices. Observers do not
+ * compose with checkpoint/resume: their state is not checkpointed,
+ * so a resumed run would attribute only the tail.
  */
 struct SimObservers
 {

@@ -65,9 +65,8 @@ measurePageStats(const Program &program, const Layout &layout,
                 }
             }
         }
-        return true;
     };
-    stream.forEachFetch(0, on_run, on_fetch);
+    stream.forEachFetch(on_run, on_fetch);
     stats.pages_touched = touched.size();
     return stats;
 }

@@ -15,8 +15,8 @@
  * loop-heavy traces repeat a run for most of their fetches, so on the
  * paper suite at scale 1 the runs are 8-57x smaller than per-fetch
  * ids (gcc: 1.8 MB of runs for 24M test fetches). Every reader
- * expands the runs in registers: the batched and observed replays read
- * runs directly, and the per-fetch readers share one walk,
+ * expands the runs in registers: the batched and observed replays
+ * walk the runs themselves, and the other per-fetch readers share
  * forEachFetch().
  */
 
@@ -48,10 +48,8 @@ namespace topo
  * cache state untouched (the cache model's repeatResident()). The
  * batched replay accounts for such a repeat without replaying it
  * (see DirectMappedCache::accessRunBatch). So does the observed
- * replay: every fetch of the repeat has stack distance
- * line_count - 1, so the sinks take its hits in closed form. Only a
- * replay that needs exact per-fetch cursors (checkpoints, stops,
- * fault probes) expands it.
+ * replay, checkpointed or not: every fetch of the repeat has stack
+ * distance line_count - 1, so the sinks take its hits in closed form.
  */
 struct FetchRun
 {
@@ -129,35 +127,19 @@ class FetchStream
     const std::vector<FetchRun> &runs() const { return runs_; }
 
     /**
-     * Visit the fetches from index @p start to the end, in order.
-     * @p on_run(run) is called on entering each run (the first one
-     * possibly mid-repeat), then @p on_fetch(j) once per fetch of that
-     * run, where j is the fetch's line within the run: its program
-     * line id is run.first_line + j. The walk stops early when
-     * @p on_fetch returns false. A @p start at or past size() visits
-     * nothing.
+     * Visit every fetch in order: @p on_run(run) on entering each run,
+     * then @p on_fetch(j) per fetch of it, j being the fetch's line in
+     * the run (program line id run.first_line + j).
      */
     template <typename OnRun, typename OnFetch>
     void
-    forEachFetch(std::uint64_t start, OnRun &&on_run,
-                 OnFetch &&on_fetch) const
+    forEachFetch(OnRun &&on_run, OnFetch &&on_fetch) const
     {
-        // Seek: skip whole runs, then whole repeats and lines of the
-        // run holding fetch @p start.
-        std::size_t r = 0;
-        while (r < runs_.size() && start >= runLength(runs_[r]))
-            start -= runLength(runs_[r++]);
-        if (r == runs_.size())
-            return;
-        auto repeat = static_cast<std::uint32_t>(start / runs_[r].line_count);
-        auto line = static_cast<std::uint32_t>(start % runs_[r].line_count);
-        for (; r < runs_.size(); ++r, repeat = 0) {
-            on_run(runs_[r]);
-            for (; repeat < runs_[r].repeats; ++repeat, line = 0) {
-                for (; line < runs_[r].line_count; ++line) {
-                    if (!on_fetch(line))
-                        return;
-                }
+        for (const FetchRun &run : runs_) {
+            on_run(run);
+            for (std::uint32_t pass = 0; pass < run.repeats; ++pass) {
+                for (std::uint32_t j = 0; j < run.line_count; ++j)
+                    on_fetch(j);
             }
         }
     }
@@ -176,12 +158,6 @@ class FetchStream
     ProcId procOfLine(std::uint32_t id) const { return proc_of_line_[id]; }
 
   private:
-    static std::uint64_t
-    runLength(const FetchRun &run)
-    {
-        return std::uint64_t{run.line_count} * run.repeats;
-    }
-
     std::uint32_t line_bytes_;
     std::uint64_t size_ = 0;
     std::vector<FetchRun> runs_;

@@ -52,9 +52,9 @@ TEST(DirectMapped, HitAfterFill)
 TEST(DirectMapped, NonPowerOfTwoLineCount)
 {
     DirectMappedCache cache(CacheConfig{96, 32, 1}); // 3 lines
-    EXPECT_EQ(cache.mapIndex(0), 0u);
-    EXPECT_EQ(cache.mapIndex(3), 0u);
-    EXPECT_EQ(cache.mapIndex(4), 1u);
+    EXPECT_EQ(cache.mapSet(0), 0u);
+    EXPECT_EQ(cache.mapSet(3), 0u);
+    EXPECT_EQ(cache.mapSet(4), 1u);
     EXPECT_FALSE(cache.access(0));
     EXPECT_TRUE(cache.access(0));
     EXPECT_FALSE(cache.access(3));

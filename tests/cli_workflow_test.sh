@@ -188,8 +188,8 @@ grep -q "miss rate:" "$WORK/grid_j1.txt" || {
     echo "FAIL: grid run printed no miss rates"; exit 1; }
 
 # Metrics snapshots are jobs-invariant too: the same counters and
-# gauges and the same histogram keys at --jobs=1 and --jobs=4, on a
-# trace long enough for the WCG build to shard. Timings may differ.
+# gauges and the same histogram keys at --jobs=1 and --jobs=4, over
+# gcc's whole pipeline. Timings may differ.
 for jobs in 1 4; do
     "$TOOLS_DIR/topo_sim" --benchmark=gcc --trace-scale=0.05 \
         --algorithms=gbsc --jobs=$jobs \
@@ -312,6 +312,20 @@ bwhole=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' "$WORK/bwhole.txt")
 bresumed=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' "$WORK/bresumed.txt")
 [ -n "$bwhole" ] && [ "$bwhole" = "$bresumed" ] || {
     echo "FAIL: benchmark resume gave $bresumed misses, want $bwhole"
+    exit 1; }
+
+# Observer state is not checkpointed, so an observer flag with
+# --checkpoint is a usage error (exit 1) that names the flag.
+set +e
+"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
+    --trace="$WORK/m.btrace" --taxonomy \
+    --checkpoint="$WORK/tax.ckpt" > /dev/null 2> "$WORK/tax_ckpt.err"
+rc=$?
+set -e
+[ "$rc" = "1" ] || {
+    echo "FAIL: --taxonomy --checkpoint exited $rc, want 1"; exit 1; }
+grep -q -- "--taxonomy" "$WORK/tax_ckpt.err" || {
+    echo "FAIL: --taxonomy --checkpoint error does not name --taxonomy"
     exit 1; }
 
 # A corrupted checkpoint must be refused as corrupt input.

@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential test of the observed replay. Without a checkpoint
- * control or an armed fault, simulateLayout credits the repeats of a
- * cache-resident run in closed form instead of replaying them. Here a
- * naive reference expands every fetch through forEachFetch, the cache
+ * Differential test of the observed replay. simulateLayout credits the
+ * repeats of a cache-resident run in closed form instead of replaying
+ * them, also when an armed throw_io fault cuts the runs at its probe
+ * indices. Here a naive reference expands every fetch through
+ * forEachFetch, the cache
  * model's access() and the sinks' per-fetch methods, for every model
  * withCacheModel builds and each combination of sinks; the 3C counts,
  * reuse histograms, attribution tallies, conflict matrix and timeline
@@ -23,6 +24,7 @@
 #include "topo/cache/simulate.hh"
 #include "topo/cache/taxonomy.hh"
 #include "topo/obs/timeline.hh"
+#include "topo/resilience/fault.hh"
 
 namespace topo
 {
@@ -159,7 +161,6 @@ naiveReplay(const Program &program, const Layout &layout,
         ProcId proc = 0;
         std::uint64_t base = 0;
         stream.forEachFetch(
-            0,
             [&](const FetchRun &run) {
                 first = run.first_line;
                 proc = stream.procOfLine(first);
@@ -186,7 +187,6 @@ naiveReplay(const Program &program, const Layout &layout,
                 }
                 if (sinks.timeline)
                     sinks.timeline->record(proc, !hit);
-                return true;
             });
     });
     if (sinks.timeline)
@@ -298,31 +298,43 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
         {false, false, true},
         {true, true, true},
     };
+    // The stream spans several throw_io probes (one per 4096 fetches).
+    EXPECT_GT(stream.size(), 4u * 4096u);
     // A 7-fetch window splits repeats at most edges; 64 spans several.
-    for (const std::uint64_t window : {7u, 64u}) {
-        for (const CacheConfig &config : allModels()) {
-            for (const SinkSet &set : sink_sets) {
-                SCOPED_TRACE(config.describe() + " " +
-                             replacementPolicyName(config.policy) +
-                             ", window " + std::to_string(window) +
-                             ", " + set.describe());
-                const Sinks want(set, program, layout, stream, config,
-                                 window);
-                const std::vector<std::uint64_t> want_misses =
-                    naiveReplay(program, layout, stream, config, want);
+    // An armed throw_io fault that never fires cuts runs at its probes.
+    for (const bool probed : {false, true}) {
+        if (probed) {
+            FaultPlan plan;
+            plan.arm(FaultKind::kThrowIo, 0.0, 1);
+            installFaultPlan(plan);
+        }
+        for (const std::uint64_t window : {7u, 64u}) {
+            for (const CacheConfig &config : allModels()) {
+                for (const SinkSet &set : sink_sets) {
+                    SCOPED_TRACE(config.describe() + " " +
+                                 replacementPolicyName(config.policy) +
+                                 ", window " + std::to_string(window) +
+                                 ", " + set.describe() +
+                                 (probed ? ", probed" : ""));
+                    const Sinks want(set, program, layout, stream, config,
+                                     window);
+                    const std::vector<std::uint64_t> want_misses =
+                        naiveReplay(program, layout, stream, config, want);
 
-                const Sinks got(set, program, layout, stream, config,
-                                window);
-                const SimObservers observers = got.observers();
-                const SimResult result =
-                    simulateLayout(program, layout, stream, config, true,
-                                   nullptr, &observers);
-                EXPECT_EQ(result.accesses, stream.size());
-                EXPECT_EQ(result.misses_by_proc, want_misses);
-                expectSameSinks(got, want);
+                    const Sinks got(set, program, layout, stream, config,
+                                    window);
+                    const SimObservers observers = got.observers();
+                    const SimResult result =
+                        simulateLayout(program, layout, stream, config, true,
+                                       nullptr, &observers);
+                    EXPECT_EQ(result.accesses, stream.size());
+                    EXPECT_EQ(result.misses_by_proc, want_misses);
+                    expectSameSinks(got, want);
+                }
             }
         }
     }
+    clearFaultPlan();
 }
 
 } // namespace

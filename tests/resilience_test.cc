@@ -15,6 +15,7 @@
 #include <sstream>
 #include <vector>
 
+#include "topo/cache/set_associative_cache.hh"
 #include "topo/cache/simulate.hh"
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
@@ -668,7 +669,8 @@ struct SimFixture
     Trace loop_trace{0};
     CacheConfig cache;
 
-    explicit SimFixture(std::uint32_t assoc)
+    explicit SimFixture(std::uint32_t assoc,
+                        ReplacementPolicy policy = ReplacementPolicy::kLru)
     {
         for (int i = 0; i < 24; ++i) {
             program.addProcedure("p" + std::to_string(i),
@@ -698,14 +700,63 @@ struct SimFixture
         cache.size_bytes = 2048;
         cache.line_bytes = 32;
         cache.associativity = assoc;
+        cache.policy = policy;
     }
 };
 
 /**
+ * What a checkpoint at fetch @p at must hold: the state of a naive
+ * replay that sends fetches [0, at) through the model's access() one
+ * by one and credits nothing in closed form.
+ */
+SimCheckpoint
+naiveCheckpoint(const SimFixture &fix, const Layout &layout,
+                const FetchStream &stream, std::uint64_t at)
+{
+    SimCheckpoint ckpt;
+    ckpt.cursor = at;
+    ckpt.misses_by_proc.assign(fix.program.procCount(), 0);
+    withCacheModel(fix.cache, [&](auto &cache) {
+        std::uint64_t cursor = 0;
+        std::uint64_t base = 0;
+        ProcId proc = 0;
+        stream.forEachFetch(
+            [&](const FetchRun &run) {
+                proc = stream.procOfLine(run.first_line);
+                base = layout.startLine(proc, fix.cache.line_bytes) +
+                       (run.first_line - stream.lineBase(proc));
+            },
+            [&](std::uint32_t j) {
+                if (cursor++ >= at || cache.access(base + j))
+                    return;
+                ++ckpt.misses;
+                ++ckpt.misses_by_proc[proc];
+            });
+        ckpt.cache_words = cache.stateWords();
+    });
+    return ckpt;
+}
+
+/** The checkpoint in @p path holds the naive replay's state at @p at. */
+void
+expectNaiveCheckpoint(const SimFixture &fix, const Layout &layout,
+                      const FetchStream &stream, const std::string &path,
+                      std::uint64_t at)
+{
+    const SimCheckpoint ckpt = loadCheckpoint(path);
+    const SimCheckpoint naive = naiveCheckpoint(fix, layout, stream, at);
+    EXPECT_EQ(ckpt.cursor, at);
+    EXPECT_EQ(ckpt.misses, naive.misses) << "at " << at;
+    EXPECT_EQ(ckpt.misses_by_proc, naive.misses_by_proc) << "at " << at;
+    EXPECT_EQ(ckpt.cache_words, naive.cache_words) << "at " << at;
+}
+
+/**
  * Stop a checkpointing replay of @p trace at each of @p stops, resume
- * it from the checkpoint, and require the whole run's counters; then
- * run to the end with only periodic checkpoints every @p every fetches
- * and resume from the last one.
+ * it from the checkpoint with periodic checkpoints every @p every
+ * fetches, and require the whole run's counters; then run to the end
+ * with only periodic checkpoints and resume from the last one. Every
+ * checkpoint the test reads must hold a naive replay's state.
  */
 void
 expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
@@ -722,11 +773,15 @@ expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
 
     const TestTempDir tmp;
     const std::string path = tmp.file("resilience_resume_test.bin");
+    const std::string again = tmp.file("resilience_resume_again.bin");
     auto expect_resumes_to_whole = [&](std::uint64_t at) {
+        expectNaiveCheckpoint(fix, layout, stream, path, at);
         const SimCheckpoint ckpt = loadCheckpoint(path);
-        EXPECT_EQ(ckpt.cursor, at);
         SimControl second;
         second.resume = &ckpt;
+        second.checkpoint_path = again;
+        second.checkpoint_every = every;
+        std::remove(again.c_str());
         const SimResult resumed = simulateLayout(
             fix.program, layout, stream, fix.cache, true, &second);
         EXPECT_TRUE(resumed.completed);
@@ -735,6 +790,11 @@ expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
         EXPECT_EQ(resumed.evictions, whole.evictions) << "at " << at;
         EXPECT_EQ(resumed.misses_by_proc, whole.misses_by_proc)
             << "at " << at;
+        // The resumed run's last periodic checkpoint, if it wrote one.
+        const std::uint64_t last =
+            at + (stream.size() - 1 - at) / every * every;
+        if (last > at)
+            expectNaiveCheckpoint(fix, layout, stream, again, last);
     };
     for (const std::uint64_t stop : stops) {
         SimControl first;
@@ -757,16 +817,20 @@ expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
     // The last periodic checkpoint: the run's end never writes one.
     expect_resumes_to_whole((stream.size() - 1) / every * every);
     std::remove(path.c_str());
+    std::remove(again.c_str());
 }
 
 void
-expectResumeBitEquality(std::uint32_t assoc)
+expectResumeBitEquality(std::uint32_t assoc, ReplacementPolicy policy)
 {
-    const SimFixture fix(assoc);
+    SCOPED_TRACE(std::to_string(assoc) + "-way " +
+                 replacementPolicyName(policy));
+    const SimFixture fix(assoc, policy);
     // Interrupt at several points, including mid-checkpoint cadences.
     expectResumeBitEquality(fix, fix.trace, {1, 777, 9999}, 500);
 
-    // The loop-heavy input stops on run boundaries and inside repeats.
+    // The loop-heavy input stops on a run boundary, inside a first
+    // pass, on a repeat's first fetch and inside a later repeat.
     const FetchStream stream(fix.program, fix.loop_trace,
                              fix.cache.line_bytes);
     const std::vector<FetchRun> &runs = stream.runs();
@@ -795,25 +859,31 @@ expectResumeBitEquality(std::uint32_t assoc)
     const std::uint64_t mid_repeat = run_start[inner] +
                                      2 * runs[inner].line_count +
                                      runs[inner].line_count / 2;
-    // One periodic checkpoint, inside a repeat past the stream's middle.
+    // One periodic checkpoint, inside a repeat past the stream's
+    // middle; a run resumed from the first third writes one more.
     const std::size_t late = find_run(runs.size() * 2 / 3, 2, 2);
     const std::uint64_t every = run_start[late] +
                                 runs[late].line_count +
                                 runs[late].line_count / 2;
     ASSERT_GT(2 * every, stream.size());
-    expectResumeBitEquality(
-        fix, fix.loop_trace,
-        {run_start[boundary], mid_repeat, stream.size() - 1}, every);
+    expectResumeBitEquality(fix, fix.loop_trace,
+                            {run_start[boundary], run_start[inner] + 1,
+                             run_start[inner] + runs[inner].line_count,
+                             mid_repeat, stream.size() - 1},
+                            every);
 }
 
 TEST(CheckpointResume, BitIdenticalDirectMapped)
 {
-    expectResumeBitEquality(1);
+    expectResumeBitEquality(1, ReplacementPolicy::kLru);
 }
 
 TEST(CheckpointResume, BitIdenticalSetAssociative)
 {
-    expectResumeBitEquality(4);
+    for (const std::uint32_t assoc : {2u, 4u}) {
+        for (const ReplacementPolicy policy : kAllReplacementPolicies)
+            expectResumeBitEquality(assoc, policy);
+    }
 }
 
 TEST(CheckpointResume, RefusesForeignCheckpoints)

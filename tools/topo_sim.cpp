@@ -499,8 +499,8 @@ simulateCell(const Options &opts, const CacheConfig &cache,
     if (stream != nullptr) {
         obs = observationFrom(opts, program, layout, cache, *stream);
         require(!obs.active || !ctl.active,
-                "topo_sim: --attribution/--timeline-window do not "
-                "combine with checkpoint/resume");
+                "topo_sim: --taxonomy, --attribution and --timeline-window "
+                "do not combine with checkpoint/resume");
         const auto start = std::chrono::steady_clock::now();
         result = simulateLayout(program, layout, *stream, cache,
                                 attribute,
