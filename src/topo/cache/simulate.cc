@@ -248,8 +248,10 @@ replay(const Program &program, const Layout &layout,
                 : 0;
         const std::uint64_t stop =
             control != nullptr && control->stop_after != 0
-                ? std::max(control->stop_after, start + 1)
+                ? control->stop_after
                 : ~std::uint64_t{0};
+        require(stop > start, "simulateLayout: stop_after must lie past "
+                              "the resume cursor");
         while (cursor < total && result.completed) {
             std::uint64_t end = std::min(total, stop);
             if (probe)

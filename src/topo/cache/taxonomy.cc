@@ -29,10 +29,18 @@ reuseBucketLabel(std::size_t bucket)
         return "cold";
     if (bucket == 0)
         return "0";
-    if (bucket == kReuseColdBucket - 1)
-        return ">= " + std::to_string(1ULL << (bucket - 1));
-    return "[" + std::to_string(1ULL << (bucket - 1)) + ", " +
-           std::to_string(1ULL << bucket) + ")";
+    std::string label;
+    label.reserve(48);
+    if (bucket == kReuseColdBucket - 1) {
+        label.append(">= ").append(std::to_string(1ULL << (bucket - 1)));
+        return label;
+    }
+    label.append("[")
+        .append(std::to_string(1ULL << (bucket - 1)))
+        .append(", ")
+        .append(std::to_string(1ULL << bucket))
+        .append(")");
+    return label;
 }
 
 // --- TaxonomySink --------------------------------------------------

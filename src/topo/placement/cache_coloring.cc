@@ -37,6 +37,7 @@ struct Coloring
     std::vector<std::uint32_t> unit_of;
     std::vector<std::uint64_t> start_line; // unit-relative, per proc
     std::vector<bool> popular;
+    std::vector<double> cost; // per start colour, one step's scratch
     DecisionLog *decisions = nullptr;
 
     Coloring(const PlacementContext &ctx)
@@ -46,6 +47,7 @@ struct Coloring
           cache_lines(ctx.cache.lineCount()),
           unit_of(ctx.program->procCount(), kNoUnit),
           start_line(ctx.program->procCount(), 0),
+          cost(cache_lines),
           decisions(ctx.decisions)
     {
         popular.assign(program.procCount(), true);
@@ -60,39 +62,54 @@ struct Coloring
     }
 
     /**
-     * Accumulate, for every candidate start colour s of procedure
-     * @p q, the weighted number of colour collisions with procedure
-     * @p p (already placed; colours derived from its unit-relative
-     * start line). Sparse accumulation: one increment per line pair.
+     * Add to every start colour's cost the collisions of @p q, at
+     * unit offset @p q_off, with its call-graph neighbours already
+     * placed in unit @p ui. Neighbours are id-sorted, so the FP
+     * accumulation order does not depend on hash layout (DESIGN.md §9).
      */
     void
-    accumulateConflicts(std::vector<double> &cost, ProcId p, double weight,
-                        std::uint64_t q_lines) const
+    neighborCost(ProcId q, std::uint64_t q_off, std::uint32_t ui)
     {
-        const std::uint64_t p_start = start_line[p];
-        const std::uint64_t p_len = lines(p);
-        for (std::uint64_t lp = 0; lp < p_len; ++lp) {
-            const std::uint64_t cp = (p_start + lp) % cache_lines;
-            for (std::uint64_t lq = 0; lq < q_lines; ++lq) {
-                const std::uint64_t s =
-                    (cp + cache_lines - lq % cache_lines) % cache_lines;
-                cost[s] += weight;
-            }
+        for (const auto &[p, w] : wcg.neighbors(q)) {
+            if (unit_of[p] == ui)
+                accumulateColorCollisions(cost, start_line[p], lines(p),
+                                          q_off, lines(q), w);
         }
     }
 
-    /** Report a colour choice scanned as gaps past a unit tail. */
-    void
-    recordGapChoice(const char *stage, ProcId a, ProcId b, double weight,
-                    std::uint64_t best_gap, std::uint64_t tail_color,
-                    const std::vector<double> &cost) const
+    /**
+     * The gap past a unit tail of @p tail_len lines whose start colour
+     * costs least; among equals, the smallest gap. A decision log gets
+     * the cost of every gap.
+     */
+    std::uint64_t
+    chooseGap(std::uint64_t tail_len, const char *stage, ProcId a,
+              ProcId b, double weight) const
     {
-        std::vector<double> by_gap(cache_lines);
-        for (std::uint64_t g = 0; g < cache_lines; ++g)
-            by_gap[g] = cost[(tail_color + g) % cache_lines];
-        decisions->recordChoice(DecisionKind::kColor, stage, a, b, weight,
-                                best_gap, by_gap,
-                                "smallest-gap-past-tail");
+        const std::uint64_t tail_color = tail_len % cache_lines;
+        std::uint64_t best_gap = 0;
+        double best_cost = cost[tail_color];
+        for (std::uint64_t s = tail_color + 1; s < cache_lines; ++s) {
+            if (cost[s] < best_cost) {
+                best_cost = cost[s];
+                best_gap = s - tail_color;
+            }
+        }
+        for (std::uint64_t s = 0; s < tail_color; ++s) {
+            if (cost[s] < best_cost) {
+                best_cost = cost[s];
+                best_gap = cache_lines - tail_color + s;
+            }
+        }
+        if (decisions) {
+            std::vector<double> by_gap(cache_lines);
+            for (std::uint64_t g = 0; g < cache_lines; ++g)
+                by_gap[g] = cost[(tail_color + g) % cache_lines];
+            decisions->recordChoice(DecisionKind::kColor, stage, a, b,
+                                    weight, best_gap, by_gap,
+                                    "smallest-gap-past-tail");
+        }
+        return best_gap;
     }
 
     /** Create a fresh unit holding procedures u then v, adjacent. */
@@ -131,34 +148,14 @@ struct Coloring
     {
         const std::uint32_t ui = unit_of[anchor];
         Unit &unit = units[ui];
-        const std::uint64_t q_lines = lines(q);
-
-        std::vector<double> cost(cache_lines, 0.0);
-        // Sorted neighbours: the FP accumulation order must not depend
-        // on hash layout (DESIGN.md §9).
-        for (const auto &[n, w] : wcg.neighbors(q)) {
-            if (unit_of[n] == ui)
-                accumulateConflicts(cost, n, w, q_lines);
-        }
-        // Choose the start colour with the least conflict; among
-        // equals, the one needing the smallest gap past the tail.
-        const std::uint64_t tail_color = unit.len_lines % cache_lines;
-        std::uint64_t best_gap = 0;
-        double best_cost = cost[tail_color];
-        for (std::uint64_t g = 1; g < cache_lines; ++g) {
-            const std::uint64_t s = (tail_color + g) % cache_lines;
-            if (cost[s] < best_cost) {
-                best_cost = cost[s];
-                best_gap = g;
-            }
-        }
-        if (decisions)
-            recordGapChoice("hkc.attach", q, anchor, weight, best_gap,
-                            tail_color, cost);
-        const std::uint64_t start = unit.len_lines + best_gap;
+        std::fill(cost.begin(), cost.end(), 0.0);
+        neighborCost(q, 0, ui);
+        const std::uint64_t start =
+            unit.len_lines +
+            chooseGap(unit.len_lines, "hkc.attach", q, anchor, weight);
         unit.procs.emplace_back(q, start);
         start_line[q] = start;
-        unit.len_lines = start + q_lines;
+        unit.len_lines = start + lines(q);
         unit_of[q] = ui;
     }
 
@@ -176,44 +173,14 @@ struct Coloring
         Unit &a = units[ua];
         Unit &b = units[ub];
 
-        std::vector<double> cost(cache_lines, 0.0);
         // For every cross edge (p in a, q in b, w): a collision occurs
         // when colour(p-line) == colour(q-line) after b is shifted to
         // start at colour s; accumulate w at the offending s.
-        for (const auto &[q, q_off] : b.procs) {
-            for (const auto &[p, w] : wcg.neighbors(q)) {
-                if (unit_of[p] != ua)
-                    continue;
-                const std::uint64_t p_start = start_line[p];
-                const std::uint64_t p_len = lines(p);
-                const std::uint64_t q_len = lines(q);
-                for (std::uint64_t lp = 0; lp < p_len; ++lp) {
-                    const std::uint64_t cp =
-                        (p_start + lp) % cache_lines;
-                    for (std::uint64_t lq = 0; lq < q_len; ++lq) {
-                        const std::uint64_t qline =
-                            (q_off + lq) % cache_lines;
-                        const std::uint64_t s =
-                            (cp + cache_lines - qline) % cache_lines;
-                        cost[s] += w;
-                    }
-                }
-            }
-        }
-        const std::uint64_t tail_color = a.len_lines % cache_lines;
-        std::uint64_t best_gap = 0;
-        double best_cost = cost[tail_color];
-        for (std::uint64_t g = 1; g < cache_lines; ++g) {
-            const std::uint64_t s = (tail_color + g) % cache_lines;
-            if (cost[s] < best_cost) {
-                best_cost = cost[s];
-                best_gap = g;
-            }
-        }
-        if (decisions)
-            recordGapChoice("hkc.merge", u, v, weight, best_gap,
-                            tail_color, cost);
-        const std::uint64_t shift = a.len_lines + best_gap;
+        std::fill(cost.begin(), cost.end(), 0.0);
+        for (const auto &[q, q_off] : b.procs)
+            neighborCost(q, q_off, ua);
+        const std::uint64_t shift =
+            a.len_lines + chooseGap(a.len_lines, "hkc.merge", u, v, weight);
         for (const auto &[q, q_off] : b.procs) {
             a.procs.emplace_back(q, q_off + shift);
             start_line[q] = q_off + shift;
@@ -227,6 +194,40 @@ struct Coloring
 };
 
 } // namespace
+
+void
+accumulateColorCollisions(std::vector<double> &cost, std::uint64_t p_start,
+                          std::uint64_t p_len, std::uint64_t q_off,
+                          std::uint64_t q_len, double weight)
+{
+    const std::uint64_t colors = cost.size();
+    require(colors != 0, "accumulateColorCollisions: no colours");
+    double *const c = cost.data();
+    const std::uint64_t sweeps = q_len / colors;
+    const std::uint64_t rest = q_len % colors;
+    // s0: the start colour at which p's line lp meets q's first line.
+    // q's lines lq = 0, 1, ... then meet p's line at s0, s0 - 1, ...;
+    // after the full sweeps, its last `rest` lines take the run
+    // (s0 - rest, s0], wrapping below colour 0.
+    std::uint64_t s0 =
+        (p_start % colors + colors - q_off % colors) % colors;
+    for (std::uint64_t lp = 0; lp < p_len; ++lp) {
+        for (std::uint64_t k = 0; k < sweeps; ++k) {
+            for (std::uint64_t s = 0; s < colors; ++s)
+                c[s] += weight;
+        }
+        if (rest <= s0 + 1) {
+            for (std::uint64_t s = s0 + 1 - rest; s <= s0; ++s)
+                c[s] += weight;
+        } else {
+            for (std::uint64_t s = 0; s <= s0; ++s)
+                c[s] += weight;
+            for (std::uint64_t s = colors + s0 + 1 - rest; s < colors; ++s)
+                c[s] += weight;
+        }
+        s0 = s0 + 1 == colors ? 0 : s0 + 1;
+    }
+}
 
 Layout
 CacheColoring::place(const PlacementContext &ctx) const

@@ -7,6 +7,21 @@
 namespace topo
 {
 
+namespace
+{
+
+/** Heap order: the top entry has the larger weight, then the smaller
+ *  (u, v) pair — maxEdge's deterministic rule. */
+constexpr auto kBelow = [](const auto &x, const auto &y) {
+    if (x.weight != y.weight)
+        return x.weight < y.weight;
+    if (x.u != y.u)
+        return x.u > y.u;
+    return x.v > y.v;
+};
+
+} // namespace
+
 MergeGraph::MergeGraph(const WeightedGraph &base,
                        const std::vector<bool> *mask)
     : adjacency_(base.nodeCount()), alive_(base.nodeCount(), true)
@@ -20,51 +35,65 @@ MergeGraph::MergeGraph(const WeightedGraph &base,
             continue;
         adjacency_[e.u][e.v] = e.weight;
         adjacency_[e.v][e.u] = e.weight;
+        heap_.push_back(Entry{e.weight, e.u, e.v}); // edges() has u < v
         ++edge_count_;
     }
+    std::make_heap(heap_.begin(), heap_.end(), kBelow);
     if (mask) {
         for (std::size_t i = 0; i < alive_.size(); ++i)
             alive_[i] = (*mask)[i];
     }
 }
 
-MergeGraph::Edge
-MergeGraph::maxEdge() const
+bool
+MergeGraph::live(const Entry &e) const
 {
-    Edge best;
-    // Reservoir count for uniform random tie breaking when enabled.
-    std::uint64_t ties = 0;
-    for (std::size_t u = 0; u < adjacency_.size(); ++u) {
-        if (!alive_[u])
-            continue;
-        for (const auto &[v, w] : adjacency_[u]) {
-            if (static_cast<BlockId>(u) > v)
-                continue; // consider each edge once
-            const BlockId a = static_cast<BlockId>(u);
-            bool take = false;
-            if (!best.valid || w > best.weight) {
-                take = true;
-                ties = 1;
-            } else if (w == best.weight) {
-                if (tie_rng_) {
-                    // Reservoir sampling over equal-weight edges. Note
-                    // the candidate order is hash-map order, but the
-                    // selection is uniform over the tie set regardless.
-                    ++ties;
-                    take = tie_rng_->nextBelow(ties) == 0;
-                } else {
-                    take = a < best.u || (a == best.u && v < best.v);
-                }
-            }
-            if (take) {
-                best.u = a;
-                best.v = v;
-                best.weight = w;
-                best.valid = true;
-            }
+    if (!alive_[e.u] || !alive_[e.v])
+        return false;
+    const auto it = adjacency_[e.u].find(e.v);
+    return it != adjacency_[e.u].end() && it->second == e.weight;
+}
+
+void
+MergeGraph::push(BlockId a, BlockId b, double weight)
+{
+    heap_.push_back(Entry{weight, std::min(a, b), std::max(a, b)});
+    std::push_heap(heap_.begin(), heap_.end(), kBelow);
+}
+
+MergeGraph::Entry
+MergeGraph::pop()
+{
+    std::pop_heap(heap_.begin(), heap_.end(), kBelow);
+    const Entry top = heap_.back();
+    heap_.pop_back();
+    return top;
+}
+
+MergeGraph::Edge
+MergeGraph::maxEdge()
+{
+    while (!heap_.empty() && !live(heap_.front()))
+        pop();
+    if (heap_.empty())
+        return Edge{};
+    Entry best = heap_.front();
+    if (tie_rng_) {
+        // Take the live max-weight entries off the heap, in (u, v)
+        // order, dropping stale ones and the repeat an unchanged fold
+        // pushes; draw one; put them all back.
+        std::vector<Entry> ties;
+        while (!heap_.empty() && heap_.front().weight == best.weight) {
+            const Entry e = pop();
+            if (live(e) && (ties.empty() || e.u != ties.back().u ||
+                            e.v != ties.back().v))
+                ties.push_back(e);
         }
+        best = ties[tie_rng_->nextBelow(ties.size())];
+        for (const Entry &e : ties)
+            push(e.u, e.v, e.weight);
     }
-    return best;
+    return Edge{best.u, best.v, best.weight, true};
 }
 
 void
@@ -95,6 +124,7 @@ MergeGraph::mergeInto(BlockId u, BlockId v)
         it->second += w;
         adjacency_[r].erase(v);
         adjacency_[r][u] = it->second;
+        push(u, r, it->second);
         if (!inserted)
             --edge_count_; // parallel edge folded
     }

@@ -8,6 +8,11 @@
  * parallel edges by weight addition, until no edges remain. Ties are
  * broken deterministically (smallest node pair) so experiments are
  * reproducible; the paper notes ties are otherwise arbitrary.
+ *
+ * The heaviest edge comes from a lazy max-heap of (weight, pair)
+ * entries: every weight an edge takes is pushed, and entries whose
+ * pair died or whose weight moved on are discarded when they surface,
+ * so no step rescans the graph.
  */
 
 #ifndef TOPO_PLACEMENT_MERGE_GRAPH_HH
@@ -54,14 +59,16 @@ class MergeGraph
     bool done() const { return edge_count_ == 0; }
 
     /**
-     * Heaviest remaining edge; Edge::valid is false when none remain.
-     * Ties: larger weight wins; equal weights pick the smallest
-     * (min(u,v), max(u,v)) pair — unless a tie breaker is installed,
-     * in which case a uniformly random max-weight edge is returned
-     * (the paper's Section 5.1 notes such ties are otherwise decided
-     * arbitrarily and can change the whole layout).
+     * Heaviest remaining edge, with u < v; Edge::valid is false when
+     * none remain. Ties: larger weight wins; equal weights pick the
+     * smallest (u, v) pair — unless a tie breaker is installed, in
+     * which case one uniform draw picks among the max-weight edges,
+     * enumerated in (u, v) order so the pick depends on the seed and
+     * the graph alone, never on hash layout (the paper's Section 5.1
+     * notes such ties are otherwise decided arbitrarily and can change
+     * the whole layout). Drops stale heap entries as they surface.
      */
-    Edge maxEdge() const;
+    Edge maxEdge();
 
     /**
      * Install a seeded random tie breaker for maxEdge. Used by the
@@ -84,10 +91,29 @@ class MergeGraph
     double weightBetween(BlockId u, BlockId v) const;
 
   private:
+    /** A heap entry: edge (u, v), u < v, as it weighed when pushed. */
+    struct Entry
+    {
+        double weight;
+        BlockId u;
+        BlockId v;
+    };
+
+    /** True when @p e is a live edge at its current weight. */
+    bool live(const Entry &e) const;
+
+    /** Push the current weight of edge (a, b). */
+    void push(BlockId a, BlockId b, double weight);
+
+    /** Remove and return the heap's top entry. */
+    Entry pop();
+
     std::vector<std::unordered_map<BlockId, double>> adjacency_;
     std::vector<bool> alive_;
     std::size_t edge_count_ = 0;
-    mutable std::unique_ptr<Rng> tie_rng_;
+    /** Max-heap on (weight, then smaller (u, v)); may hold stale entries. */
+    std::vector<Entry> heap_;
+    std::unique_ptr<Rng> tie_rng_;
 };
 
 } // namespace topo

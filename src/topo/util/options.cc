@@ -26,7 +26,7 @@ Options::parse(int argc, const char *const *argv)
         const std::size_t eq = arg.find('=');
         if (eq == std::string::npos) {
             // Bare flag means boolean true.
-            opts.values_[arg.substr(2)] = "1";
+            opts.values_.insert_or_assign(arg.substr(2), std::string(1, '1'));
         } else {
             opts.values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
         }

@@ -82,10 +82,11 @@ phaseFlip()
     // Interleaved source order: the default layout wraps a2 onto a0
     // and b2 onto b0 — overlap *within* a phase, the worst kind.
     for (int i = 0; i < 3; ++i) {
-        phase_a.push_back(mc.program.addProcedure(
-            "a" + std::to_string(i), 2048));
-        phase_b.push_back(mc.program.addProcedure(
-            "b" + std::to_string(i), 2048));
+        std::string a(1, 'a'), b(1, 'b');
+        a += std::to_string(i);
+        b += std::to_string(i);
+        phase_a.push_back(mc.program.addProcedure(a, 2048));
+        phase_b.push_back(mc.program.addProcedure(b, 2048));
     }
     mc.cache = CacheConfig{8 * 1024, 32, 1};
     mc.trace = Trace(mc.program.procCount());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "topo/placement/cache_coloring.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
@@ -39,6 +41,57 @@ struct HkcFixture
             ctx.cache.lineCount());
     }
 };
+
+/**
+ * The per-line-pair walk accumulateColorCollisions replaced: one
+ * modulo colour per line of p and of q, one += per colliding pair.
+ */
+void
+pairwiseCollisions(std::vector<double> &cost, std::uint64_t p_start,
+                   std::uint64_t p_len, std::uint64_t q_off,
+                   std::uint64_t q_len, double weight)
+{
+    const std::uint64_t lines = cost.size();
+    for (std::uint64_t lp = 0; lp < p_len; ++lp) {
+        const std::uint64_t cp = (p_start + lp) % lines;
+        for (std::uint64_t lq = 0; lq < q_len; ++lq) {
+            const std::uint64_t qline = (q_off + lq) % lines;
+            cost[(cp + lines - qline) % lines] += weight;
+        }
+    }
+}
+
+TEST(CacheColoring, CollisionKernelMatchesPairwiseWalk)
+{
+    // Random colours and lengths (down to zero, up past twice the
+    // cache), several calls into one array as a unit merge makes, and
+    // non-integral weights so the sums round: the arrays must agree
+    // bit for bit.
+    Rng rng(27);
+    for (std::uint64_t lines : {12u, 16u, 256u}) {
+        const int trials = lines == 256 ? 24 : 300;
+        for (int trial = 0; trial < trials; ++trial) {
+            std::vector<double> want(lines, 0.0), got(lines, 0.0);
+            for (int call = 0; call < 4; ++call) {
+                const std::uint64_t p_start = rng.nextBelow(4 * lines);
+                const std::uint64_t p_len = rng.nextBelow(2 * lines + 3);
+                const std::uint64_t q_off = rng.nextBelow(4 * lines);
+                const std::uint64_t q_len = rng.nextBelow(2 * lines + 3);
+                const double weight =
+                    call == 0 ? static_cast<double>(1 + rng.nextBelow(9))
+                              : 0.01 + rng.nextDouble() * 97.3;
+                pairwiseCollisions(want, p_start, p_len, q_off, q_len,
+                                   weight);
+                accumulateColorCollisions(got, p_start, p_len, q_off,
+                                          q_len, weight);
+            }
+            ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                  lines * sizeof(double)),
+                      0)
+                << "lines " << lines << " trial " << trial;
+        }
+    }
+}
 
 TEST(CacheColoring, CallerCalleeDoNotOverlap)
 {

@@ -299,6 +299,28 @@ resumed_misses=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' \
     echo "FAIL: resume gave $resumed_misses misses, want $whole_misses"
     exit 1; }
 
+# A resume whose --stop-after is at or before the checkpoint's cursor
+# would replay nothing: it is a usage error (exit 1) naming the cursor,
+# and it leaves the checkpoint as it was.
+cp "$WORK/sim.ckpt" "$WORK/sim_before.ckpt"
+for stop in 12345 100; do
+    set +e
+    "$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
+        --trace="$WORK/m.btrace" --resume="$WORK/sim.ckpt" \
+        --checkpoint="$WORK/sim.ckpt" --stop-after="$stop" \
+        > /dev/null 2> "$WORK/stop_early.err"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: --stop-after=$stop at cursor 12345 exited $rc, want 1"
+        exit 1; }
+    grep -q "cursor 12345" "$WORK/stop_early.err" || {
+        echo "FAIL: --stop-after=$stop error does not name the cursor"
+        exit 1; }
+done
+cmp -s "$WORK/sim.ckpt" "$WORK/sim_before.ckpt" || {
+    echo "FAIL: a rejected --stop-after changed the checkpoint"; exit 1; }
+
 # The in-process --benchmark pipeline checkpoints and resumes the
 # same way: interrupted + resumed must equal uninterrupted.
 "$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \

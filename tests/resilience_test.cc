@@ -782,6 +782,15 @@ expectResumeBitEquality(const SimFixture &fix, const Trace &trace,
         second.checkpoint_path = again;
         second.checkpoint_every = every;
         std::remove(again.c_str());
+        if (at != 0) {
+            // A stop at the resume cursor would replay nothing.
+            SimControl early = second;
+            early.stop_after = at;
+            EXPECT_THROW(simulateLayout(fix.program, layout, stream,
+                                        fix.cache, true, &early),
+                         TopoError)
+                << "at " << at;
+        }
         const SimResult resumed = simulateLayout(
             fix.program, layout, stream, fix.cache, true, &second);
         EXPECT_TRUE(resumed.completed);

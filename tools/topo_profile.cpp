@@ -174,7 +174,7 @@ runIngest(const Options &opts)
         std::string label =
             label_override.empty() ? source : label_override;
         if (!label_override.empty() && ingested > 0)
-            label += "#" + std::to_string(ingested);
+            label.append(1, '#').append(std::to_string(ingested));
         store.ingest(
             buildShardDelta(store.config(), label, trace, sampling));
         ++ingested;

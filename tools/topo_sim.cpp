@@ -97,6 +97,15 @@ controlFrom(const Options &opts)
     if (!resume_path.empty()) {
         state.resume_ckpt = loadCheckpoint(resume_path);
         state.control.resume = &state.resume_ckpt;
+        const std::uint64_t cursor = state.resume_ckpt.cursor;
+        if (state.control.stop_after != 0 &&
+            state.control.stop_after <= cursor) {
+            std::ostringstream msg;
+            msg << "topo_sim: --stop-after=" << state.control.stop_after
+                << " is at or before the checkpoint's cursor " << cursor
+                << "; pass a later stop";
+            fail(msg.str());
+        }
     }
     state.active = state.control.resume != nullptr ||
                    !state.control.checkpoint_path.empty();
