@@ -19,14 +19,13 @@ echo "== build =="
 cmake --build "$BUILD" -j
 
 REL="$BUILD-release"
-echo "== Release build ($REL, -Werror, library and tools) =="
+echo "== Release build ($REL, -Werror, every target) =="
 # GCC's -O3 inlining raises -Wrestrict false positives on string
-# concatenations that the -O2 build above never sees; the library and
-# the tools must build clean at -O3 too.
+# concatenations that the -O2 build above never sees; the whole tree,
+# tests included, must build clean at -O3 too.
 cmake -B "$REL" -S . -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror" > /dev/null
-cmake --build "$REL" -j --target topo_place topo_sim topo_trace_gen \
-    topo_compare topo_corrupt topo_profile_tool topo_report
+cmake --build "$REL" -j
 
 echo "== test (5 runs, parallel) =="
 # Every test runs five times under -j: a test that shares a file or
@@ -273,22 +272,30 @@ done
 
 echo "== observed-replay time gate =="
 # The --taxonomy replay probes the cache once per fetch on each run's
-# first pass, takes stack distances from a Fenwick tree of access times,
-# and credits cache-resident repeats in closed form (DESIGN.md §11). Per
-# fetch (phase.simulate.ms over cache.accesses, best of 3 runs at scale
-# 1) it must cost under 50 ns on m88ksim, where 59% of the fetches are
-# such repeats, and under 17 ns on gcc, where 85-87% are, so a return
-# to replaying every repeat fails on gcc first. On a shared 4-vCPU VM it
-# took 25 ns and 8.3 ns in this build (34 and 10 ns on a busier day).
-# Replaying every repeat took 50 and 48 ns (71 and 72 ns busier), when
-# the bound was 125 ns on m88ksim only, and the order-statistic tree
-# before the Fenwick tree took over 250 ns.
+# first pass and credits cache-resident repeats in closed form. Stack
+# distances come from the fetch stream's reuse table, built once per
+# stream by Olken's algorithm over first passes and read by every
+# layout replayed against it (DESIGN.md §11). Per fetch
+# (phase.simulate.ms over cache.accesses, best of 3 runs at scale 1),
+# table build included:
+# - m88ksim, one layout, under 35 ns; 59% of its fetches are resident
+#   repeats. This build took 19-20 ns, and 25-38 ns with a Fenwick
+#   walk in every layout's replay.
+# - gcc, one layout, under 12 ns; 85-87% of its fetches are resident
+#   repeats, so a return to replaying every repeat fails here first.
+#   This build took 6.2-6.7 ns, and 16.3-16.7 ns replaying every
+#   repeat (48 ns when each replayed fetch also walked a Fenwick tree).
+# - m88ksim, four layouts, under 13 ns, so one table serves every
+#   layout: this build took 8.3-9.1 ns, and a walk per layout 39-40 ns.
 # A checkpointed replay walks the same runs, cut at each checkpoint
 # (DESIGN.md §8): gcc with two checkpoints must cost under 2.5 ns per
 # fetch. It took 1.05-1.29 ns in this build, and 8.5-10.1 ns when any
 # checkpoint made the replay expand every repeat.
-for gate in "m88ksim 50 --taxonomy" "gcc 17 --taxonomy" \
-    "gcc 2.5 --checkpoint=$WORK/gate.ckpt --checkpoint-every=10000000"; do
+# Timings are from a shared 4-vCPU VM.
+for gate in "m88ksim 35 --algorithms=gbsc --taxonomy" \
+    "gcc 12 --algorithms=gbsc --taxonomy" \
+    "m88ksim 13 --algorithms=default,ph,hkc,gbsc --taxonomy" \
+    "gcc 2.5 --algorithms=gbsc --checkpoint=$WORK/gate.ckpt --checkpoint-every=10000000"; do
     # shellcheck disable=SC2086
     set -- $gate
     bench=$1
@@ -296,7 +303,7 @@ for gate in "m88ksim 50 --taxonomy" "gcc 17 --taxonomy" \
     shift 2
     best=$(for run in 1 2 3; do
         "$BUILD/tools/topo_sim" --benchmark="$bench" --trace-scale=1.0 \
-            --algorithms=gbsc --jobs=1 "$@" \
+            --jobs=1 "$@" \
             --metrics-out="$WORK/observed_time_$run.json" > /dev/null 2>&1
         ms=$(sed -n '/"phase.simulate.ms"/,/}/s/^ *"sum": *\([0-9.e+-]*\).*/\1/p' \
             "$WORK/observed_time_$run.json")
@@ -411,8 +418,8 @@ export UBSAN_OPTIONS="exitcode=99:halt_on_error=1"
 ctest --test-dir "$SAN" --output-on-failure -j
 
 echo "== taxonomy smoke (sanitized) =="
-# The Fenwick-tree stack distances (compaction included) and the
-# shadow-model bookkeeping must be clean under ASan+UBSan on a real
+# The reuse table's bitmap and Fenwick walk (compaction included) and
+# the shadow-model bookkeeping must be clean under ASan+UBSan on a real
 # benchmark stream, not just the unit fixtures.
 "$SAN/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
     --taxonomy > /dev/null
@@ -661,7 +668,7 @@ cmake -B "$TSAN" -S . \
 echo "== build (TSan targets) =="
 cmake --build "$TSAN" -j \
     --target topo_sim topo_report exec_test determinism_test \
-    trg_differential_test simpoint_test
+    trg_differential_test simpoint_test taxonomy_test
 
 echo "== parallel smoke (TSan) =="
 # exitcode=66 separates "TSan found a race" from the tools' own codes.
@@ -675,6 +682,11 @@ export TSAN_OPTIONS="exitcode=66:halt_on_error=1"
 # Sampled profiles at jobs 4: each segment warms up and measures its
 # own accumulator inside a pool task.
 "$TSAN/tests/simpoint_test" > /dev/null
+# Four report candidates at jobs 4 race for one stream's reuse table,
+# which must be built once.
+"$TSAN/tests/taxonomy_test" \
+    --gtest_filter=TaxonomyReportTest.ConcurrentCandidatesBuildOneTable \
+    > /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \
     --trace-scale=0.01 --jobs=4 > "$WORK/tsan_j4.txt" 2> /dev/null
 "$TSAN/tools/topo_sim" --benchmark='*' --algorithms=ph,gbsc,hkc \

@@ -139,12 +139,26 @@ replay(const Program &program, const Layout &layout,
                 .counter("sim.checkpoints_written")
                 .add();
         };
-        // The current run's first line id, placed line and procedure.
-        std::uint32_t run_first = 0;
+        // Stack distances come from the stream's reuse table, built on
+        // the first taxonomy replay of the stream and shared by every
+        // later one: an entry per first-pass fetch, and for a later
+        // pass of a run of L lines the closed form, distance L - 1.
+        const TaxonomySink *const taxonomy =
+            observers != nullptr ? observers->taxonomy : nullptr;
+        const std::uint8_t *const reuse_table =
+            taxonomy != nullptr
+                ? stream.reuseTable(taxonomy->shadowLines()).data()
+                : nullptr;
+        // The current run's placed line and procedure, and the reuse
+        // entries of its fetches: first_pass[j] on the first pass,
+        // repeat_entry on later ones.
         std::uint64_t run_addr = 0;
         ProcId proc = 0;
-        // Line j of the current run through the cache and the sinks.
-        auto fetch = [&](std::uint32_t j) {
+        const std::uint8_t *first_pass = nullptr;
+        std::uint8_t repeat_entry = 0;
+        // Line j of pass `pass` of the current run through the cache
+        // and the sinks.
+        auto fetch = [&](std::uint32_t j, std::uint32_t pass) {
             AccessEffect effect;
             const bool hit = cache.access(run_addr + j, &effect);
             if (!hit) {
@@ -164,8 +178,9 @@ replay(const Program &program, const Layout &layout,
                     // Classify before timeline->record(): record() may
                     // close the window this fetch belongs to.
                     const TaxonomyEvent event =
-                        observers->taxonomy->record(proc, run_first + j,
-                                                    hit);
+                        observers->taxonomy->classify(
+                            proc, pass == 0 ? first_pass[j] : repeat_entry,
+                            hit);
                     if (observers->timeline != nullptr)
                         observers->timeline->noteTaxonomy(event);
                 }
@@ -192,12 +207,14 @@ replay(const Program &program, const Layout &layout,
                 observers->timeline->recordHits(proc, hits, bucket);
         };
         // The run walk replays fetches [cursor, end) and keeps its place
-        // (run r, first fetch run_start) between calls. A run's first
-        // pass, or the rest of the pass a resume or cut fell in, goes
-        // fetch by fetch; the whole passes after it are credited when
-        // the cache model proves them resident, as the batch skips them.
+        // (run r, first fetch run_start, first reuse-table entry
+        // table_start) between calls. A run's first pass, or the rest
+        // of the pass a resume or cut fell in, goes fetch by fetch; the
+        // whole passes after it are credited when the cache model
+        // proves them resident, as the batch skips them.
         std::size_t r = 0;
         std::uint64_t run_start = 0;
+        std::size_t table_start = 0;
         std::uint64_t cursor = start;
         auto walk = [&](std::uint64_t end) {
             while (cursor < end) {
@@ -207,6 +224,7 @@ replay(const Program &program, const Layout &layout,
                     run_start + std::uint64_t{len} * run.repeats;
                 if (run_end <= cursor) { // left behind, or before a resume
                     run_start = run_end;
+                    table_start += len;
                     ++r;
                     continue;
                 }
@@ -222,9 +240,13 @@ replay(const Program &program, const Layout &layout,
                     end < run_end ? split(end) : std::pair{run.repeats, 0u};
                 const bool elide =
                     run.repeats > 1 && cache.repeatResident(len);
-                run_first = run.first_line;
-                run_addr = addr_of[run_first];
-                proc = stream.procOfLine(run_first);
+                run_addr = addr_of[run.first_line];
+                proc = stream.procOfLine(run.first_line);
+                if (reuse_table != nullptr) {
+                    first_pass = reuse_table + table_start;
+                    repeat_entry =
+                        reuseEntry(len - 1, taxonomy->shadowLines());
+                }
                 for (; pass < last_pass; ++pass, line = 0) {
                     if (elide && pass != 0 && line == 0) {
                         credit(len, last_pass - pass);
@@ -232,10 +254,10 @@ replay(const Program &program, const Layout &layout,
                         break;
                     }
                     for (; line < len; ++line)
-                        fetch(line);
+                        fetch(line, pass);
                 }
                 for (; line < last_line; ++line)
-                    fetch(line);
+                    fetch(line, pass);
                 cursor = std::min(end, run_end);
             }
         };

@@ -48,45 +48,16 @@ reuseBucketLabel(std::size_t bucket)
 TaxonomySink::TaxonomySink(const Program &program,
                            std::uint32_t program_line_count,
                            const CacheConfig &config)
-    : program_(&program), shadow_lines_(config.lineCount()),
-      time_limit_(2 * program_line_count)
+    : program_(&program), shadow_lines_(config.lineCount())
 {
     require(program_line_count < (1u << 30),
             "TaxonomySink: 2^30 or more program lines overflow the "
             "32-bit access times");
     require(shadow_lines_ > 0,
             "TaxonomySink: cache must hold at least one line");
-    last_time_.assign(program_line_count, 0);
-    line_at_.assign(time_limit_ + 1, 0);
-    fenwick_.assign(time_limit_ + 1, 0);
     compulsory_by_proc_.assign(program.procCount(), 0);
     capacity_by_proc_.assign(program.procCount(), 0);
     conflict_by_proc_.assign(program.procCount(), 0);
-}
-
-void
-TaxonomySink::compactTimes()
-{
-    // A time is live when its line was last accessed then. Renumbering
-    // in time order keeps every distance: only the order of live times
-    // matters. New times never exceed old ones, so line_at_ is
-    // rewritten in place.
-    std::uint32_t next = 0;
-    for (std::uint32_t t = 1; t <= time_limit_; ++t) {
-        const std::uint32_t line = line_at_[t];
-        if (last_time_[line] != t)
-            continue;
-        ++next;
-        last_time_[line] = next;
-        line_at_[next] = line;
-    }
-    now_ = next;
-    // Times 1..live are set. Fenwick node t sums (t - lowbit(t), t].
-    for (std::uint32_t t = 1; t <= time_limit_; ++t) {
-        const std::uint32_t low = t - (t & (0u - t));
-        const std::uint32_t high = std::min(t, live_);
-        fenwick_[t] = high > low ? high - low : 0;
-    }
 }
 
 std::vector<ProcTaxonomy>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "topo/obs/phase_timer.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -11,6 +12,7 @@ WeightedGraph
 perturb(const WeightedGraph &graph, double scale, Rng &rng)
 {
     require(scale >= 0.0, "perturb: negative scale");
+    PhaseTimer timer("perturb");
     WeightedGraph noisy(graph.nodeCount());
     // Noise is drawn in edges() order, which is sorted by (u, v).
     for (const WeightedGraph::Edge &e : graph.edges()) {

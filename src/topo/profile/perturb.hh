@@ -23,7 +23,7 @@ inline constexpr double kPaperPerturbScale = 0.1;
 
 /**
  * Return a copy of @p graph with every edge weight multiplied by
- * exp(scale * N(0,1)).
+ * exp(scale * N(0,1)). Timed as the "perturb" span.
  *
  * @param graph Relationship graph (WCG or TRG).
  * @param scale The s parameter; 0 returns an exact copy.

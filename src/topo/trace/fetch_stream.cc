@@ -1,6 +1,9 @@
 #include "topo/trace/fetch_stream.hh"
 
+#include "topo/obs/metrics.hh"
+#include "topo/obs/phase_timer.hh"
 #include "topo/resilience/fault.hh"
+#include "topo/trace/reuse_table.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -75,6 +78,39 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
         size_ += run.line_count;
         prev = run;
     }
+}
+
+const std::vector<std::uint8_t> &
+FetchStream::reuseTable(std::uint64_t shadow_lines) const
+{
+    const std::lock_guard lock(reuse_memo_.mutex);
+    for (const auto &[lines, table] : reuse_memo_.tables) {
+        if (lines == shadow_lines)
+            return *table;
+    }
+    PhaseTimer timer("reuse_table");
+    auto table = std::make_shared<const std::vector<std::uint8_t>>(
+        buildReuseTable(*this, shadow_lines));
+    timer.stop();
+    MetricsRegistry::current().counter("trace.reuse_table_builds").add();
+    reuse_memo_.tables.emplace_back(shadow_lines, std::move(table));
+    return *reuse_memo_.tables.back().second;
+}
+
+FetchStream::ReuseMemo::ReuseMemo(const ReuseMemo &other)
+{
+    const std::lock_guard lock(other.mutex);
+    tables = other.tables;
+}
+
+FetchStream::ReuseMemo &
+FetchStream::ReuseMemo::operator=(const ReuseMemo &other)
+{
+    if (this != &other) {
+        const std::scoped_lock lock(mutex, other.mutex);
+        tables = other.tables;
+    }
+    return *this;
 }
 
 } // namespace topo

@@ -18,12 +18,20 @@
  * expands the runs in registers: the batched and observed replays
  * walk the runs themselves, and the other per-fetch readers share
  * forEachFetch().
+ *
+ * The reference sequence is immutable once built. The one state that
+ * changes later is a memo: the first taxonomy replay against a stream
+ * computes the stack distances of its first passes (reuse_table.hh),
+ * and every later replay, and every copy made after it, reads them.
  */
 
 #ifndef TOPO_TRACE_FETCH_STREAM_HH
 #define TOPO_TRACE_FETCH_STREAM_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "topo/program/program.hh"
@@ -82,7 +90,8 @@ eventLines(const TraceEvent &ev, std::uint32_t line_bytes)
 }
 
 /**
- * Immutable line-granularity reference stream for one trace.
+ * Line-granularity reference stream for one trace: an immutable
+ * sequence plus the lazily built reuseTable() memo.
  */
 class FetchStream
 {
@@ -157,7 +166,34 @@ class FetchStream
     /** Procedure owning program line @p id. */
     ProcId procOfLine(std::uint32_t id) const { return proc_of_line_[id]; }
 
+    /**
+     * The stack-distance entries of the stream's first passes for a
+     * fully-associative shadow of @p shadow_lines lines
+     * (reuse_table.hh): built by the first call for that count, under
+     * the "reuse_table" span and the trace.reuse_table_builds
+     * counter, and returned from the memo afterwards. Thread-safe:
+     * concurrent callers wait for one build. The reference stays
+     * valid while the stream or a copy of it lives.
+     */
+    const std::vector<std::uint8_t> &
+    reuseTable(std::uint64_t shadow_lines) const;
+
   private:
+    /** reuseTable()'s memo. A copy shares the tables built before it;
+     *  nothing is allocated until a table is asked for. */
+    struct ReuseMemo
+    {
+        ReuseMemo() = default;
+        ReuseMemo(const ReuseMemo &other);
+        ReuseMemo &operator=(const ReuseMemo &other);
+
+        mutable std::mutex mutex;
+        /** (shadow line count, table) pairs, in build order. */
+        std::vector<std::pair<std::uint64_t,
+                              std::shared_ptr<const std::vector<std::uint8_t>>>>
+            tables;
+    };
+
     std::uint32_t line_bytes_;
     std::uint64_t size_ = 0;
     std::vector<FetchRun> runs_;
@@ -165,6 +201,7 @@ class FetchStream
     std::vector<std::uint32_t> line_base_;
     /** Per program line: the owning procedure. */
     std::vector<ProcId> proc_of_line_;
+    mutable ReuseMemo reuse_memo_;
 };
 
 } // namespace topo

@@ -26,7 +26,8 @@ struct HkcFixture
                CacheConfig cache = CacheConfig::paperDefault())
     {
         for (std::size_t i = 0; i < procs; ++i)
-            program.addProcedure("p" + std::to_string(i), size);
+            program.addProcedure(std::string("p").append(std::to_string(i)),
+                                 size);
         wcg = WeightedGraph(procs);
         ctx.program = &program;
         ctx.cache = cache;
@@ -181,7 +182,7 @@ TEST_P(HkcPropertyTest, RandomGraphsYieldValidLayouts)
     Program program("hkc");
     for (std::size_t i = 0; i < procs; ++i) {
         program.addProcedure(
-            "p" + std::to_string(i),
+            std::string("p").append(std::to_string(i)),
             32 + static_cast<std::uint32_t>(rng.nextBelow(3000)));
     }
     WeightedGraph wcg(procs);

@@ -227,7 +227,8 @@ TEST_P(SimulatePropertyTest, MissRateBounded)
     const CacheConfig cache = GetParam();
     Program p("r");
     for (int i = 0; i < 10; ++i)
-        p.addProcedure("p" + std::to_string(i), 64 + 32 * i);
+        p.addProcedure(std::string("p").append(std::to_string(i)),
+                       64 + 32 * i);
     Trace t(p.procCount());
     Rng rng(321);
     for (int i = 0; i < 2000; ++i) {

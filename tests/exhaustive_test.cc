@@ -134,7 +134,7 @@ TEST_P(GbscVsOracleTest, GreedyNearOptimalOnTinyInstances)
     Program p("tiny");
     const int procs = 5;
     for (int i = 0; i < procs; ++i) {
-        p.addProcedure("p" + std::to_string(i),
+        p.addProcedure(std::string("p").append(std::to_string(i)),
                        32 + 32 * static_cast<std::uint32_t>(
                                      rng.nextBelow(3)));
     }
@@ -188,7 +188,7 @@ TEST(Exhaustive, GuardsRejectLargeSearches)
 {
     Program p("big");
     for (int i = 0; i < 12; ++i)
-        p.addProcedure("p" + std::to_string(i), 32);
+        p.addProcedure(std::string("p").append(std::to_string(i)), 32);
     const ChunkMap chunks(p, 32);
     WeightedGraph place(chunks.chunkCount());
     PlacementContext ctx;
@@ -205,7 +205,8 @@ TEST(Exhaustive, GuardsRejectLargeSearches)
     narrow.max_combinations = 100;
     Program small("s");
     for (int i = 0; i < 4; ++i)
-        small.addProcedure("p" + std::to_string(i), 32);
+        small.addProcedure(std::string("p").append(std::to_string(i)),
+                           32);
     const ChunkMap small_chunks(small, 32);
     WeightedGraph small_place(small_chunks.chunkCount());
     PlacementContext sctx;

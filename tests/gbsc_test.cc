@@ -49,7 +49,8 @@ struct GbscFixture
         : cache(cache_config)
     {
         for (std::size_t i = 0; i < sizes.size(); ++i)
-            program.addProcedure("p" + std::to_string(i), sizes[i]);
+            program.addProcedure(
+                std::string("p").append(std::to_string(i)), sizes[i]);
         chunks = std::make_unique<ChunkMap>(program, chunk_bytes);
         trg_select = WeightedGraph(program.procCount());
         trg_place = WeightedGraph(chunks->chunkCount());

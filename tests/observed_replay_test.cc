@@ -3,16 +3,18 @@
  * Differential test of the observed replay. simulateLayout credits the
  * repeats of a cache-resident run in closed form instead of replaying
  * them, also when an armed throw_io fault cuts the runs at its probe
- * indices. Here a naive reference expands every fetch through
- * forEachFetch, the cache
- * model's access() and the sinks' per-fetch methods, for every model
- * withCacheModel builds and each combination of sinks; the 3C counts,
- * reuse histograms, attribution tallies, conflict matrix and timeline
- * samples must match exactly.
+ * indices, and reads stack distances from the stream's reuse table
+ * (first passes) or in closed form (later passes). Here a naive
+ * reference expands every fetch through forEachFetch, a naive LRU
+ * stack, the cache model's access() and the sinks' per-fetch methods,
+ * for every model withCacheModel builds and each combination of sinks;
+ * the 3C counts, reuse histograms, attribution tallies, conflict
+ * matrix and timeline samples must match exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -25,6 +27,7 @@
 #include "topo/cache/taxonomy.hh"
 #include "topo/obs/timeline.hh"
 #include "topo/resilience/fault.hh"
+#include "topo/trace/reuse_table.hh"
 
 namespace topo
 {
@@ -100,7 +103,7 @@ makeProgram()
     Program program{"repeats"};
     const std::uint32_t lines[] = {1, 3, 40, 7, 2, 18, 1, 11, 25, 5};
     for (std::size_t i = 0; i < std::size(lines); ++i) {
-        program.addProcedure("p" + std::to_string(i),
+        program.addProcedure(std::string("p").append(std::to_string(i)),
                              lines[i] * kLineBytes);
     }
     return program;
@@ -146,16 +149,78 @@ makeTrace(const Program &program)
 }
 
 /**
+ * Runs that overlap one another and outgrow every cache below: sliding
+ * windows of 13 to 40 lines over the 40-line procedure, each appended
+ * one to four times back to back, interleaved with one-line fetches of
+ * the other procedures.
+ */
+Trace
+makeOverlappingTrace(const Program &program)
+{
+    Trace trace(program.procCount());
+    std::uint64_t state = 0x243f6a8885a308d3ull;
+    auto next = [&state](std::uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>((state >> 33) % bound);
+    };
+    const ProcId big = 2; // 40 lines
+    for (int event = 0; event < 600; ++event) {
+        const std::uint32_t lines = 13 + next(28);
+        const std::uint32_t first = next(40 - lines + 1);
+        const std::uint32_t repeats = 1 + next(4);
+        for (std::uint32_t r = 0; r < repeats; ++r) {
+            trace.append(big, first * kLineBytes, lines * kLineBytes);
+        }
+        const auto other = static_cast<ProcId>(next(program.procCount()));
+        trace.append(other, 0, kLineBytes);
+    }
+    return trace;
+}
+
+/**
+ * The reuse-table entry of every fetch of @p stream, fetch by fetch
+ * from a naive LRU stack of program lines (O(lines) per fetch), for a
+ * shadow of @p shadow_lines lines.
+ */
+std::vector<std::uint8_t>
+naiveEntries(const FetchStream &stream, std::uint64_t shadow_lines)
+{
+    std::vector<std::uint8_t> entries;
+    entries.reserve(stream.size());
+    std::vector<std::uint32_t> stack; // most recent first
+    std::uint32_t first = 0;
+    stream.forEachFetch(
+        [&](const FetchRun &run) { first = run.first_line; },
+        [&](std::uint32_t j) {
+            const std::uint32_t line = first + j;
+            const auto it = std::find(stack.begin(), stack.end(), line);
+            if (it == stack.end()) {
+                entries.push_back(
+                    static_cast<std::uint8_t>(kReuseColdBucket));
+            } else {
+                entries.push_back(reuseEntry(
+                    static_cast<std::uint64_t>(it - stack.begin()),
+                    shadow_lines));
+                stack.erase(it);
+            }
+            stack.insert(stack.begin(), line);
+        });
+    return entries;
+}
+
+/**
  * The naive observed replay: every fetch through the model's access()
  * and the sinks' per-fetch methods, in the order simulate.cc calls
- * them. Returns the misses charged to each procedure.
+ * them, the taxonomy sink reading @p entries (naiveEntries() for the
+ * config's line count). Returns the misses charged to each procedure.
  */
 std::vector<std::uint64_t>
 naiveReplay(const Program &program, const Layout &layout,
             const FetchStream &stream, const CacheConfig &config,
-            const Sinks &sinks)
+            const std::vector<std::uint8_t> &entries, const Sinks &sinks)
 {
     std::vector<std::uint64_t> misses_by_proc(program.procCount(), 0);
+    std::size_t fetch = 0;
     withCacheModel(config, [&](auto &cache) {
         std::uint32_t first = 0;
         ProcId proc = 0;
@@ -181,12 +246,13 @@ naiveReplay(const Program &program, const Layout &layout,
                 }
                 if (sinks.taxonomy) {
                     const TaxonomyEvent event =
-                        sinks.taxonomy->record(proc, first + j, hit);
+                        sinks.taxonomy->classify(proc, entries[fetch], hit);
                     if (sinks.timeline)
                         sinks.timeline->noteTaxonomy(event);
                 }
                 if (sinks.timeline)
                     sinks.timeline->record(proc, !hit);
+                ++fetch;
             });
     });
     if (sinks.timeline)
@@ -269,37 +335,31 @@ allModels()
     return models;
 }
 
-TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
+/**
+ * Replay @p stream under every config in @p models with each sink set,
+ * at 7- and 64-fetch timeline windows, with and without an armed
+ * throw_io fault cutting the runs at its probes; simulateLayout must
+ * match the naive expansion exactly.
+ */
+void
+expectMatchesNaive(const Program &program, const FetchStream &stream,
+                   const Layout &layout,
+                   const std::vector<CacheConfig> &models,
+                   const std::vector<SinkSet> &sink_sets)
 {
-    const Program program = makeProgram();
-    const Trace trace = makeTrace(program);
-    const FetchStream stream(program, trace, kLineBytes);
-    const Layout layout = Layout::defaultOrder(program, kLineBytes);
-
-    // The stream must hold each kind of repeat the closed form treats
-    // differently: one-line runs (distance 0), runs that fit every
-    // cache below, and runs longer than every cache below.
-    std::uint64_t one_line = 0, fitting = 0, longer = 0;
-    for (const FetchRun &run : stream.runs()) {
-        if (run.repeats < 2)
-            continue;
-        one_line += run.line_count == 1;
-        fitting += run.line_count > 1 && run.line_count <= 12;
-        longer += run.line_count > 16;
-    }
-    EXPECT_GT(one_line, 10u);
-    EXPECT_GT(fitting, 10u);
-    EXPECT_GT(longer, 10u);
-
-    const SinkSet sink_sets[] = {
-        {true, false, false},
-        {false, true, false},
-        {true, false, true},
-        {false, false, true},
-        {true, true, true},
+    // Stack distances do not depend on the layout or the model: one
+    // naive expansion per shadow size serves every replay.
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+        entries_by_lines;
+    auto entries_for = [&](std::uint64_t lines)
+        -> const std::vector<std::uint8_t> & {
+        for (const auto &[l, entries] : entries_by_lines) {
+            if (l == lines)
+                return entries;
+        }
+        entries_by_lines.emplace_back(lines, naiveEntries(stream, lines));
+        return entries_by_lines.back().second;
     };
-    // The stream spans several throw_io probes (one per 4096 fetches).
-    EXPECT_GT(stream.size(), 4u * 4096u);
     // A 7-fetch window splits repeats at most edges; 64 spans several.
     // An armed throw_io fault that never fires cuts runs at its probes.
     for (const bool probed : {false, true}) {
@@ -309,7 +369,9 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
             installFaultPlan(plan);
         }
         for (const std::uint64_t window : {7u, 64u}) {
-            for (const CacheConfig &config : allModels()) {
+            for (const CacheConfig &config : models) {
+                const std::vector<std::uint8_t> &entries =
+                    entries_for(config.lineCount());
                 for (const SinkSet &set : sink_sets) {
                     SCOPED_TRACE(config.describe() + " " +
                                  replacementPolicyName(config.policy) +
@@ -319,7 +381,8 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
                     const Sinks want(set, program, layout, stream, config,
                                      window);
                     const std::vector<std::uint64_t> want_misses =
-                        naiveReplay(program, layout, stream, config, want);
+                        naiveReplay(program, layout, stream, config,
+                                    entries, want);
 
                     const Sinks got(set, program, layout, stream, config,
                                     window);
@@ -333,8 +396,74 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
                 }
             }
         }
+        clearFaultPlan();
     }
-    clearFaultPlan();
+}
+
+TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
+{
+    const Program program = makeProgram();
+    const Layout layout = Layout::defaultOrder(program, kLineBytes);
+    {
+        const Trace trace = makeTrace(program);
+        const FetchStream stream(program, trace, kLineBytes);
+
+        // The stream must hold each kind of repeat the closed form
+        // treats differently: one-line runs (distance 0), runs that fit
+        // every cache below, and runs longer than every cache below.
+        std::uint64_t one_line = 0, fitting = 0, longer = 0;
+        for (const FetchRun &run : stream.runs()) {
+            if (run.repeats < 2)
+                continue;
+            one_line += run.line_count == 1;
+            fitting += run.line_count > 1 && run.line_count <= 12;
+            longer += run.line_count > 16;
+        }
+        EXPECT_GT(one_line, 10u);
+        EXPECT_GT(fitting, 10u);
+        EXPECT_GT(longer, 10u);
+        // The stream spans several throw_io probes (one per 4096
+        // fetches).
+        EXPECT_GT(stream.size(), 4u * 4096u);
+
+        expectMatchesNaive(program, stream, layout, allModels(),
+                           {{true, false, false},
+                            {false, true, false},
+                            {true, false, true},
+                            {false, false, true},
+                            {true, true, true}});
+    }
+    {
+        // Overlapping runs longer than the cache: first-pass distances
+        // cross run boundaries, and later passes of a run longer than
+        // the cache miss, so their closed-form entries meet the 3C
+        // split, not only the histogram.
+        const Trace trace = makeOverlappingTrace(program);
+        const FetchStream stream(program, trace, kLineBytes);
+        std::uint64_t long_repeats = 0;
+        for (const FetchRun &run : stream.runs())
+            long_repeats += run.repeats > 1 && run.line_count > 16;
+        EXPECT_GT(long_repeats, 100u);
+        EXPECT_GT(stream.size(), 4u * 4096u);
+
+        std::vector<CacheConfig> models;
+        for (const std::uint32_t lines : {16u, 12u}) {
+            models.push_back(
+                CacheConfig{lines * kLineBytes, kLineBytes, 1});
+            for (const std::uint32_t ways : {2u, 4u}) {
+                for (const ReplacementPolicy policy :
+                     {ReplacementPolicy::kLru, ReplacementPolicy::kPlru,
+                      ReplacementPolicy::kSrrip}) {
+                    CacheConfig config{lines * kLineBytes, kLineBytes,
+                                       ways};
+                    config.policy = policy;
+                    models.push_back(config);
+                }
+            }
+        }
+        expectMatchesNaive(program, stream, layout, models,
+                           {{true, false, true}, {true, true, true}});
+    }
 }
 
 } // namespace

@@ -24,7 +24,8 @@ struct PhFixture
     explicit PhFixture(std::size_t procs, std::uint32_t size = 64)
     {
         for (std::size_t i = 0; i < procs; ++i)
-            program.addProcedure("p" + std::to_string(i), size);
+            program.addProcedure(std::string("p").append(std::to_string(i)),
+                                 size);
         wcg = WeightedGraph(procs);
         ctx.program = &program;
         ctx.cache = CacheConfig::paperDefault();

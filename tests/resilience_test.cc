@@ -673,7 +673,7 @@ struct SimFixture
                         ReplacementPolicy policy = ReplacementPolicy::kLru)
     {
         for (int i = 0; i < 24; ++i) {
-            program.addProcedure("p" + std::to_string(i),
+            program.addProcedure(std::string("p").append(std::to_string(i)),
                                  200 + 64 * (i % 7));
         }
         // Runs must stay inside their procedure for FetchStream.

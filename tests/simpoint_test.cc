@@ -116,7 +116,8 @@ struct DistinctWindows
         : window_runs(runs)
     {
         for (std::size_t w = 0; w < window_count; ++w)
-            program.addProcedure("p" + std::to_string(w), 3 * 32);
+            program.addProcedure(
+                std::string("p").append(std::to_string(w)), 3 * 32);
         trace = Trace(program.procCount());
         for (std::size_t w = 0; w < window_count; ++w)
             for (std::uint64_t r = 0; r < runs; ++r)

@@ -2,12 +2,13 @@
  * @file
  * Tests of the taxonomy sink: hand-computed 3C classification on tiny
  * traces (pure-conflict ping-pong, pure-capacity streaming, an
- * all-compulsory cold run), a differential check of the sink's
- * Fenwick-tree stack distances against a naive O(n) LRU stack, a
- * golden of the suite's 3C splits, disabled-observer
- * result/allocation parity mirroring attribution_test, per-window
- * invariants, and the comparison-report and artifact-validation
- * surfaces built on top.
+ * all-compulsory cold run), a differential check of the reuse
+ * table's Fenwick-tree stack distances against a naive O(n) LRU stack,
+ * a golden of the suite's 3C splits, one table build per stream
+ * (several layouts, copies, concurrent report candidates),
+ * disabled-observer result/allocation parity mirroring
+ * attribution_test, per-window invariants, and the comparison-report
+ * and artifact-validation surfaces built on top.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,11 @@
 #include "topo/cache/taxonomy.hh"
 #include "topo/eval/experiment.hh"
 #include "topo/eval/report_gen.hh"
+#include "topo/exec/exec.hh"
+#include "topo/obs/metrics.hh"
 #include "topo/obs/timeline.hh"
 #include "topo/placement/placement_table.hh"
+#include "topo/trace/reuse_table.hh"
 #include "topo/util/error.hh"
 #include "alloc_counter.hh"
 #include "test_support.hh"
@@ -96,7 +100,7 @@ TEST(TaxonomyTest, PureConflictPingPong)
     // Reuse histogram: 2 cold touches, 98 accesses at distance 1.
     const auto &hist = sink.reuseHistogram();
     EXPECT_EQ(hist[kReuseColdBucket], 2u);
-    EXPECT_EQ(hist[TaxonomySink::bucketOf(1)], 2u * kRounds - 2);
+    EXPECT_EQ(hist[reuseBucketOf(1)], 2u * kRounds - 2);
 
     const std::vector<ProcTaxonomy> top = sink.topProcs(10);
     ASSERT_EQ(top.size(), 2u);
@@ -158,7 +162,7 @@ TEST(TaxonomyTest, PureCapacityStreamingLoop)
     EXPECT_EQ(sink.classifiedMisses(), result.misses);
 
     // Every re-reference sits at stack distance 3.
-    EXPECT_EQ(sink.reuseHistogram()[TaxonomySink::bucketOf(3)],
+    EXPECT_EQ(sink.reuseHistogram()[reuseBucketOf(3)],
               4u * kSweeps - 4);
 }
 
@@ -189,67 +193,103 @@ TEST(TaxonomyTest, AllCompulsoryColdRun)
 }
 
 /**
- * Differential check at the sink level: a naive LRU stack (O(n) per
- * access) classifies a pseudo-random access stream over @p lines
- * program lines; the sink's distances, histogram and 3C tallies must
- * match it access for access. The sink compacts its access times each
- * time the clock reaches twice the line count, so long streams over
- * few lines compact on nearly every access.
+ * Differential check of the reuse-table builder: a naive LRU stack
+ * (O(n) per access) expands a pseudo-random stream over @p lines
+ * program lines fetch by fetch. Every first-pass table entry must match
+ * the stack's distance bucket and shadow verdict, every later-pass
+ * fetch must sit at the closed-form distance line_count - 1, and a
+ * sink fed those entries with pseudo-random real-cache verdicts must
+ * reproduce the naive 3C tallies and histogram. The builder compacts
+ * its access times each time the clock reaches twice the line count,
+ * so long streams over few lines compact on nearly every access.
  */
 std::array<std::uint64_t, kReuseBucketCount>
 expectMatchesNaiveStack(std::uint32_t lines, int steps)
 {
-    SCOPED_TRACE("lines " + std::to_string(lines));
+    SCOPED_TRACE(std::string("lines ").append(std::to_string(lines)));
     Program program{"rand"};
     program.addProcedure("R", lines * 32);
     const CacheConfig cache{8 * 32, 32, 1}; // 8-line shadow
+
+    std::uint64_t state = 0x13198a2e03707344ull;
+    auto next_rand = [&state]() {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(state >> 33);
+    };
+
+    // Skewed line choice so some lines re-reference at short distances
+    // and others stream; every fifth event spans up to four lines, and
+    // every seventh repeats back to back.
+    Trace trace(1);
+    const std::uint32_t hot = std::min<std::uint32_t>(lines, 16);
+    for (int step = 0; step < steps; ++step) {
+        const std::uint32_t line = next_rand() % (step % 3 == 0 ? lines : hot);
+        const std::uint32_t span =
+            step % 5 == 0
+                ? 1 + next_rand() % std::min<std::uint32_t>(4, lines - line)
+                : 1;
+        for (int copy = step % 7 == 0 ? 2 : 1; copy > 0; --copy)
+            trace.append(0, line * 32, span * 32);
+    }
+    const FetchStream stream(program, trace, 32);
+    const std::vector<std::uint8_t> table =
+        buildReuseTable(stream, cache.lineCount());
 
     TaxonomySink sink(program, lines, cache);
     std::array<std::uint64_t, kReuseBucketCount> naive_hist{};
     std::uint64_t naive_compulsory = 0, naive_capacity = 0,
                   naive_conflict = 0;
     std::vector<std::uint32_t> stack; // most recent first
+    std::size_t next_entry = 0;
+    std::uint64_t later_passes = 0;
+    for (const FetchRun &run : stream.runs()) {
+        for (std::uint32_t pass = 0; pass < run.repeats; ++pass) {
+            for (std::uint32_t j = 0; j < run.line_count; ++j) {
+                const std::uint32_t line = run.first_line + j;
+                const bool real_hit = next_rand() % 4 == 0;
+                const auto it = std::find(stack.begin(), stack.end(), line);
+                std::uint8_t naive_entry;
+                if (it == stack.end()) {
+                    naive_entry =
+                        static_cast<std::uint8_t>(kReuseColdBucket);
+                    if (!real_hit)
+                        ++naive_compulsory;
+                } else {
+                    const std::uint64_t distance =
+                        static_cast<std::uint64_t>(it - stack.begin());
+                    naive_entry = reuseEntry(distance, cache.lineCount());
+                    if (!real_hit) {
+                        if (distance < cache.lineCount())
+                            ++naive_conflict;
+                        else
+                            ++naive_capacity;
+                    }
+                    if (pass != 0) {
+                        ++later_passes;
+                        EXPECT_EQ(distance, run.line_count - 1u);
+                    }
+                    stack.erase(it);
+                }
+                stack.insert(stack.begin(), line);
+                ++naive_hist[naive_entry & kReuseBucketMask];
 
-    std::uint64_t state = 0x13198a2e03707344ull;
-    auto next_rand = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return state >> 33;
-    };
-
-    const std::uint32_t hot = std::min<std::uint32_t>(lines, 16);
-    for (int step = 0; step < steps; ++step) {
-        // Skewed line choice so some lines re-reference at short
-        // distances and others stream; alternate hit/miss claims to
-        // exercise every classification path.
-        const std::uint32_t line = static_cast<std::uint32_t>(
-            next_rand() % (step % 3 == 0 ? lines : hot));
-        const bool real_hit = next_rand() % 4 == 0;
-        const TaxonomyEvent event = sink.record(0, line, real_hit);
-
-        const auto it = std::find(stack.begin(), stack.end(), line);
-        std::size_t naive_bucket;
-        if (it == stack.end()) {
-            naive_bucket = kReuseColdBucket;
-            if (!real_hit)
-                ++naive_compulsory;
-        } else {
-            const std::uint64_t distance =
-                static_cast<std::uint64_t>(it - stack.begin());
-            naive_bucket = TaxonomySink::bucketOf(distance);
-            if (!real_hit) {
-                if (distance < cache.lineCount())
-                    ++naive_conflict;
-                else
-                    ++naive_capacity;
+                std::uint8_t entry = naive_entry;
+                if (pass == 0) {
+                    EXPECT_LT(next_entry, table.size());
+                    if (next_entry == table.size())
+                        return naive_hist;
+                    entry = table[next_entry++];
+                    EXPECT_EQ(entry, naive_entry)
+                        << "first-pass fetch " << next_entry - 1;
+                    if (entry != naive_entry)
+                        return naive_hist;
+                }
+                sink.classify(0, entry, real_hit);
             }
-            stack.erase(it);
         }
-        stack.insert(stack.begin(), line);
-        ++naive_hist[naive_bucket];
-        EXPECT_EQ(event.reuse_bucket, naive_bucket) << "step " << step;
-        if (event.reuse_bucket != naive_bucket)
-            break;
     }
+    EXPECT_EQ(next_entry, table.size());
+    EXPECT_GT(later_passes, 0u);
 
     EXPECT_EQ(sink.compulsory(), naive_compulsory);
     EXPECT_EQ(sink.capacity(), naive_capacity);
@@ -371,14 +411,14 @@ TEST(TaxonomyGolden, SuiteTaxonomyAtScale005)
 
 TEST(TaxonomyTest, Log2BucketsAndMetricNames)
 {
-    EXPECT_EQ(TaxonomySink::bucketOf(0), 0);
-    EXPECT_EQ(TaxonomySink::bucketOf(1), 1);
-    EXPECT_EQ(TaxonomySink::bucketOf(2), 2);
-    EXPECT_EQ(TaxonomySink::bucketOf(3), 2);
-    EXPECT_EQ(TaxonomySink::bucketOf(4), 3);
-    EXPECT_EQ(TaxonomySink::bucketOf(7), 3);
-    EXPECT_EQ(TaxonomySink::bucketOf(8), 4);
-    EXPECT_EQ(TaxonomySink::bucketOf(~std::uint64_t{0}), 32);
+    EXPECT_EQ(reuseBucketOf(0), 0);
+    EXPECT_EQ(reuseBucketOf(1), 1);
+    EXPECT_EQ(reuseBucketOf(2), 2);
+    EXPECT_EQ(reuseBucketOf(3), 2);
+    EXPECT_EQ(reuseBucketOf(4), 3);
+    EXPECT_EQ(reuseBucketOf(7), 3);
+    EXPECT_EQ(reuseBucketOf(8), 4);
+    EXPECT_EQ(reuseBucketOf(~std::uint64_t{0}), 32);
     EXPECT_EQ(reuseBucketMetricName(0), "taxonomy.reuse.b00");
     EXPECT_EQ(reuseBucketMetricName(32), "taxonomy.reuse.b32");
     EXPECT_EQ(reuseBucketMetricName(kReuseColdBucket),
@@ -485,6 +525,106 @@ TEST(TaxonomyTest, HotLoopIsAllocationFree)
     const std::uint64_t small_allocs = count_allocs(small_stream);
     const std::uint64_t big_allocs = count_allocs(big_stream);
     EXPECT_LE(big_allocs, small_allocs + 32);
+}
+
+/** Taxonomy replays of @p layouts on @p stream; returns the sinks'
+ *  conflict counts. */
+std::vector<std::uint64_t>
+conflictsOf(const Program &program, const FetchStream &stream,
+            const CacheConfig &cache, const std::vector<Layout> &layouts)
+{
+    std::vector<std::uint64_t> conflicts;
+    for (const Layout &layout : layouts) {
+        TaxonomySink sink(program, stream.programLineCount(), cache);
+        SimObservers observers;
+        observers.taxonomy = &sink;
+        simulateLayout(program, layout, stream, cache, false, nullptr,
+                       &observers);
+        conflicts.push_back(sink.conflict());
+    }
+    return conflicts;
+}
+
+std::uint64_t
+tableBuilds(MetricsRegistry &metrics)
+{
+    return metrics.counter("trace.reuse_table_builds").value();
+}
+
+TEST(TaxonomyTest, ReuseTableIsBuiltOncePerStream)
+{
+    const ProfileBundle bundle(paperBenchmark("m88ksim", 0.02),
+                               EvalOptions{});
+    const CacheConfig &cache = bundle.options().cache;
+    std::vector<Layout> layouts;
+    for (std::size_t a = 0; a < 4; ++a) {
+        layouts.push_back(
+            kPlacementTable[a].algorithm.place(bundle.makeContext()));
+    }
+
+    MetricsRegistry metrics;
+    MetricsScope scope(metrics);
+    const FetchStream &stream = bundle.testStream();
+    const std::vector<std::uint64_t> want =
+        conflictsOf(bundle.program(), stream, cache, layouts);
+    EXPECT_EQ(tableBuilds(metrics), 1u);
+    // The build is one span, nested in the replay that asked for it.
+    EXPECT_EQ(metrics.histogram("phase.simulate.reuse_table.ms")
+                  .stats()
+                  .count(),
+              1u);
+
+    // Copies and moves made after the build share its table.
+    const FetchStream copy = stream;
+    EXPECT_EQ(conflictsOf(bundle.program(), copy, cache, layouts), want);
+    FetchStream scratch = stream;
+    const FetchStream moved = std::move(scratch);
+    EXPECT_EQ(conflictsOf(bundle.program(), moved, cache, layouts), want);
+    EXPECT_EQ(tableBuilds(metrics), 1u);
+
+    // A different shadow size is a different table.
+    CacheConfig half = cache;
+    half.size_bytes /= 2;
+    conflictsOf(bundle.program(), stream, half, {layouts.front()});
+    EXPECT_EQ(tableBuilds(metrics), 2u);
+
+    // A plain replay builds none.
+    MetricsRegistry plain;
+    MetricsScope plain_scope(plain);
+    const FetchStream fresh(bundle.program(), bundle.testTrace(),
+                            cache.line_bytes);
+    simulateLayout(bundle.program(), layouts.front(), fresh, cache);
+    EXPECT_EQ(tableBuilds(plain), 0u);
+}
+
+TEST(TaxonomyReportTest, ConcurrentCandidatesBuildOneTable)
+{
+    const ProfileBundle bundle(paperBenchmark("m88ksim", 0.01),
+                               EvalOptions{});
+    const CacheConfig &cache = bundle.options().cache;
+    std::vector<LayoutCandidate> candidates;
+    for (std::size_t a = 0; a < 4; ++a) {
+        candidates.push_back(
+            {std::string(kPlacementTable[a].name),
+             kPlacementTable[a].algorithm.place(bundle.makeContext())});
+    }
+    // A fresh stream, so the four candidates race for its first build.
+    const FetchStream stream(bundle.program(), bundle.testTrace(),
+                             cache.line_bytes);
+    MetricsRegistry metrics;
+    MetricsScope scope(metrics);
+    const int jobs = execJobs();
+    setExecJobs(4);
+    const ComparisonReport report = buildComparisonReport(
+        bundle.program(), stream, cache, candidates, ReportOptions{});
+    setExecJobs(jobs);
+    EXPECT_EQ(tableBuilds(metrics), 1u);
+    ASSERT_EQ(report.layouts.size(), 4u);
+    for (const LayoutReport &entry : report.layouts) {
+        EXPECT_EQ(entry.reuse_hist, report.layouts[0].reuse_hist);
+        EXPECT_EQ(entry.compulsory + entry.capacity + entry.conflict,
+                  entry.misses);
+    }
 }
 
 TEST(TaxonomyTest, ObserverRejectsCheckpointControl)

@@ -518,7 +518,8 @@ TEST(TrgDifferential, HashBackingAboveTheDenseCap)
     static_assert(2560ULL * 2559 / 2 * 8 > kDenseCountCapBytes);
     Program program;
     for (int i = 0; i < 40; ++i)
-        program.addProcedure("p" + std::to_string(i), 64 * 256);
+        program.addProcedure(std::string("p").append(std::to_string(i)),
+                             64 * 256);
     const ChunkMap chunks(program, 256);
     Trace trace(program.procCount());
     std::uint64_t state = 7;

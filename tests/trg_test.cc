@@ -124,7 +124,8 @@ TEST(Trg, CapacityBoundPreventsDistantEdges)
     const ProcId f = p.addProcedure("f", 64);
     std::vector<ProcId> fillers;
     for (int i = 0; i < 20; ++i)
-        fillers.push_back(p.addProcedure("u" + std::to_string(i), 512));
+        fillers.push_back(p.addProcedure(
+            std::string("u").append(std::to_string(i)), 512));
     Trace t(p.procCount());
     t.append(f, 0, 64);
     for (ProcId u : fillers)
@@ -304,7 +305,8 @@ TEST_P(TrgSymmetryTest, SymmetricWeights)
 {
     Program p("t");
     for (int i = 0; i < 12; ++i)
-        p.addProcedure("p" + std::to_string(i), 64 + 16 * i);
+        p.addProcedure(std::string("p").append(std::to_string(i)),
+                       64 + 16 * i);
     Trace t(p.procCount());
     Rng rng(GetParam());
     for (int i = 0; i < 3000; ++i) {

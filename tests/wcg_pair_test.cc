@@ -227,7 +227,8 @@ TEST(PairDatabase, WindowCapsEnumeration)
     const ProcId p = prog.addProcedure("p", 32);
     std::vector<ProcId> mids;
     for (int i = 0; i < 6; ++i)
-        mids.push_back(prog.addProcedure("m" + std::to_string(i), 32));
+        mids.push_back(prog.addProcedure(
+            std::string("m").append(std::to_string(i)), 32));
     Trace t(prog.procCount());
     t.append(p, 0, 32);
     for (ProcId m : mids)
@@ -268,7 +269,7 @@ TEST(PairDatabase, ShortPopularityMaskRejected)
     // The mask must cover every procedure, as buildTrgs demands.
     Program prog("t");
     for (int i = 0; i < 6; ++i)
-        prog.addProcedure("p" + std::to_string(i), 32);
+        prog.addProcedure(std::string("p").append(std::to_string(i)), 32);
     Trace t(prog.procCount());
     for (int round = 0; round < 3; ++round) {
         for (ProcId p = 0; p < prog.procCount(); ++p)
