@@ -51,82 +51,45 @@ class DirectMappedCache
     }
 
     /**
-     * Replay a batch of repeat-compressed runs — each a span of
-     * consecutive line addresses executed back-to-back one or more
-     * times — and return how many accesses missed. Results are
-     * bit-identical to feeding every expanded access through access().
-     *
-     * This is the simulator's unobserved fast path, with two exact
-     * algebraic shortcuts over the naive replay:
-     *
-     * - A hit stores the identical tag back, so every probed access is
-     *   one load, one store, and one compare with no data-dependent
-     *   branch, and consecutive addresses within a run need no
-     *   per-access stream or translation-table loads.
-     * - A run of at most frameCount() consecutive lines occupies
-     *   distinct frames, so after one pass every line of the run is
-     *   resident; an immediately repeated execution therefore hits on
-     *   every access and leaves the cache state untouched. Such
-     *   repeats contribute no misses and are not replayed at all —
-     *   loop-heavy traces spend 75-85% of their accesses there. Runs
-     *   longer than the cache self-evict as they wrap, so their
-     *   repeats are replayed in full (repeatResident()).
-     *
-     * The frame pointer and index mask are hoisted into locals for the
-     * whole batch — inside a caller's loop the per-access stores (also
-     * std::uint64_t) would otherwise force both to be reloaded every
-     * iteration. @p run is invoked exactly once per run, in order,
-     * with the run index [0, run_count), and returns {first line
-     * address, line count, repeat count} with repeat count >= 1.
+     * One pass over a run of @p len consecutive line addresses from
+     * @p base; returns how many of them missed. Bit-identical to
+     * feeding each address through access(), and the replay's
+     * unobserved fast path: a hit stores the identical tag back, so
+     * every access is one load, one store and one compare with no
+     * data-dependent branch. The frame pointer and index mask live in
+     * locals, since the per-access std::uint64_t stores would
+     * otherwise force both to be reloaded every iteration.
      *
      * Unlike access(), this loop does not guard against the
-     * kInvalidLineAddr sentinel: the simulator's replay feeds it
-     * 32-bit placed line addresses (simulate.cc bounds the layout
-     * span to 2^32 lines), so the sentinel cannot occur here and the
-     * probe stays branchless.
+     * kInvalidLineAddr sentinel: the replay feeds it 32-bit placed
+     * line addresses (simulate.cc bounds the layout span to 2^32
+     * lines), so the sentinel cannot occur here and the probe stays
+     * branchless.
      */
-    template <typename RunFn>
     std::uint64_t
-    accessRunBatch(std::size_t run_count, RunFn &&run)
+    accessRun(std::uint64_t base, std::uint32_t len)
     {
         std::uint64_t *const frames = frames_.data();
-        const std::uint64_t frame_count = frames_.size();
         std::uint64_t misses = 0;
         if (mask_ != 0) {
             const std::uint64_t mask = mask_;
-            for (std::size_t r = 0; r < run_count; ++r) {
-                const auto [base, len, repeats] = run(r);
-                const std::uint32_t passes =
-                    repeatResident(len) ? 1 : repeats;
-                for (std::uint32_t pass = 0; pass < passes; ++pass) {
-                    for (std::uint32_t j = 0; j < len; ++j) {
-                        const std::uint64_t line_addr = base + j;
-                        const std::size_t index =
-                            static_cast<std::size_t>(line_addr & mask);
-                        const std::uint64_t prev = frames[index];
-                        frames[index] = line_addr;
-                        misses += static_cast<std::uint64_t>(
-                            prev != line_addr);
-                    }
-                }
+            for (std::uint32_t j = 0; j < len; ++j) {
+                const std::uint64_t line_addr = base + j;
+                const std::size_t index =
+                    static_cast<std::size_t>(line_addr & mask);
+                const std::uint64_t prev = frames[index];
+                frames[index] = line_addr;
+                misses += static_cast<std::uint64_t>(prev != line_addr);
             }
         } else {
-            for (std::size_t r = 0; r < run_count; ++r) {
-                const auto [base, len, repeats] = run(r);
-                const std::uint32_t passes =
-                    repeatResident(len) ? 1 : repeats;
-                for (std::uint32_t pass = 0; pass < passes; ++pass) {
-                    for (std::uint32_t j = 0; j < len; ++j) {
-                        const std::uint64_t line_addr = base + j;
-                        const std::size_t index =
-                            static_cast<std::size_t>(line_addr %
-                                                     frame_count);
-                        const std::uint64_t prev = frames[index];
-                        frames[index] = line_addr;
-                        misses += static_cast<std::uint64_t>(
-                            prev != line_addr);
-                    }
-                }
+            const std::uint64_t frame_count = frames_.size();
+            for (std::uint32_t j = 0; j < len; ++j) {
+                const std::uint64_t line_addr = base + j;
+                const std::size_t index =
+                    static_cast<std::size_t>(line_addr % frame_count);
+                const std::uint64_t prev = frames[index];
+                frames[index] = line_addr;
+                misses += static_cast<std::uint64_t>(prev != line_addr);
             }
         }
         return misses;
@@ -136,8 +99,10 @@ class DirectMappedCache
      * True when an immediate repeat of a run of @p len consecutive
      * line addresses is all hits and leaves the cache state as the
      * previous pass left it: the run occupies distinct frames, so one
-     * pass makes every line of it resident. Every replay that skips
-     * repeats asks this one rule.
+     * pass makes every line of it resident, and a repeat performs
+     * only idempotent tag stores. Runs longer than the cache
+     * self-evict as they wrap, so their repeats are replayed in full.
+     * Every replay that skips repeats asks this one rule.
      */
     bool
     repeatResident(std::uint64_t len) const

@@ -27,8 +27,8 @@
  *
  * kRepeatElisionSound gates the simulator's repeat shortcut
  * `passes = len <= lineCount() ? 1 : repeats` (see
- * PolicyCache::repeatResident, which the batched replay and the
- * observed replay both ask). The shortcut is exact iff one pass
+ * PolicyCache::repeatResident, which the replay asks for every
+ * run, whole or cut). The shortcut is exact iff one pass
  * over a run of at most lineCount() consecutive lines (a) leaves
  * every line of the run resident, so the repeated pass is all hits,
  * and (b) the all-hit pass restores the replacement metadata to the

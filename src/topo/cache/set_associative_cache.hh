@@ -6,6 +6,11 @@
  * instance of every policy behaves identically to DirectMappedCache
  * (verified by test); SetAssociativeCache keeps its historical
  * meaning as the true-LRU instantiation.
+ *
+ * Both models offer the replay the same four calls: access() per
+ * fetch, accessRun() per pass of a run, and repeatResident() /
+ * creditRepeats() to account for a run's resident repeats without
+ * replaying them.
  */
 
 #ifndef TOPO_CACHE_SET_ASSOCIATIVE_CACHE_HH
@@ -76,40 +81,18 @@ class PolicyCache
     }
 
     /**
-     * Replay a batch of repeat-compressed runs and return how many
-     * accesses missed; results are bit-identical to feeding every
-     * expanded access through access(). Counterpart of
-     * DirectMappedCache::accessRunBatch so the simulator's batched
-     * replay path compiles for any cache model; replacement updates
-     * keep the per-access branch here.
-     *
-     * The repeat-elision shortcut (one pass stands in for all repeats
-     * of a run no longer than the cache) is applied only when the
-     * policy declares it exact via Policy::kRepeatElisionSound; see
-     * replacement_policy.hh for the true-LRU proof and the
-     * counterexamples that make every other policy replay repeats in
-     * full.
-     *
-     * @p run is invoked exactly once per run, in order, with the run
-     * index [0, run_count), and returns {first line address, line
-     * count, repeat count} with repeat count >= 1.
+     * One pass over a run of @p len consecutive line addresses from
+     * @p base; returns how many of them missed. Counterpart of
+     * DirectMappedCache::accessRun, so the replay's whole-run loop
+     * compiles for any cache model; replacement updates keep the
+     * per-access branch here.
      */
-    template <typename RunFn>
     std::uint64_t
-    accessRunBatch(std::size_t run_count, RunFn &&run)
+    accessRun(std::uint64_t base, std::uint32_t len)
     {
         std::uint64_t misses = 0;
-        for (std::size_t r = 0; r < run_count; ++r) {
-            const auto [base, len, repeats] = run(r);
-            const std::uint32_t passes =
-                repeatResident(len) ? 1 : repeats;
-            for (std::uint32_t pass = 0; pass < passes; ++pass) {
-                for (std::uint32_t j = 0; j < len; ++j) {
-                    misses +=
-                        static_cast<std::uint64_t>(!access(base + j));
-                }
-            }
-        }
+        for (std::uint32_t j = 0; j < len; ++j)
+            misses += static_cast<std::uint64_t>(!access(base + j));
         return misses;
     }
 
@@ -130,6 +113,9 @@ class PolicyCache
     /**
      * Credit @p passes more all-hit passes of a run repeatResident()
      * admits, right after one: true LRU's stamps move as a replay's.
+     * Victim choice reads only the stamps' order within a set, which
+     * an uncredited repeat keeps, so a replay needs this only when its
+     * state words leave it (a checkpoint).
      */
     void
     creditRepeats(std::uint64_t base, std::uint32_t len, std::uint32_t passes)

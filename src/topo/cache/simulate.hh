@@ -58,17 +58,18 @@ struct SimResult
 };
 
 /**
- * Optional observation sinks fed by the replay loop. The loop is
- * compiled in two variants per cache model: batched (runs fed to the
- * cache whole) and per-fetch. Only a per-fetch hook selects the
- * per-fetch variant: a SimControl, an armed throw_io fault, per-
- * procedure attribution, or an attached sink. Logging and tracing never
- * do, so the default (unobserved) path is the same at every log level
- * and with or without a Chrome trace. The per-fetch variant credits
- * cache-resident repeats in closed form; a SimControl or throw_io
- * fault probe only cuts runs at its fetch indices. Observers do not
- * compose with checkpoint/resume: their state is not checkpointed,
- * so a resumed run would attribute only the tail.
+ * Optional observation sinks fed by the replay loop. The loop is one
+ * run walk per cache model. Without sinks it feeds each run that lies
+ * wholly between two events (a SimControl's checkpoint or stop, an
+ * armed throw_io fault's probe) through a tight whole-run loop, per-
+ * procedure attribution included, and goes fetch by fetch only over a
+ * run an event falls inside. With a sink every run's first pass goes
+ * fetch by fetch. Either way cache-resident repeats are credited in
+ * closed form. Logging and tracing never change the walk, so an
+ * unobserved replay is the same at every log level and with or without
+ * a Chrome trace. Observers do not compose with checkpoint/resume:
+ * their state is not checkpointed, so a resumed run would observe only
+ * the tail.
  */
 struct SimObservers
 {
@@ -124,8 +125,8 @@ std::uint64_t simFingerprint(const Program &program, const Layout &layout,
  * @param config        Cache geometry (any associativity).
  * @param attribute     When true, fill SimResult::misses_by_proc.
  * @param control       Optional checkpoint/resume directives.
- * @param observers     Optional attribution/timeline sinks (mutually
- *                      exclusive with @p control).
+ * @param observers     Optional attribution, taxonomy and timeline
+ *                      sinks (mutually exclusive with @p control).
  */
 SimResult simulateLayout(const Program &program, const Layout &layout,
                          const FetchStream &stream, const CacheConfig &config,

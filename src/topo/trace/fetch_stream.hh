@@ -15,8 +15,8 @@
  * loop-heavy traces repeat a run for most of their fetches, so on the
  * paper suite at scale 1 the runs are 8-57x smaller than per-fetch
  * ids (gcc: 1.8 MB of runs for 24M test fetches). Every reader
- * expands the runs in registers: the batched and observed replays
- * walk the runs themselves, and the other per-fetch readers share
+ * expands the runs in registers: the replay walks the runs itself,
+ * and the other per-fetch readers share
  * forEachFetch().
  *
  * The reference sequence is immutable once built. The one state that
@@ -45,18 +45,17 @@ namespace topo
  * back-to-back: each repeat is @ref line_count consecutive program
  * line ids starting at @ref first_line. Because a run never crosses a
  * procedure boundary, the ids also map to consecutive placed line
- * addresses under any layout — the property the simulator's batched
- * replay exploits to amortise its per-reference table lookup over a
- * whole run (runs average ~8-13 lines on the paper suite).
+ * addresses under any layout — the property the simulator's replay
+ * exploits to amortise its per-reference table lookup over a whole run
+ * (runs average ~8-13 lines on the paper suite).
  *
  * The repeat count is the decisive compression: loop-heavy traces
  * re-execute the same run back-to-back for 75-85% of all line fetches
  * (paper suite, both inputs), and a repeat of a run short enough to
  * be self-contained in the cache is provably all-hits and leaves the
  * cache state untouched (the cache model's repeatResident()). The
- * batched replay accounts for such a repeat without replaying it
- * (see DirectMappedCache::accessRunBatch). So does the observed
- * replay, checkpointed or not: every fetch of the repeat has stack
+ * replay accounts for such a repeat without replaying it, observed,
+ * checkpointed or neither: every fetch of the repeat has stack
  * distance line_count - 1, so the sinks take its hits in closed form.
  */
 struct FetchRun

@@ -216,8 +216,8 @@ TEST(AttributionTest, HotLoopIsAllocationFree)
 
 TEST(AttributionTest, SteadyStateBatchedReplayIsAllocationFree)
 {
-    // The plain (unobserved, uncontrolled) replay takes the batched
-    // fast path whose only scratch, the per-layout line-address table,
+    // The plain (unobserved, uncontrolled) replay feeds whole runs to
+    // the cache; its only scratch, the per-layout line-address table,
     // lives in a thread-local grow-only vector. Once a first replay has
     // grown it and the cache/metrics steady state exists, replaying a
     // stream 40x longer must allocate exactly as much as replaying the

@@ -413,20 +413,18 @@ TEST(PolicyBehavior, OneWayCollapsesToDirectMappedForEveryPolicy)
 }
 
 /**
- * Batched replay (accessRunBatch, including any repeat-elision
- * shortcut) must be bit-identical to the fully expanded access()
- * stream: same miss count, identical behaviour on a follow-up stream,
- * and — when @p exact_state — identical raw state words. The state
- * check is skipped only for true LRU, whose elided repeats advance
- * the recency clocks by smaller absolute amounts while preserving the
- * per-set ordering that victim selection consults (the follow-up
- * stream verifies that equivalence behaviourally).
+ * Run-at-a-time replay, driven as the simulator's whole-run loop drives
+ * it under a checkpoint (one accessRun() pass, then the other passes
+ * credited through creditRepeats() when repeatResident() proves them
+ * all hits, else replayed), must be bit-identical to the fully
+ * expanded access() stream: same miss count, identical raw state
+ * words (true LRU's stamps included), and identical behaviour on a
+ * follow-up stream.
  */
 template <typename Cache>
 void
 expectBatchMatchesExpanded(const CacheConfig &config,
-                           const std::string &what,
-                           bool exact_state = true)
+                           const std::string &what)
 {
     SCOPED_TRACE(what);
     struct Run
@@ -451,12 +449,16 @@ expectBatchMatchesExpanded(const CacheConfig &config,
 
     Cache batched(config);
     Cache expanded(config);
-    const std::uint64_t batched_misses = batched.accessRunBatch(
-        runs.size(), [&runs](std::size_t r) {
-            return std::tuple<std::uint64_t, std::uint32_t,
-                              std::uint32_t>(
-                runs[r].base, runs[r].len, runs[r].repeats);
-        });
+    std::uint64_t batched_misses = 0;
+    for (const Run &run : runs) {
+        batched_misses += batched.accessRun(run.base, run.len);
+        if (run.repeats > 1 && batched.repeatResident(run.len)) {
+            batched.creditRepeats(run.base, run.len, run.repeats - 1);
+        } else {
+            for (std::uint32_t pass = 1; pass < run.repeats; ++pass)
+                batched_misses += batched.accessRun(run.base, run.len);
+        }
+    }
     std::uint64_t expanded_misses = 0;
     for (const Run &run : runs) {
         for (std::uint32_t pass = 0; pass < run.repeats; ++pass) {
@@ -467,10 +469,8 @@ expectBatchMatchesExpanded(const CacheConfig &config,
         }
     }
     EXPECT_EQ(batched_misses, expanded_misses);
-    if (exact_state) {
-        EXPECT_EQ(std::vector<std::uint64_t>(batched.stateWords()),
-                  std::vector<std::uint64_t>(expanded.stateWords()));
-    }
+    EXPECT_EQ(std::vector<std::uint64_t>(batched.stateWords()),
+              std::vector<std::uint64_t>(expanded.stateWords()));
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t addr = rng.nextBelow(4 * lines);
         ASSERT_EQ(batched.access(addr), expanded.access(addr))
@@ -484,7 +484,7 @@ TEST(PolicyBatch, BatchedEqualsExpandedForEveryPolicyAndModel)
         const std::string where = std::to_string(assoc) + "-way";
         expectBatchMatchesExpanded<PolicyCache<TrueLruPolicy>>(
             policyConfig(512, assoc, ReplacementPolicy::kLru),
-            "lru " + where, false);
+            "lru " + where);
         expectBatchMatchesExpanded<PolicyCache<TreePlruPolicy>>(
             policyConfig(512, assoc, ReplacementPolicy::kPlru),
             "plru " + where);
@@ -501,8 +501,7 @@ TEST(PolicyBatch, BatchedEqualsExpandedForEveryPolicyAndModel)
     // Fully associative (single set) and the direct-mapped model's own
     // unconditional elision.
     expectBatchMatchesExpanded<PolicyCache<TrueLruPolicy>>(
-        policyConfig(256, 8, ReplacementPolicy::kLru), "lru 1x8",
-        false);
+        policyConfig(256, 8, ReplacementPolicy::kLru), "lru 1x8");
     expectBatchMatchesExpanded<PolicyCache<SrripPolicy>>(
         policyConfig(256, 8, ReplacementPolicy::kSrrip), "srrip 1x8");
     expectBatchMatchesExpanded<DirectMappedCache>(

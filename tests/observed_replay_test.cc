@@ -9,7 +9,9 @@
  * stack, the cache model's access() and the sinks' per-fetch methods,
  * for every model withCacheModel builds and each combination of sinks;
  * the 3C counts, reuse histograms, attribution tallies, conflict
- * matrix and timeline samples must match exactly.
+ * matrix and timeline samples must match exactly. With no sinks the
+ * walk takes whole runs through its tight loop, so the per-procedure
+ * misses compare that loop with the expansion too.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +55,7 @@ struct SinkSet
             name += "attribution ";
         if (timeline)
             name += "timeline";
-        return name;
+        return name.empty() ? "no sinks" : name;
     }
 };
 
@@ -427,7 +429,8 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
         EXPECT_GT(stream.size(), 4u * 4096u);
 
         expectMatchesNaive(program, stream, layout, allModels(),
-                           {{true, false, false},
+                           {{false, false, false},
+                            {true, false, false},
                             {false, true, false},
                             {true, false, true},
                             {false, false, true},
@@ -462,7 +465,9 @@ TEST(ObservedReplayTest, ClosedFormRepeatsMatchNaiveExpansion)
             }
         }
         expectMatchesNaive(program, stream, layout, models,
-                           {{true, false, true}, {true, true, true}});
+                           {{false, false, false},
+                            {true, false, true},
+                            {true, true, true}});
     }
 }
 

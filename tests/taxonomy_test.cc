@@ -312,11 +312,12 @@ TEST(TaxonomyTest, ReuseHistogramMatchesNaiveStackDistance)
 
 TEST(TaxonomyTest, RejectsLineCountsBeyondThirtyBitTimes)
 {
-    // Access times run to twice the line count and must fit 32 bits
-    // with room for the Fenwick walk, so 2^30 lines and up are
-    // refused by a check ahead of every allocation: the sink's arrays
-    // for this count would need over 16 GiB, so a check made after
-    // them would surface as std::bad_alloc, not TopoError.
+    // The stream's reuse table, which every taxonomy replay reads,
+    // numbers access times up to twice the line count in 32 bits, so
+    // the sink refuses 2^30 lines and up when it is built, not when a
+    // replay first asks for the table. The check runs before the sink
+    // allocates its per-procedure tallies: the refusal costs no more
+    // allocations than the error itself.
     Program program{"huge"};
     program.addProcedure("H", 32);
     const CacheConfig cache{64, 32, 1};
@@ -518,9 +519,11 @@ TEST(TaxonomyTest, HotLoopIsAllocationFree)
         return g_allocs.load(std::memory_order_relaxed) - before;
     };
 
-    // Warm up registry entries, then compare: the sink sizes its
-    // arrays from the line count at construction, so on the 40x
-    // stream only the timeline's window vector may grow.
+    // Warm up registry entries, then compare: the sink keeps only
+    // per-procedure tallies, sized at construction, and the first
+    // replay of a stream builds its reuse table in a fixed number of
+    // allocations whatever the stream's length, so on the 40x stream
+    // only the timeline's window vector may grow.
     count_allocs(small_stream);
     const std::uint64_t small_allocs = count_allocs(small_stream);
     const std::uint64_t big_allocs = count_allocs(big_stream);
