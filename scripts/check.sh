@@ -245,11 +245,12 @@ rss=$(sed -n 's/^ *"peak_rss_kb": *\([0-9]*\).*/\1/p' \
 
 echo "== placement time gate =="
 # Placing gcc at scale 1, best of 3 runs, per algorithm. GBSC's Figure 4
-# alignment walks flat chunk spans (DESIGN.md §10): under 40 ms. It took
+# alignment prices each TRG_place edge between two nodes' flat chunk
+# spans with the division-free colour kernel that HKC, refinement and
+# the set-associative merge share (DESIGN.md §10): under 40 ms. It took
 # 83-100 ms when every merge rebuilt a chunk-colour map. PH and GBSC
 # take the heaviest edge off a lazy heap, and HKC prices colours with
-# one division-free kernel (DESIGN.md §10): PH under 2.5 ms and HKC
-# under 6 ms. On a shared 4-vCPU VM this build took 1.1-1.7 ms and
+# that kernel too: PH under 2.5 ms and HKC under 6 ms. On a shared 4-vCPU VM this build took 1.1-1.7 ms and
 # 1.5-2.6 ms; a full adjacency scan per merge and a modulo per line
 # pair took 3.4-5.7 ms and 11.7-12.6 ms.
 for run in 1 2 3; do
@@ -440,6 +441,14 @@ echo "== replacement-policy smoke (sanitized) =="
 "$SAN/tools/topo_sim" --probe-policy > /dev/null
 "$SAN/tools/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
     --assoc=4 --policy=random > /dev/null
+
+echo "== placement sweep smoke (sanitized) =="
+# The set-associative merge intersects circular runs of cache sets and
+# refinement keeps one colour run per chunk; both hand that run
+# arithmetic to the shared colour kernel. Both benches cover every
+# paper benchmark and must be clean under ASan+UBSan.
+"$SAN/bench/section6_setassoc" --trace-scale=0.05 > /dev/null
+"$SAN/bench/ablation_refinement" --trace-scale=0.05 > /dev/null
 
 echo "== explain smoke (sanitized) =="
 # Decision recording and the diff's double replay must be clean under

@@ -11,11 +11,9 @@ double
 trgConflictMetric(const PlacementContext &ctx, const Layout &layout)
 {
     ctx.requireBasics("trgConflictMetric");
-    const std::vector<std::uint32_t> offsets =
-        layoutOffsets(*ctx.program, layout, ctx.cache);
-    const std::vector<bool> *include =
-        ctx.popular.empty() ? nullptr : &ctx.popular;
-    return Gbsc::conflictMetric(ctx, offsets, include);
+    return Gbsc::conflictMetric(
+        ctx, layoutOffsets(*ctx.program, layout, ctx.cache),
+        ctx.popular.empty() ? nullptr : &ctx.popular);
 }
 
 double
@@ -23,31 +21,9 @@ wcgConflictMetric(const PlacementContext &ctx, const Layout &layout)
 {
     ctx.requireBasics("wcgConflictMetric");
     require(ctx.wcg != nullptr, "wcgConflictMetric: context has no WCG");
-    const Program &program = *ctx.program;
-    const std::uint32_t cache_lines = ctx.cache.lineCount();
-    const std::uint32_t line_bytes = ctx.cache.line_bytes;
-    const std::vector<std::uint32_t> offsets =
-        layoutOffsets(program, layout, ctx.cache);
-
-    std::vector<std::vector<ProcId>> by_line(cache_lines);
-    for (std::size_t i = 0; i < program.procCount(); ++i) {
-        const auto proc = static_cast<ProcId>(i);
-        if (!ctx.popular.empty() && !ctx.popular[proc])
-            continue;
-        const std::uint32_t len = program.sizeInLines(proc, line_bytes);
-        for (std::uint32_t line = 0; line < len; ++line)
-            by_line[(offsets[proc] + line) % cache_lines].push_back(proc);
-    }
-    double metric = 0.0;
-    for (const auto &bucket : by_line) {
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            for (std::size_t j = i + 1; j < bucket.size(); ++j) {
-                if (bucket[i] != bucket[j])
-                    metric += ctx.wcg->weight(bucket[i], bucket[j]);
-            }
-        }
-    }
-    return metric;
+    return sharedLineWeight(*ctx.program, ctx.cache, *ctx.wcg, nullptr,
+                            layoutOffsets(*ctx.program, layout, ctx.cache),
+                            ctx.popular.empty() ? nullptr : &ctx.popular);
 }
 
 } // namespace topo

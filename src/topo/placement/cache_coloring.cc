@@ -195,40 +195,6 @@ struct Coloring
 
 } // namespace
 
-void
-accumulateColorCollisions(std::vector<double> &cost, std::uint64_t p_start,
-                          std::uint64_t p_len, std::uint64_t q_off,
-                          std::uint64_t q_len, double weight)
-{
-    const std::uint64_t colors = cost.size();
-    require(colors != 0, "accumulateColorCollisions: no colours");
-    double *const c = cost.data();
-    const std::uint64_t sweeps = q_len / colors;
-    const std::uint64_t rest = q_len % colors;
-    // s0: the start colour at which p's line lp meets q's first line.
-    // q's lines lq = 0, 1, ... then meet p's line at s0, s0 - 1, ...;
-    // after the full sweeps, its last `rest` lines take the run
-    // (s0 - rest, s0], wrapping below colour 0.
-    std::uint64_t s0 =
-        (p_start % colors + colors - q_off % colors) % colors;
-    for (std::uint64_t lp = 0; lp < p_len; ++lp) {
-        for (std::uint64_t k = 0; k < sweeps; ++k) {
-            for (std::uint64_t s = 0; s < colors; ++s)
-                c[s] += weight;
-        }
-        if (rest <= s0 + 1) {
-            for (std::uint64_t s = s0 + 1 - rest; s <= s0; ++s)
-                c[s] += weight;
-        } else {
-            for (std::uint64_t s = 0; s <= s0; ++s)
-                c[s] += weight;
-            for (std::uint64_t s = colors + s0 + 1 - rest; s < colors; ++s)
-                c[s] += weight;
-        }
-        s0 = s0 + 1 == colors ? 0 : s0 + 1;
-    }
-}
-
 Layout
 CacheColoring::place(const PlacementContext &ctx) const
 {

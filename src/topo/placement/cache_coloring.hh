@@ -17,32 +17,10 @@
 #ifndef TOPO_PLACEMENT_CACHE_COLORING_HH
 #define TOPO_PLACEMENT_CACHE_COLORING_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "topo/placement/placement.hh"
 
 namespace topo
 {
-
-/**
- * HKC's colour-collision kernel, shared by attaching a procedure and
- * merging two units. Procedure p holds @p p_len lines from
- * unit-relative line @p p_start; procedure q holds @p q_len lines from
- * line @p q_off of a unit that would start at colour s. Line lp of p
- * and line lq of q collide when p_start + lp == s + q_off + lq modulo
- * C = cost.size(); add @p weight to cost[s] once per colliding pair.
- *
- * For a fixed lp the colours q hits form one circular run, so each
- * line of p costs ⌊q_len / C⌋ full sweeps plus one or two contiguous
- * range adds: no division, and the loops vectorise. Every cost[s]
- * receives exactly the +weight terms of a per-pair walk, and they are
- * all the same value, so the sums are bit-identical to it.
- */
-void accumulateColorCollisions(std::vector<double> &cost,
-                               std::uint64_t p_start, std::uint64_t p_len,
-                               std::uint64_t q_off, std::uint64_t q_len,
-                               double weight);
 
 /** HKC cache-line-coloring placement driven by the context's WCG. */
 class CacheColoring : public PlacementAlgorithm

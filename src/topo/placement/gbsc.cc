@@ -113,17 +113,14 @@ Gbsc::alignmentCost(const PlacementContext &ctx, const GbscNode &n1,
     // the smaller node's chunks; each crossing edge credits its weight
     // to every relative offset placing the two chunks in one frame.
     // Offset i shifts n2, so a collision needs
-    // (colour_in_n2 + i) == colour_in_n1 (mod modulus). The additions
-    // run in a fixed order (the smaller node's chunks by id, their
-    // neighbours by id, then this node's lines and the other node's
-    // lines in line order), which keeps the sums bit-identical for any
-    // weights. Within that order the offset steps by +-1 per line.
+    // (colour_in_n2 + i) == colour_in_n1 (mod modulus): one kernel
+    // call per edge, n1's span as p and n2's as q. The calls run in a
+    // fixed order (the smaller node's chunks by id, their neighbours
+    // by id), which keeps the sums bit-identical for any weights.
     std::vector<double> cost(modulus, 0.0);
     const bool iterate_first = spans1.size() <= spans2.size();
     const std::vector<ChunkSpan> &mine = iterate_first ? spans1 : spans2;
     const std::vector<ChunkSpan> &theirs = iterate_first ? spans2 : spans1;
-    const std::uint32_t my_step = iterate_first ? 1 : modulus - 1;
-    const std::uint32_t their_step = modulus - my_step;
     for (const ChunkSpan &my : mine) {
         auto it = theirs.begin();
         for (const auto &[other, weight] :
@@ -133,21 +130,10 @@ Gbsc::alignmentCost(const PlacementContext &ctx, const GbscNode &n1,
                 break;
             if (it->chunk != other)
                 continue;
-            const std::uint32_t in_n1 = iterate_first ? my.color : it->color;
-            const std::uint32_t in_n2 = iterate_first ? it->color : my.color;
-            std::uint32_t row = (in_n1 + modulus - in_n2) % modulus;
-            for (std::uint32_t a = 0; a < my.lines; ++a) {
-                std::uint32_t i = row;
-                for (std::uint32_t b = 0; b < it->lines; ++b) {
-                    cost[i] += weight;
-                    i += their_step;
-                    if (i >= modulus)
-                        i -= modulus;
-                }
-                row += my_step;
-                if (row >= modulus)
-                    row -= modulus;
-            }
+            const ChunkSpan &in_n1 = iterate_first ? my : *it;
+            const ChunkSpan &in_n2 = iterate_first ? *it : my;
+            accumulateColorCollisions(cost, in_n1.color, in_n1.lines,
+                                      in_n2.color, in_n2.lines, weight);
         }
     }
     return cost;
@@ -199,33 +185,9 @@ Gbsc::conflictMetric(const PlacementContext &ctx,
     requireGbscInputs(ctx, "Gbsc::conflictMetric");
     require(offsets.size() == ctx.program->procCount(),
             "Gbsc::conflictMetric: offsets size mismatch");
-    const std::uint32_t cache_lines = ctx.cache.lineCount();
-    const std::uint32_t line_bytes = ctx.cache.line_bytes;
-
-    // Bucket chunks by cache line, then sum pairwise TRG_place weights
-    // within each line — the whole-placement analogue of Figure 4's
-    // per-merge cost.
-    std::vector<std::vector<ChunkId>> by_line(cache_lines);
-    for (std::size_t i = 0; i < ctx.program->procCount(); ++i) {
-        const auto proc = static_cast<ProcId>(i);
-        if (include && !(*include)[proc])
-            continue;
-        const std::uint32_t len = ctx.program->sizeInLines(proc,
-                                                           line_bytes);
-        for (std::uint32_t line = 0; line < len; ++line) {
-            const ChunkId chunk =
-                ctx.chunks->chunkAtLine(proc, line, line_bytes);
-            by_line[(offsets[proc] + line) % cache_lines].push_back(chunk);
-        }
-    }
-    double metric = 0.0;
-    for (const auto &bucket : by_line) {
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            for (std::size_t j = i + 1; j < bucket.size(); ++j)
-                metric += ctx.trg_place->weight(bucket[i], bucket[j]);
-        }
-    }
-    return metric;
+    // The whole-placement analogue of Figure 4's per-merge cost.
+    return sharedLineWeight(*ctx.program, ctx.cache, *ctx.trg_place,
+                            ctx.chunks, offsets, include);
 }
 
 void
@@ -302,10 +264,10 @@ Gbsc::place(const PlacementContext &ctx) const
         working.mergeInto(heaviest.u, heaviest.v);
     }
     metrics.counter("gbsc.merge_steps").add(merge_steps);
-    // One alignmentCost sweep over all cache lines per merge.
+    // One cost array swept per merge.
     metrics.counter("gbsc.alignment_evals").add(merge_steps);
     metrics.counter("gbsc.offset_candidates")
-        .add(merge_steps * ctx.cache.lineCount());
+        .add(merge_steps * offsetCount(ctx.cache));
 
     // --- Section 4.3: produce the final linear list.
     struct Entry

@@ -24,13 +24,13 @@
  * line count), sorted by chunk id and derived arithmetically from each
  * procedure's chunk range; a line belongs to the chunk holding its
  * first byte. A crossing edge's partner span is found by binary
- * search, and the offset of each line pair steps by +-1 instead of
- * being recomputed modulo the cache. The additions keep one fixed
- * order: the smaller node's chunks by id, their TRG_place neighbours
- * by id, then that node's lines and the other node's lines in line
- * order. Floating-point sums depend on order, so this rule is what
- * keeps the cost array bit-identical for perturbed (non-integral)
- * weights as well as for integer counts.
+ * search, and the edge's weight is added by the shared colour kernel,
+ * accumulateColorCollisions, in one call per edge. The calls keep one
+ * fixed order: the smaller node's chunks by id, then their TRG_place
+ * neighbours by id. Floating-point sums depend on order, and one call
+ * adds only equal terms, so this rule keeps the cost array
+ * bit-identical for perturbed (non-integral) weights as well as for
+ * integer counts.
  */
 
 #ifndef TOPO_PLACEMENT_GBSC_HH
@@ -116,6 +116,12 @@ class Gbsc : public PlacementAlgorithm
     /** Merge hook; the set-associative variant overrides the cost. */
     virtual GbscNode doMerge(const PlacementContext &ctx,
                              const GbscNode &n1, const GbscNode &n2) const;
+
+    /** Relative offsets one doMerge scans: its cost array's size. */
+    virtual std::uint32_t offsetCount(const CacheConfig &cache) const
+    {
+        return cache.lineCount();
+    }
 
   private:
     std::uint64_t tie_seed_ = 0;

@@ -1,7 +1,6 @@
 #include "topo/placement/gbsc_setassoc.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "topo/placement/decision_log.hh"
 #include "topo/util/error.hh"
@@ -12,55 +11,40 @@ namespace topo
 namespace
 {
 
-/** Sorted unique set indices covered by a placed procedure. */
-std::vector<std::uint32_t>
-setsCovered(const PlacementContext &ctx, ProcId proc, std::uint32_t offset)
+/**
+ * The cache sets a block covers, first, first + 1, ... (mod the set
+ * count): every set once when the block is at least as long as the
+ * cache has sets.
+ */
+struct SetRun
 {
-    const std::uint32_t sets = ctx.cache.setCount();
-    const std::uint32_t len =
-        ctx.program->sizeInLines(proc, ctx.cache.line_bytes);
-    std::vector<std::uint32_t> covered;
-    if (len >= sets) {
-        covered.resize(sets);
-        for (std::uint32_t s = 0; s < sets; ++s)
-            covered[s] = s;
-        return covered;
-    }
-    covered.reserve(len);
-    for (std::uint32_t line = 0; line < len; ++line)
-        covered.push_back((offset + line) % sets);
-    std::sort(covered.begin(), covered.end());
-    covered.erase(std::unique(covered.begin(), covered.end()),
-                  covered.end());
-    return covered;
-}
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+};
 
 /**
- * Ordered map per the determinism audit (DESIGN.md §9): only keyed
- * lookups touch it today, but every container feeding placement
- * decisions stays ordered so no future loop can inherit hash order.
+ * The sets @p x and @p y share, as at most two runs written to
+ * @p out; returns how many. Measured from x.first, y starts at rel
+ * and may wrap past the circle's end back into x.
  */
-using SetMap = std::map<ProcId, std::vector<std::uint32_t>>;
-
-SetMap
-nodeSets(const PlacementContext &ctx, const GbscNode &node)
+int
+intersectRuns(SetRun x, SetRun y, std::uint32_t sets, SetRun out[2])
 {
-    SetMap map;
-    for (const auto &[proc, offset] : node.procs)
-        map.emplace(proc, setsCovered(ctx, proc, offset));
-    return map;
+    const std::uint32_t rel = (y.first + sets - x.first) % sets;
+    int n = 0;
+    if (rel < x.count)
+        out[n++] = {y.first, std::min(rel + y.count, x.count) - rel};
+    if (rel + y.count > sets)
+        out[n++] = {x.first, std::min(rel + y.count - sets, x.count)};
+    return n;
 }
 
-/** Sorted-vector intersection. */
-std::vector<std::uint32_t>
-intersect(const std::vector<std::uint32_t> &a,
-          const std::vector<std::uint32_t> &b)
+/** Which node holds a procedure, and the sets it covers there. */
+struct Membership
 {
-    std::vector<std::uint32_t> out;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(out));
-    return out;
-}
+    int node = 0; // 1 or 2; 0 when in neither
+    SetRun run;
+};
 
 /** Per-set line-occupancy histogram of a node. */
 std::vector<std::uint64_t>
@@ -98,61 +82,51 @@ GbscSetAssoc::doMerge(const PlacementContext &ctx, const GbscNode &n1,
     const std::uint32_t sets = ctx.cache.setCount();
     const std::uint32_t cache_lines = ctx.cache.lineCount();
 
-    const SetMap sets1 = nodeSets(ctx, n1);
-    const SetMap sets2 = nodeSets(ctx, n2);
+    std::vector<Membership> where(ctx.program->procCount());
+    for (int node = 1; node <= 2; ++node) {
+        for (const auto &[proc, offset] : (node == 1 ? n1 : n2).procs) {
+            const std::uint32_t len =
+                ctx.program->sizeInLines(proc, ctx.cache.line_bytes);
+            where[proc] = {node, {offset % sets, std::min(len, sets)}};
+        }
+    }
 
-    // D(p,{r,s}) is charged at every alignment mapping the victim p and
-    // both displacing blocks r, s to one set. Constant terms (all three
-    // blocks in the same node) cannot influence the choice and are
-    // skipped; every mixed membership is charged:
-    //   one block moving with n2  -> the two fixed blocks must already
-    //   share a set c; alignment i = c - set(moving block);
-    //   two blocks moving with n2 -> they must share a set c2 in n2's
-    //   frame; alignment i = set(fixed block) - c2.
+    // Charge D(p,{r,s}) at every alignment putting p, r and s in one
+    // set (gbsc_setassoc.hh). With one block moving with n2, the two
+    // fixed blocks share a set c and the alignment is c - set(moving);
+    // with two moving, they share a set c2 in n2's frame and it is
+    // set(fixed) - c2. Each run of shared sets is one kernel call.
     std::vector<double> cost(sets, 0.0);
     for (const PairDatabase::Entry &e : ctx.pairs->entries()) {
-        const std::vector<std::uint32_t> *in1[3] = {nullptr, nullptr,
-                                                    nullptr};
-        const std::vector<std::uint32_t> *in2[3] = {nullptr, nullptr,
-                                                    nullptr};
         const BlockId ids[3] = {e.p, e.r, e.s};
-        bool involved = true;
+        Membership m[3];
         int moving = 0;
+        bool involved = true;
         for (int k = 0; k < 3; ++k) {
-            auto it1 = sets1.find(ids[k]);
-            auto it2 = sets2.find(ids[k]);
-            if (it1 != sets1.end()) {
-                in1[k] = &it1->second;
-            } else if (it2 != sets2.end()) {
-                in2[k] = &it2->second;
-                ++moving;
-            } else {
-                involved = false;
-                break;
-            }
+            m[k] = ids[k] < where.size() ? where[ids[k]] : Membership{};
+            involved = involved && m[k].node != 0;
+            moving += m[k].node == 2;
         }
         if (!involved || moving == 0 || moving == 3)
             continue;
-        if (moving == 1) {
-            // Two fixed blocks, one moving.
-            int m = 0;
-            while (in2[m] == nullptr)
-                ++m;
-            const int f1 = (m + 1) % 3, f2 = (m + 2) % 3;
-            for (std::uint32_t c : intersect(*in1[f1], *in1[f2])) {
-                for (std::uint32_t x : *in2[m])
-                    cost[(c + sets - x) % sets] += e.weight;
-            }
-        } else {
-            // Two moving blocks, one fixed.
-            int f = 0;
-            while (in1[f] == nullptr)
-                ++f;
-            const int m1 = (f + 1) % 3, m2 = (f + 2) % 3;
-            for (std::uint32_t c2 : intersect(*in2[m1], *in2[m2])) {
-                for (std::uint32_t y : *in1[f])
-                    cost[(y + sets - c2) % sets] += e.weight;
-            }
+        // The lone block: the one moving, or the one fixed.
+        const int lone_node = moving == 1 ? 2 : 1;
+        int k = 0;
+        while (m[k].node != lone_node)
+            ++k;
+        const SetRun lone = m[k].run;
+        SetRun shared[2];
+        const int pieces = intersectRuns(m[(k + 1) % 3].run,
+                                         m[(k + 2) % 3].run, sets, shared);
+        for (int i = 0; i < pieces; ++i) {
+            if (moving == 1)
+                accumulateColorCollisions(cost, shared[i].first,
+                                          shared[i].count, lone.first,
+                                          lone.count, e.weight);
+            else
+                accumulateColorCollisions(cost, lone.first, lone.count,
+                                          shared[i].first,
+                                          shared[i].count, e.weight);
         }
     }
 

@@ -35,6 +35,74 @@ DefaultPlacement::place(const PlacementContext &ctx) const
     return layout;
 }
 
+void
+accumulateColorCollisions(std::vector<double> &cost, std::uint64_t p_start,
+                          std::uint64_t p_len, std::uint64_t q_off,
+                          std::uint64_t q_len, double weight)
+{
+    const std::uint64_t colors = cost.size();
+    require(colors != 0, "accumulateColorCollisions: no colours");
+    double *const c = cost.data();
+    const std::uint64_t sweeps = q_len / colors;
+    const std::uint64_t rest = q_len % colors;
+    // s0: the start colour at which p's line lp meets q's first line.
+    // q's lines lq = 0, 1, ... then meet p's line at s0, s0 - 1, ...;
+    // after the full sweeps, its last `rest` lines take the run
+    // (s0 - rest, s0], wrapping below colour 0.
+    std::uint64_t s0 =
+        (p_start % colors + colors - q_off % colors) % colors;
+    for (std::uint64_t lp = 0; lp < p_len; ++lp) {
+        for (std::uint64_t k = 0; k < sweeps; ++k) {
+            for (std::uint64_t s = 0; s < colors; ++s)
+                c[s] += weight;
+        }
+        if (rest <= s0 + 1) {
+            for (std::uint64_t s = s0 + 1 - rest; s <= s0; ++s)
+                c[s] += weight;
+        } else {
+            for (std::uint64_t s = 0; s <= s0; ++s)
+                c[s] += weight;
+            for (std::uint64_t s = colors + s0 + 1 - rest; s < colors; ++s)
+                c[s] += weight;
+        }
+        s0 = s0 + 1 == colors ? 0 : s0 + 1;
+    }
+}
+
+double
+sharedLineWeight(const Program &program, const CacheConfig &cache,
+                 const WeightedGraph &graph, const ChunkMap *chunks,
+                 const std::vector<std::uint32_t> &offsets,
+                 const std::vector<bool> *include)
+{
+    const std::uint32_t cache_lines = cache.lineCount();
+    const std::uint32_t line_bytes = cache.line_bytes;
+    std::vector<std::vector<BlockId>> by_line(cache_lines);
+    for (std::size_t i = 0; i < program.procCount(); ++i) {
+        const auto proc = static_cast<ProcId>(i);
+        if (include && !(*include)[proc])
+            continue;
+        const std::uint32_t len = program.sizeInLines(proc, line_bytes);
+        for (std::uint32_t line = 0; line < len; ++line) {
+            by_line[(offsets[proc] + line) % cache_lines].push_back(
+                chunks ? chunks->chunkAtLine(proc, line, line_bytes)
+                       : proc);
+        }
+    }
+    // Equal blocks are skipped: the graph has no self edges, so their
+    // weight would be +0.0 anyway.
+    double metric = 0.0;
+    for (const auto &bucket : by_line) {
+        for (std::size_t i = 0; i < bucket.size(); ++i) {
+            for (std::size_t j = i + 1; j < bucket.size(); ++j) {
+                if (bucket[i] != bucket[j])
+                    metric += graph.weight(bucket[i], bucket[j]);
+            }
+        }
+    }
+    return metric;
+}
+
 std::vector<ProcId>
 procsByHeat(const PlacementContext &ctx)
 {

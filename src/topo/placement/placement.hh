@@ -11,6 +11,7 @@
 #ifndef TOPO_PLACEMENT_PLACEMENT_HH
 #define TOPO_PLACEMENT_PLACEMENT_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -103,6 +104,40 @@ class DefaultPlacement : public PlacementAlgorithm
  * by several algorithms for placing leftover procedures.
  */
 std::vector<ProcId> procsByHeat(const PlacementContext &ctx);
+
+/**
+ * The colour-collision kernel behind every placement offset sweep:
+ * GBSC's Figure 4 alignment, the set-associative merge, refinement and
+ * HKC's colouring. Block p holds @p p_len consecutive colours from
+ * @p p_start; block q holds @p q_len from @p q_off, in a layout that
+ * would be shifted by s. Line lp of p and line lq of q collide when
+ * p_start + lp == s + q_off + lq modulo C = cost.size(); add @p weight
+ * to cost[s] once per colliding pair.
+ *
+ * For a fixed lp the colours q hits form one circular run, so each
+ * line of p costs ⌊q_len / C⌋ full sweeps plus one or two contiguous
+ * range adds: no division, and the loops vectorise. Every cost[s]
+ * receives exactly the +weight terms of a per-pair walk, and they are
+ * all the same value, so the sums are bit-identical to it.
+ */
+void accumulateColorCollisions(std::vector<double> &cost,
+                               std::uint64_t p_start, std::uint64_t p_len,
+                               std::uint64_t q_off, std::uint64_t q_len,
+                               double weight);
+
+/**
+ * The line-bucket walk behind both whole-layout conflict metrics: the
+ * lines of every procedure that @p include admits (all when null) are
+ * bucketed by cache line, line l of p at (offsets[p] + l) mod
+ * lineCount(), and @p graph's weight is summed over each pair of
+ * distinct blocks sharing a bucket, buckets in line order and pairs in
+ * insertion order. A block is the chunk of @p chunks holding the line,
+ * or the procedure itself when @p chunks is null.
+ */
+double sharedLineWeight(const Program &program, const CacheConfig &cache,
+                        const WeightedGraph &graph, const ChunkMap *chunks,
+                        const std::vector<std::uint32_t> &offsets,
+                        const std::vector<bool> *include);
 
 /**
  * The one assembly of a context from a profile: its graphs and pairs,

@@ -1,7 +1,6 @@
 #include "topo/placement/refine.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
@@ -17,36 +16,31 @@ namespace
 {
 
 /**
- * Cache-line colours currently occupied by each placed chunk. Ordered
- * map so that no future iteration can pick up hash order; today only
- * keyed lookups touch it, but the determinism audit (DESIGN.md §9)
- * keeps every container feeding placement decisions ordered.
+ * The cache-line colours a placed chunk occupies: its lines are
+ * consecutive, so they are color, color + 1, ... (mod lineCount()).
+ * An unplaced chunk has no lines.
  */
-using ColorMap = std::map<ChunkId, std::vector<std::uint32_t>>;
+struct ColorRun
+{
+    std::uint32_t color = 0;
+    std::uint32_t lines = 0;
+};
 
-/** Add or remove one procedure's chunks from the colour map. */
+/** Place (@p add) or lift one procedure's chunks at @p offset. */
 void
-applyProc(ColorMap &colors, const PlacementContext &ctx, ProcId proc,
-          std::uint32_t offset, bool add)
+applyProc(std::vector<ColorRun> &runs, const PlacementContext &ctx,
+          ProcId proc, std::uint32_t offset, bool add)
 {
     const std::uint32_t cache_lines = ctx.cache.lineCount();
     const std::uint32_t line_bytes = ctx.cache.line_bytes;
     const std::uint32_t len = ctx.program->sizeInLines(proc, line_bytes);
     for (std::uint32_t line = 0; line < len; ++line) {
-        const ChunkId chunk =
-            ctx.chunks->chunkAtLine(proc, line, line_bytes);
-        const std::uint32_t color = (offset + line) % cache_lines;
-        auto &bucket = colors[chunk];
-        if (add) {
-            bucket.push_back(color);
-        } else {
-            auto it = std::find(bucket.begin(), bucket.end(), color);
-            require(it != bucket.end(), "refineLayout: internal colour "
-                                        "bookkeeping error");
-            bucket.erase(it);
-            if (bucket.empty())
-                colors.erase(chunk);
-        }
+        ColorRun &run =
+            runs[ctx.chunks->chunkAtLine(proc, line, line_bytes)];
+        if (!add)
+            run = ColorRun{};
+        else if (run.lines++ == 0)
+            run.color = (offset + line) % cache_lines;
     }
 }
 
@@ -84,9 +78,9 @@ refineLayout(const PlacementContext &ctx, const Layout &base,
             movable.push_back(id);
     }
 
-    ColorMap colors;
+    std::vector<ColorRun> runs(ctx.chunks->chunkCount());
     for (ProcId id : movable)
-        applyProc(colors, ctx, id, offsets[id], true);
+        applyProc(runs, ctx, id, offsets[id], true);
 
     const bool log_passes = logEnabled(LogLevel::kDebug);
     std::vector<double> cost(cache_lines);
@@ -95,29 +89,25 @@ refineLayout(const PlacementContext &ctx, const Layout &base,
         ++result.passes;
         const std::uint64_t moves_before = result.moves;
         for (ProcId proc : movable) {
-            applyProc(colors, ctx, proc, offsets[proc], false);
+            applyProc(runs, ctx, proc, offsets[proc], false);
             // Sparse cost-per-offset accumulation (merge_nodes style):
-            // an edge (chunk-of-proc at line l, other chunk at colour
-            // cq) collides when offset == cq - l (mod lines).
+            // line l of proc collides with a placed chunk's colour cq
+            // at offset cq - l (mod lines), one kernel call per line
+            // and neighbour. Sorted neighbours: deterministic FP
+            // accumulation order regardless of hash layout (DESIGN.md
+            // §9). The CSR memoizes the sort, so re-querying the same
+            // chunk for consecutive lines is an O(1) span lookup.
             std::fill(cost.begin(), cost.end(), 0.0);
             const std::uint32_t len =
                 program.sizeInLines(proc, line_bytes);
             for (std::uint32_t line = 0; line < len; ++line) {
                 const ChunkId chunk =
                     ctx.chunks->chunkAtLine(proc, line, line_bytes);
-                // Sorted neighbours: deterministic FP accumulation
-                // order regardless of hash layout (DESIGN.md §9).
-                // The CSR memoizes the sort, so re-querying the same
-                // chunk for consecutive lines is an O(1) span lookup.
                 for (const auto &[other, weight] :
                      trg_place.neighbors(chunk)) {
-                    auto it = colors.find(other);
-                    if (it == colors.end())
-                        continue;
-                    for (const std::uint32_t cq : it->second) {
-                        cost[(cq + cache_lines - line % cache_lines) %
-                             cache_lines] += weight;
-                    }
+                    accumulateColorCollisions(cost, runs[other].color,
+                                              runs[other].lines, line, 1,
+                                              weight);
                 }
             }
             // Best-improvement; ties keep the current offset so the
@@ -138,7 +128,7 @@ refineLayout(const PlacementContext &ctx, const Layout &base,
                 ++result.moves;
                 improved = true;
             }
-            applyProc(colors, ctx, proc, offsets[proc], true);
+            applyProc(runs, ctx, proc, offsets[proc], true);
         }
         if (log_passes) {
             logDebug("refine", "refine pass",

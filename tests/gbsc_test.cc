@@ -16,6 +16,7 @@
 
 #include "topo/cache/simulate.hh"
 #include "topo/eval/experiment.hh"
+#include "topo/obs/metrics.hh"
 #include "topo/placement/decision_log.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/gbsc_setassoc.hh"
@@ -275,6 +276,48 @@ TEST(GbscSetAssoc, SeparatesTripleConflicts)
     EXPECT_EQ(sa.name(), "GBSC-SA");
 }
 
+TEST(GbscSetAssoc, CountsTheOffsetsEachMergeScans)
+{
+    // gbsc.offset_candidates is the size of the cost array each merge
+    // scans: every cache line for GBSC, on any cache, but one offset
+    // per set for the set-associative sweep.
+    const CacheConfig two_way = CacheConfig::paperTwoWay();
+    GbscFixture fx({64, 96, 64, 128, 32}, two_way);
+    for (BlockId p = 1; p < 5; ++p)
+        fx.trg_select.addWeight(p - 1, p, 10.0 * p);
+    PairDatabase pairs;
+    pairs.add(0, 1, 2, 5.0);
+    fx.ctx.pairs = &pairs;
+    PlacementContext direct = fx.ctx;
+    direct.cache = CacheConfig::paperDefault();
+
+    const Gbsc gbsc;
+    const GbscSetAssoc gbsc_sa;
+    struct Case
+    {
+        const Gbsc &algorithm;
+        const PlacementContext &ctx;
+        std::uint64_t per_merge;
+    };
+    const Case cases[] = {
+        {gbsc, direct, direct.cache.lineCount()},
+        {gbsc, fx.ctx, two_way.lineCount()},
+        {gbsc_sa, fx.ctx, two_way.setCount()},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.algorithm.name() + " on " +
+                     std::to_string(c.ctx.cache.associativity) + "-way");
+        MetricsRegistry local;
+        MetricsScope scope(local);
+        c.algorithm.place(c.ctx);
+        const std::uint64_t steps =
+            local.counter("gbsc.merge_steps").value();
+        EXPECT_EQ(steps, 4u);
+        EXPECT_EQ(local.counter("gbsc.offset_candidates").value(),
+                  steps * c.per_merge);
+    }
+}
+
 /**
  * The Figure 4 cost array as GBSC computed it before chunk spans: each
  * node's chunk colours in an ordered map built one chunkAtLine call per
@@ -470,43 +513,18 @@ TEST_P(GbscPropertyTest, RandomTrgsYieldValidLayouts)
 INSTANTIATE_TEST_SUITE_P(Seeds, GbscPropertyTest,
                          ::testing::Values(21u, 22u, 23u, 24u, 25u, 26u));
 
-/**
- * FNV-1a over every @p stage record of a decision log: the procedure
- * pair, the chosen offset, and the bits of the chosen and runner-up
- * costs. The number of such records goes to @p records.
- */
-std::uint64_t
-alignDigest(const DecisionLog &log, const std::string &stage,
-            std::uint64_t *records)
-{
-    std::uint64_t h = kFnvBasis;
-    *records = 0;
-    for (const DecisionRecord &rec : log.records()) {
-        if (rec.stage != stage)
-            continue;
-        ++*records;
-        fnvMix(h, rec.a, 4);
-        fnvMix(h, rec.b, 4);
-        fnvMix(h, rec.chosen, 8);
-        fnvMix(h, std::bit_cast<std::uint64_t>(rec.chosen_cost), 8);
-        fnvMix(h, rec.alternative_count, 4);
-        for (std::uint32_t k = 0; k < rec.alternative_count; ++k) {
-            fnvMix(h, rec.alternatives[k].choice, 8);
-            fnvMix(h, std::bit_cast<std::uint64_t>(
-                          rec.alternatives[k].cost),
-                   8);
-        }
-    }
-    return h;
-}
-
 TEST(GbscGolden, AlignDecisionsAndSetAssocLayoutAtScale005)
 {
     // Recorded before alignmentCost moved from per-merge chunk maps to
-    // flat chunk spans. Each row holds the align-record count, the
-    // align-record digest, the layout hash and the test-trace misses.
-    // "gbsc-perturbed" places on perturbed TRGs, whose weights are not
-    // integers, so it pins the order of the cost additions too.
+    // flat chunk spans; the 4-way, 8-way and 2 KB rows were recorded
+    // before the set-associative merge moved from per-procedure set
+    // lists to circular set runs. Each row holds the align-record
+    // count, the align-record digest, the layout hash and the
+    // test-trace misses. "gbsc-perturbed" places on perturbed TRGs,
+    // whose weights are not integers, so it pins the order of the cost
+    // additions too. In the 32-set 2 KB 2-way cache 124 of gcc's 211
+    // popular procedures cover every set, so set runs cover the whole
+    // circle or wrap.
     static const WordGolden<4> kGolden[] = {
         {"gbsc",
          {0x000000000000002eULL, 0xe3b8d77c5807e163ULL,
@@ -517,12 +535,31 @@ TEST(GbscGolden, AlignDecisionsAndSetAssocLayoutAtScale005)
         {"gbsc-sa",
          {0x000000000000002eULL, 0x64934f31ab1a2d8bULL,
           0xaf4958c9fec90f13ULL, 0x000000000001fa63ULL}},
+        {"gbsc-sa-4way",
+         {0x000000000000002eULL, 0x61f71253caff8065ULL,
+          0xdb09a313d2a74737ULL, 0x0000000000021549ULL}},
+        {"gbsc-sa-8way",
+         {0x000000000000002eULL, 0x14cb104440371c79ULL,
+          0x584319d5ace4e81eULL, 0x0000000000021a54ULL}},
+        {"gbsc-sa-2k-2way",
+         {0x000000000000002dULL, 0xaa589d85bdff5a9cULL,
+          0xa86bd14a97170894ULL, 0x000000000007ef62ULL}},
     };
     const ProfileBundle direct(paperBenchmark("gcc", 0.05), EvalOptions{});
-    EvalOptions two_way;
-    two_way.cache = CacheConfig::paperTwoWay();
-    two_way.build_pairs = true;
-    const ProfileBundle assoc(paperBenchmark("gcc", 0.05), two_way);
+    auto assoc_options = [](CacheConfig cache) {
+        EvalOptions options;
+        options.cache = cache;
+        options.build_pairs = true;
+        return options;
+    };
+    const ProfileBundle assoc(paperBenchmark("gcc", 0.05),
+                              assoc_options(CacheConfig::paperTwoWay()));
+    const ProfileBundle four_way(paperBenchmark("gcc", 0.05),
+                                 assoc_options(CacheConfig{8 * 1024, 32, 4}));
+    const ProfileBundle eight_way(paperBenchmark("gcc", 0.05),
+                                  assoc_options(CacheConfig{8 * 1024, 32, 8}));
+    const ProfileBundle small(paperBenchmark("gcc", 0.05),
+                              assoc_options(CacheConfig{2 * 1024, 32, 2}));
 
     Rng rng_sel(71);
     Rng rng_plc(72);
@@ -545,7 +582,11 @@ TEST(GbscGolden, AlignDecisionsAndSetAssocLayoutAtScale005)
         {gbsc, direct, direct.makeContext(nullptr, &sel_p, &plc_p),
          "gbsc.align"},
         {gbsc_sa, assoc, assoc.makeContext(), "gbsc_sa.align"},
+        {gbsc_sa, four_way, four_way.makeContext(), "gbsc_sa.align"},
+        {gbsc_sa, eight_way, eight_way.makeContext(), "gbsc_sa.align"},
+        {gbsc_sa, small, small.makeContext(), "gbsc_sa.align"},
     };
+    ASSERT_EQ(std::size(cases), std::size(kGolden));
     for (std::size_t i = 0; i < std::size(cases); ++i) {
         SCOPED_TRACE(kGolden[i].name);
         const Case &c = cases[i];
@@ -554,7 +595,7 @@ TEST(GbscGolden, AlignDecisionsAndSetAssocLayoutAtScale005)
         ctx.decisions = &log;
         const Layout layout = c.algorithm.place(ctx);
         std::uint64_t got[4];
-        got[1] = alignDigest(log, c.stage, &got[0]);
+        got[1] = decisionDigest(log, c.stage, &got[0]);
         got[2] = layoutHash(layout);
         got[3] = simulateLayout(c.bundle.program(), layout,
                                 c.bundle.testStream(),

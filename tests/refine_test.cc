@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "topo/eval/experiment.hh"
+#include "topo/placement/decision_log.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/refine.hh"
-#include "topo/util/error.hh"
-#include "topo/workload/microsuite.hh"
-#include "topo/workload/synthetic_program.hh"
-
 #include "topo/profile/perturb.hh"
+#include "topo/util/error.hh"
 #include "topo/util/rng.hh"
+#include "topo/workload/microsuite.hh"
+#include "topo/workload/paper_suite.hh"
+#include "topo/workload/synthetic_program.hh"
+#include "test_support.hh"
 
 namespace topo
 {
@@ -140,6 +144,36 @@ TEST(Refine, ImprovesPerturbedGbscOnSynthetic)
     const PlacementContext true_ctx = bundle.makeContext();
     const RefineResult result = refineLayout(true_ctx, noisy_layout);
     EXPECT_LT(result.final_metric, result.initial_metric);
+}
+
+TEST(RefineGolden, PerturbedGccDefaultLayoutAtScale005)
+{
+    // Recorded before refinement moved from a per-chunk colour map to
+    // one dense colour run per chunk. The TRG_place weights are
+    // perturbed, so they are not integers and the row pins the order
+    // of the cost additions: moves, layout hash, the bits of the final
+    // metric, the refine.move record count and their digest.
+    static const WordGolden<5> kGolden = {
+        "refine-perturbed",
+        {0x0000000000000051ULL, 0x29d931c684f4452fULL,
+         0x40d85ac1a7dba8b1ULL, 0x0000000000000051ULL,
+         0x29a58eade49b9d96ULL}};
+    const ProfileBundle bundle(paperBenchmark("gcc", 0.05), EvalOptions{});
+    Rng rng(73);
+    const WeightedGraph plc_p =
+        perturb(bundle.trgPlace(), kPaperPerturbScale, rng);
+    PlacementContext ctx = bundle.makeContext(nullptr, nullptr, &plc_p);
+    const Layout base = DefaultPlacement().place(ctx);
+    DecisionLog log;
+    ctx.decisions = &log;
+    const RefineResult result = refineLayout(ctx, base);
+    std::uint64_t got[5];
+    got[0] = result.moves;
+    got[1] = layoutHash(result.layout);
+    got[2] = std::bit_cast<std::uint64_t>(result.final_metric);
+    got[4] = decisionDigest(log, "refine.move", &got[3]);
+    EXPECT_GT(result.moves, 0u);
+    expectGolden(kGolden, got);
 }
 
 } // namespace

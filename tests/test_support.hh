@@ -1,8 +1,9 @@
 /**
  * @file
  * Helpers shared by the unit tests: a private temporary directory per
- * test, hashes that pin a layout's addresses and a graph's edges, and
- * golden-row checks that print the measured row on a mismatch.
+ * test, hashes that pin a layout's addresses, a graph's edges and a
+ * decision log's records, and golden-row checks that print the
+ * measured row on a mismatch.
  */
 
 #ifndef TOPO_TESTS_TEST_SUPPORT_HH
@@ -19,6 +20,7 @@
 #include <string>
 #include <system_error>
 
+#include "topo/placement/decision_log.hh"
 #include "topo/profile/weighted_graph.hh"
 #include "topo/program/layout.hh"
 
@@ -104,6 +106,36 @@ edgeHash(const WeightedGraph &graph)
         fnvMix(h, e.u, 4);
         fnvMix(h, e.v, 4);
         fnvMix(h, std::bit_cast<std::uint64_t>(e.weight), 8);
+    }
+    return h;
+}
+
+/**
+ * FNV-1a over every @p stage record of a decision log: the procedure
+ * pair, the chosen option, and the bits of the chosen and runner-up
+ * costs. The number of such records goes to @p records.
+ */
+inline std::uint64_t
+decisionDigest(const DecisionLog &log, const std::string &stage,
+               std::uint64_t *records)
+{
+    std::uint64_t h = kFnvBasis;
+    *records = 0;
+    for (const DecisionRecord &rec : log.records()) {
+        if (rec.stage != stage)
+            continue;
+        ++*records;
+        fnvMix(h, rec.a, 4);
+        fnvMix(h, rec.b, 4);
+        fnvMix(h, rec.chosen, 8);
+        fnvMix(h, std::bit_cast<std::uint64_t>(rec.chosen_cost), 8);
+        fnvMix(h, rec.alternative_count, 4);
+        for (std::uint32_t k = 0; k < rec.alternative_count; ++k) {
+            fnvMix(h, rec.alternatives[k].choice, 8);
+            fnvMix(h, std::bit_cast<std::uint64_t>(
+                          rec.alternatives[k].cost),
+                   8);
+        }
     }
     return h;
 }
